@@ -41,6 +41,7 @@ from .errors import (
     WidthUndefinedError,
 )
 from .evolve import (
+    BathSolution,
     EvolutionParams,
     MqsConvention,
     MqsReport,
@@ -48,6 +49,7 @@ from .evolve import (
     evolve_state,
     mqs_target,
     snapshot_series,
+    solve_bath,
     solve_tau_mqs,
 )
 from .kernels import (
@@ -72,6 +74,7 @@ __all__ = [
     "coherence_corner",
     "EvolutionParams", "MqsReport", "MqsConvention", "evolve_state",
     "mqs_target", "solve_tau_mqs", "assess_mqs", "snapshot_series",
+    "BathSolution", "solve_bath",
     "SpinCatError", "DomainError", "UsageError", "ConfigError",
     "NumericError", "KernelDivergenceError", "WidthUndefinedError",
     "NoFormationError",

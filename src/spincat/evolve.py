@@ -13,11 +13,15 @@ module builds those target states, solves for the earliest formation time
 ``tau`` (root of ``t*f(t) = pi/2``), and scores the formed state
 (fidelity, purity, extreme coherence) together with the survival
 condition ``tau * Gamma(tau) * N**2 < 1`` and the implied maximum
-ensemble size.
+ensemble size.  Only the Dicke-sector algebra depends on ``N``; ``tau``,
+``f(tau)``, ``Gamma(tau)`` and ``n_max`` belong to the bath and are memoised
+by :func:`solve_bath`.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,16 +40,16 @@ from .dicke import (
     to_x_basis,
 )
 from .errors import NoFormationError, NumericError, UsageError
-from .kernels import f_of_t, gamma_of_t
-
-import enum
+from .kernels import _CACHE_SIZE, f_of_t, gamma_of_t
 
 __all__ = [
     "MqsConvention",
     "EvolutionParams",
     "MqsReport",
+    "BathSolution",
     "evolve_state",
     "mqs_target",
+    "solve_bath",
     "solve_tau_mqs",
     "assess_mqs",
     "snapshot_series",
@@ -125,11 +129,16 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
     """
     if t < 0.0:
         raise UsageError(f"t must be >= 0, got {t}")
-    rho0 = np.outer(p.initial.amplitudes, p.initial.amplitudes.conj())
     if t == 0.0:
-        return DickeDensityMatrix(p.sector, rho0, Basis.LZ)
+        return _dephase(p, t, 0.0, 0.0)
     f = f_of_t(p.spectrum, t)
     gamma = 0.0 if p.force_zero_decoherence else gamma_of_t(p.spectrum, t)
+    return _dephase(p, t, f, gamma)
+
+
+def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
+    """The exact propagator at ``t`` given the kernel values there."""
+    rho0 = np.outer(p.initial.amplitudes, p.initial.amplitudes.conj())
     m = p.sector.m_values()
     m2 = m * m
     phase = np.exp(-1j * t * f * (m2[:, None] - m2[None, :]))
@@ -168,15 +177,25 @@ def mqs_target(sector: SectorLabel, theta: float, phi: float,
     return DickeState(sector, amp, Basis.LZ, bloch=None)
 
 
-def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = 1e6) -> float:
-    """Earliest time with accumulated twisting phase ``t*f(t) = pi/2``.
+@dataclass(frozen=True)
+class BathSolution:
+    """Bath-only formation quantities: ``tau`` with ``f`` and ``Gamma`` there."""
+
+    tau: float
+    f_tau: float
+    gamma_tau: float
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
+    """Formation time ``tau`` (root of ``t*f(t) = pi/2``) and the kernels there.
 
     ``t*f(t)`` is nondecreasing, so the first crossing is found by bracket
     doubling from the bath correlation time up to ``horizon_factor * t_corr``
     followed by root polishing; the returned root satisfies
     ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  Raises
     :class:`NoFormationError` (with the achieved supremum) when the phase
-    never reaches the threshold inside the horizon.
+    never reaches the threshold inside the horizon.  Memoised per process.
     """
     from scipy.optimize import brentq
 
@@ -211,12 +230,18 @@ def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = 1e6) -> float:
     else:
         # certified bracket: g(lo) < 0 <= g(hi)
         tau = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    residual = abs(tau * f_of_t(sd, tau) - _HALF_PI)
+    f_tau = f_of_t(sd, tau)
+    residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
         raise NumericError(
             f"formation-time residual {residual!r} exceeds tolerance",
             estimate=tau, error_bound=residual)
-    return float(tau)
+    return BathSolution(float(tau), f_tau, gamma_of_t(sd, tau))
+
+
+def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = 1e6) -> float:
+    """Earliest time with ``t*f(t) = pi/2``: the ``tau`` of :func:`solve_bath`."""
+    return solve_bath(sd, horizon_factor).tau
 
 
 def assess_mqs(p: EvolutionParams) -> MqsReport:
@@ -232,19 +257,18 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
             "assess_mqs needs a coherent initial state (preparation angles "
             "are required to construct the target)")
     theta, phi = p.initial.bloch
-    tau = solve_tau_mqs(p.spectrum, p.solve_horizon_factor)
-    rho = evolve_state(p, tau)
-    f_tau = f_of_t(p.spectrum, tau)
-    gamma_bar = 0.0 if p.force_zero_decoherence else gamma_of_t(p.spectrum, tau)
+    bath = solve_bath(p.spectrum, p.solve_horizon_factor)
+    gamma_bar = 0.0 if p.force_zero_decoherence else bath.gamma_tau
+    rho = _dephase(p, bath.tau, bath.f_tau, gamma_bar)
     target = mqs_target(p.sector, theta, phi, p.mqs_convention)
     fid = fidelity(rho, target)
     pur = purity(rho)
     corner = coherence_corner(to_x_basis(rho))
     n = p.sector.n_particles
-    product = tau * gamma_bar
+    product = bath.tau * gamma_bar
     feasible = product * n * n < 1.0
     n_max = math.floor(1.0 / math.sqrt(product)) if product > 0.0 else None
-    return MqsReport(tau_mqs=tau, f_at_tau=f_tau, gamma_at_tau=gamma_bar,
+    return MqsReport(tau_mqs=bath.tau, f_at_tau=bath.f_tau, gamma_at_tau=gamma_bar,
                      fidelity=fid, corner=corner, purity=pur,
                      feasible=feasible, n_max=n_max,
                      convention_used=p.mqs_convention.value)

@@ -20,6 +20,7 @@ returning a value that misses its accuracy contract.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ _CONTRACT_REL = 1e-9
 # Arguments below this are evaluated by Taylor series instead of the direct
 # trig expression (catastrophic cancellation in w*t - sin(w*t)).
 _SERIES_CUT = 1e-4
+_CACHE_SIZE = 64  # results kept per process by the memoised bath-only solvers
 
 
 def _quad(func, a, b, **kw):
@@ -306,6 +308,7 @@ class MarkovLimits:
     warnings: tuple[str, ...] = ()
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def markov_limits(sd: SpectralDensity, t_eval: float | None = None) -> MarkovLimits:
     """Long-time limits ``f_M`` and ``Gamma_M``.
 
@@ -315,6 +318,7 @@ def markov_limits(sd: SpectralDensity, t_eval: float | None = None) -> MarkovLim
     warning.  ``Gamma_M`` uses the delta-kernel identity
     ``Gamma_M = (pi/2) * G_T(0+)`` when that limit is finite and is
     ``inf`` (with a warning) when the integral is infrared divergent.
+    Memoised per process.
     """
     warnings: list[str] = []
     z = gt_zero_limit(sd)
@@ -373,15 +377,6 @@ class KernelTable:
         for t, f, g in zip(self.times, self.f_values, self.gamma_values):
             lines.append(f"{float(t)!r},{float(f)!r},{float(g)!r}")
         return lines
-
-    def summary_dict(self) -> dict:
-        return {
-            "f_markov": self.f_markov,
-            "gamma_markov": self.gamma_markov,
-            "t_corr": self.t_corr,
-            "n_times": int(len(self.times)),
-            "warnings": list(self.warnings),
-        }
 
 
 def tabulate_kernels(sd: SpectralDensity, grid) -> KernelTable:

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SpectralDensity, SpectrumKind, ThermalConvention, lorentzian, ohmic, tabulated
+from .bath import SpectralDensity, SpectrumKind, ThermalConvention
 from .dicke import Basis, SectorLabel, coherent_state
 from .errors import ConfigError, SpinCatError
 from .evolve import EvolutionParams, MqsConvention, assess_mqs, snapshot_series, solve_tau_mqs
@@ -318,28 +318,18 @@ class Scenario:
         return SectorLabel(self.n_particles)
 
 
-def _build_spectrum(sp: dict) -> SpectralDensity:
-    beta = sp["beta"] if sp["beta"] is not None else math.inf
-    thermal = ThermalConvention(sp["thermal_convention"])
-    kind = sp["kind"]
-    if kind == SpectrumKind.OHMIC.value:
-        return ohmic(sp["alpha"], sp["omega_c"], beta=beta,
-                     thermal_convention=thermal)
-    if kind == SpectrumKind.LORENTZIAN.value:
-        return lorentzian(sp["alpha"], sp["omega_c"], sp["omega_0"],
-                          beta=beta, thermal_convention=thermal)
-    return tabulated(sp["table"], omega_c=sp["omega_c"], beta=beta,
-                     thermal_convention=thermal)
+def _build_spectrum(sp: dict, thermal: str) -> SpectralDensity:
+    # validated spectrum keys are SpectralDensity fields; beta None is T = 0
+    return SpectralDensity(**dict(sp, beta=sp["beta"] or math.inf), thermal_convention=thermal)
 
 
 def build_scenario(normalized: dict) -> Scenario:
     """Construct the physics objects for a validated config."""
-    sp = dict(normalized["spectrum"])
-    sp["thermal_convention"] = normalized["conventions"]["thermal"]
     return Scenario(
         name=normalized["name"],
         units=normalized["units"],
-        spectrum=_build_spectrum(sp),
+        spectrum=_build_spectrum(normalized["spectrum"],
+                                 normalized["conventions"]["thermal"]),
         n_particles=normalized["n_particles"],
         theta=normalized["theta"],
         phi=normalized["phi"],
@@ -497,25 +487,12 @@ def _snapshot_csv(rho, time: float) -> str:
 
 
 def _report_payload(scn: Scenario, report) -> dict:
-    sd = scn.spectrum
-    spectrum = {
-        "kind": sd.kind.value,
-        "omega_c": sd.omega_c,
-        "beta": None if sd.zero_temperature else sd.beta,
-        "thermal_convention": sd.thermal_convention.value,
-    }
-    if sd.kind is SpectrumKind.TABULATED:
-        w, g = sd.table_arrays()
-        spectrum["table"] = [[float(a), float(b)] for a, b in zip(w, g)]
-    else:
-        spectrum["alpha"] = sd.alpha
-        if sd.kind is SpectrumKind.LORENTZIAN:
-            spectrum["omega_0"] = sd.omega_0
     return {
         "schema": 1,
         "name": scn.name,
         "units": scn.units,
-        "spectrum": spectrum,
+        "spectrum": dict(scn.config["spectrum"],
+                         thermal_convention=scn.config["conventions"]["thermal"]),
         "n_particles": scn.n_particles,
         "theta": scn.theta,
         "phi": scn.phi,
@@ -537,6 +514,13 @@ def _annotate(exc: SpinCatError, operation: str):
     if not getattr(exc, "operation", None):
         exc.operation = operation
     return exc
+
+
+def _evolution_params(scn: Scenario) -> EvolutionParams:
+    return EvolutionParams(scn.spectrum, scn.sector,
+                           coherent_state(scn.sector, scn.theta, scn.phi),
+                           mqs_convention=scn.mqs_convention,
+                           solve_horizon_factor=scn.horizon_factor)
 
 
 def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
@@ -576,10 +560,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
 
     params = None
     if "report" in scn.outputs or "snapshots" in scn.outputs:
-        initial = coherent_state(scn.sector, scn.theta, scn.phi)
-        params = EvolutionParams(scn.spectrum, scn.sector, initial,
-                                 mqs_convention=scn.mqs_convention,
-                                 solve_horizon_factor=scn.horizon_factor)
+        params = _evolution_params(scn)
 
     if "report" in scn.outputs:
         try:
@@ -665,11 +646,7 @@ def _sweep_point(task) -> dict:
     try:
         cfg = _apply_axis(normalized, axis, value)
         scn = build_scenario(cfg)
-        initial = coherent_state(scn.sector, scn.theta, scn.phi)
-        params = EvolutionParams(scn.spectrum, scn.sector, initial,
-                                 mqs_convention=scn.mqs_convention,
-                                 solve_horizon_factor=scn.horizon_factor)
-        report = assess_mqs(params)
+        report = assess_mqs(_evolution_params(scn))
         limits = markov_limits(scn.spectrum)
         row.update(
             tau_mqs=report.tau_mqs, f_at_tau=report.f_at_tau,
@@ -698,7 +675,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
 
     One row per value, in input order; a failed point fills the ``error``
     column and the sweep continues.  ``jobs > 1`` distributes points over
-    a process pool; results are identical to a serial run.
+    at most one process per point; results are identical to a serial run.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; "
@@ -710,14 +687,15 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
         # the axis column prints integers whether values arrived as 2 or 2.0
         values = [int(v) if isinstance(v, float) and v.is_integer() else v
                   for v in values]
-    if axis == "omega_0" and normalized["spectrum"]["kind"] != "lorentzian":
-        raise ConfigError("omega_0 sweeps require a lorentzian spectrum",
-                          field="axis")
+    kind = normalized["spectrum"]["kind"]
+    if (axis, kind) in (("omega_0", "ohmic"), ("omega_0", "tabulated"), ("alpha", "tabulated")):
+        raise ConfigError(f"{axis} sweeps do not apply to {kind} spectra", field="axis")
     base = copy.deepcopy(normalized)
     base["outputs"] = ["report"]
     tasks = [(base, axis, v) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from spincat import scenario
 from spincat.cli import main
 from spincat.errors import ConfigError
+from spincat.evolve import solve_bath
 from spincat.scenario import (
     SWEEP_AXES,
     build_scenario,
@@ -234,6 +236,55 @@ def test_absolute_snapshot_times_skip_formation_solve(tmp_path):
     assert summary["report"] is None
 
 
+def formation_solves(fn, *args, **kwargs) -> int:
+    """Formation solves that ``fn`` performs on a cleared bath cache."""
+    solve_bath.cache_clear()
+    fn(*args, **kwargs)
+    return solve_bath.cache_info().misses
+
+
+def test_run_solves_the_bath_once(tmp_path):
+    report = validate_config(small_config())
+    assert formation_solves(run_scenario, report, output_dir=str(tmp_path / "a")) == 1
+    snaps = validate_config(small_config(
+        outputs=["snapshots", "report"],
+        snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]}))
+    assert formation_solves(run_scenario, snaps, output_dir=str(tmp_path / "b")) == 1
+
+
+def test_runs_without_tau_do_not_solve(tmp_path):
+    grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 5}
+    kernels = validate_config(small_config(outputs=["kernels"], time_grid=grid))
+    assert formation_solves(run_scenario, kernels, output_dir=str(tmp_path / "k")) == 0
+    absolute = validate_config(small_config(
+        outputs=["snapshots"], snapshot_times={"kind": "absolute", "values": [1.0]}))
+    assert formation_solves(run_scenario, absolute, output_dir=str(tmp_path / "s")) == 0
+    # a bath with no formation time inside its horizon still tabulates
+    cfg = small_config(outputs=["kernels"], time_grid=grid,
+                       solver={"horizon_factor": 1e4})
+    cfg["spectrum"]["alpha"] = 1e-30
+    summary = run_scenario(validate_config(cfg), output_dir=str(tmp_path / "n"))
+    assert summary["files"] == ["kernels.csv"]
+
+
+def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
+    cfg = validate_config(small_config(
+        outputs=["kernels", "snapshots", "report"],
+        time_grid={"kind": "log", "start": 0.1, "stop": 1e5, "count": 7},
+        snapshot_times={"kind": "tau-fractions", "values": [1.0]},
+        basis="Lx"))
+    solve_bath.cache_clear()
+    cold = run_scenario(copy.deepcopy(cfg), output_dir=str(tmp_path / "cold"))
+    hits = solve_bath.cache_info().hits
+    warm = run_scenario(copy.deepcopy(cfg), output_dir=str(tmp_path / "warm"))
+    assert solve_bath.cache_info().hits > hits
+    assert solve_bath.cache_info().misses == 1
+    assert cold["files"] == warm["files"]
+    for name in cold["files"]:
+        assert (tmp_path / "cold" / name).read_bytes() == \
+               (tmp_path / "warm" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -287,6 +338,11 @@ def test_sweep_axis_validation(tmp_path):
         sweep(cfg, "alpha", [], output_dir=str(tmp_path))
     with pytest.raises(ConfigError):  # omega_0 needs a lorentzian spectrum
         sweep(cfg, "omega_0", [1.0], output_dir=str(tmp_path))
+    tab = validate_config(small_config(spectrum={
+        "kind": "tabulated", "table": [[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0]]}))
+    with pytest.raises(ConfigError) as exc:  # a table has no alpha to vary
+        sweep(tab, "alpha", [1e-3, 1.0], output_dir=str(tmp_path))
+    assert exc.value.field == "axis"
     summary = sweep(cfg, "N", [2.5], jobs=1, output_dir=str(tmp_path))
     assert summary["failed"] == 1  # non-integer N fails per point
 
@@ -298,6 +354,39 @@ def test_sweep_parallel_matches_serial(tmp_path):
     sweep(copy.deepcopy(cfg), "N", values, jobs=4, output_dir=str(tmp_path / "s4"))
     assert (tmp_path / "s1" / "sweep.csv").read_bytes() == \
            (tmp_path / "s4" / "sweep.csv").read_bytes()
+
+
+def test_sweep_solves_the_bath_once(tmp_path):
+    cfg = validate_config(small_config())
+    assert formation_solves(sweep, cfg, "N", [2, 4, 6, 8], jobs=1,
+                            output_dir=str(tmp_path)) == 1
+
+
+def test_sweep_pool_is_capped_at_point_count(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool; runs the points in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", RecordingPool)
+    cfg = validate_config(small_config())
+    values = [2, 4, 6]
+    sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values)]
+    sweep(copy.deepcopy(cfg), "N", [2], jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values)]  # one point runs serially
 
 
 def test_sweep_n_feasibility_flip(tmp_path):

@@ -23,6 +23,7 @@ from spincat.evolve import (
     evolve_state,
     mqs_target,
     snapshot_series,
+    solve_bath,
     solve_tau_mqs,
 )
 from spincat.kernels import f_of_t, gamma_of_t
@@ -237,6 +238,27 @@ def test_lorentzian_formation_time_is_root():
     tau = solve_tau_mqs(sd)
     assert abs(tau * f_of_t(sd, tau) - HALF_PI) <= 1e-9 * HALF_PI
     assert tau == pytest.approx(100.0, rel=1e-6)
+
+
+def test_solve_bath_keeps_kernels_at_tau_and_solves_once():
+    sd = ohmic(2.5e-5)
+    solve_bath.cache_clear()
+    bath = solve_bath(sd, 1e6)
+    assert solve_tau_mqs(sd) == bath.tau
+    assert bath.f_tau == f_of_t(sd, bath.tau)
+    assert bath.gamma_tau == gamma_of_t(sd, bath.tau)
+    rep = assess_mqs(equator_params(10))
+    assert (rep.tau_mqs, rep.f_at_tau, rep.gamma_at_tau) == \
+           (bath.tau, bath.f_tau, bath.gamma_tau)
+    assert solve_bath.cache_info().misses == 1
+
+
+def test_solve_bath_failures_are_not_cached():
+    solve_bath.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NoFormationError):
+            solve_bath(ohmic(1e-30), 1e4)
+    assert solve_bath.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
