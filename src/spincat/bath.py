@@ -12,13 +12,22 @@ convention.  Three model families are supported:
 * tabulated:   linear interpolation of ``(omega, G_0)`` samples, zero outside
                the tabulated support.
 
+Each family is defined in one place, the family branch of
+:class:`SpectralDensity`, which fixes when the spectrum is built its scalar
+``g0`` and the constants the kernel quadrature reads (``origin``,
+``features``, ``split``, ``support``, ``total``).  Spectra are evaluated as
+plain floats (``sd.g0(w)``, ``sd.gt(w)``); :func:`eval_g0` and
+:func:`eval_gt` add the domain check and map them over arrays.
+
 All frequencies are angular frequencies in a single consistent unit (the
 cutoff ``omega_c`` is the natural choice); times are in the inverse unit.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,14 +47,34 @@ __all__ = [
     "eval_gt",
     "gt_zero_limit",
     "total_coupling",
-    "feature_frequencies",
-    "oscillatory_split",
-    "support_cutoff",
 ]
 
 # Below this argument the direct 1/tanh(x) evaluation is replaced by its
 # Laurent series to avoid amplified rounding in x/tanh-style products.
 _COTH_SERIES_CUT = 1e-4
+
+
+# Family formulas on one float; products, not powers, so that overflow
+# gives inf (and the spectrum 0) instead of raising.
+
+
+def _ohmic_g0(alpha: float, omega_c: float, w: float) -> float:
+    return alpha * w * math.exp(-w / omega_c)
+
+
+def _lorentzian_g0(peak: float, width2: float, omega_0: float, w: float) -> float:
+    d = w - omega_0
+    return peak / (width2 + d * d)
+
+
+def _tabulated_g0(ws: tuple, gs: tuple, w: float) -> float:
+    # linear interpolation as np.interp does it; zero outside [ws[0], ws[-1]]
+    if not ws[0] <= w <= ws[-1]:
+        return 0.0
+    j = bisect.bisect_right(ws, w) - 1
+    if ws[j] == w:
+        return gs[j]
+    return (gs[j + 1] - gs[j]) / (ws[j + 1] - ws[j]) * (w - ws[j]) + gs[j]
 
 
 class SpectrumKind(str, enum.Enum):
@@ -91,6 +120,19 @@ class SpectralDensity:
         ``math.inf`` means zero temperature.
     thermal_convention : ThermalConvention
         Which coth argument multiplies G_0 at finite temperature.
+
+    Attributes fixed at construction (not fields: ``==``, ``hash`` and
+    ``repr`` ignore them):
+
+    g0 : picklable ``G_0(w)`` of one float ``w >= 0``, no domain check.
+    origin : ``(G_0(0+), slope of G_0 at 0+)``; the slope matters only when
+        ``G_0(0+) == 0``.
+    features : positive frequencies where the integrand changes character
+        (peaks, kinks, thermal crossover); mandatory subdivision points.
+    split : frequency beyond which the spectrum is a structureless decaying
+        tail, suited to semi-infinite oscillatory integration.
+    support : upper end of the spectral support (inf for analytic families).
+    total : integral of ``G_0`` over ``[0, inf)``.
     """
 
     kind: SpectrumKind
@@ -114,23 +156,67 @@ class SpectralDensity:
             raise DomainError(f"omega_0 must be finite and >= 0, got {self.omega_0}")
         if not self.beta > 0.0:
             raise DomainError(f"beta must be > 0 (inf = zero temperature), got {self.beta}")
-        if self.kind is SpectrumKind.TABULATED:
+        if self.table is not None and self.kind is not SpectrumKind.TABULATED:
+            raise DomainError("table is only valid for the tabulated family")
+
+        # The one place that knows the families: fix the scalar G_0 and the
+        # constants the kernel quadrature reads.
+        if self.kind is SpectrumKind.OHMIC:
+            g0 = functools.partial(_ohmic_g0, self.alpha, self.omega_c)
+            slope = self.alpha
+            feats = [self.omega_c]
+            split = 50.0 * self.omega_c
+            support = math.inf
+            total = self.alpha * (self.omega_c * self.omega_c)
+        elif self.kind is SpectrumKind.LORENTZIAN:
+            width2 = self.omega_c * self.omega_c
+            g0 = functools.partial(_lorentzian_g0, self.alpha * width2, width2, self.omega_0)
+            slope = 0.0
+            feats = [self.omega_0 - 50.0 * self.omega_c, self.omega_0 - self.omega_c,
+                     self.omega_0, self.omega_0 + self.omega_c]
+            split = self.omega_0 + 50.0 * self.omega_c
+            support = math.inf
+            total = self.alpha * self.omega_c * (math.pi / 2.0
+                                                 + math.atan(self.omega_0 / self.omega_c))
+        else:
             if not self.table:
                 raise DomainError("tabulated spectrum requires a non-empty table")
             tab = tuple((float(w), float(g)) for w, g in self.table)
             object.__setattr__(self, "table", tab)
-            w = np.array([p[0] for p in tab])
-            g = np.array([p[1] for p in tab])
-            if w[0] < 0.0 or not np.all(np.isfinite(w)):
+            ws, gs = zip(*tab)
+            if not (ws[0] >= 0.0 and all(map(math.isfinite, ws))):
                 raise DomainError("table frequencies must be finite and >= 0")
-            if len(w) > 1 and not np.all(np.diff(w) > 0.0):
+            if any(hi <= lo for lo, hi in zip(ws, ws[1:])):
                 raise DomainError("table frequencies must be strictly increasing")
-            if np.any(g < 0.0) or not np.all(np.isfinite(g)):
+            if not all(g >= 0.0 and math.isfinite(g) for g in gs):
                 raise DomainError("table values must be finite and >= 0")
-        elif self.table is not None:
-            raise DomainError("table is only valid for the tabulated family")
+            g0 = functools.partial(_tabulated_g0, ws, gs)
+            # first-segment slope; a table starting above 0 vanishes near 0
+            slope = (gs[1] - gs[0]) / (ws[1] - ws[0]) if ws[0] == 0.0 and len(ws) > 1 else 0.0
+            picks = np.linspace(0, len(ws) - 1, min(len(ws), 64))  # cap subdivisions
+            feats = [ws[i] for i in picks.round().astype(int).tolist()]
+            split = support = ws[-1]
+            total = float(integrate.trapezoid(gs, ws))
+        if not self.zero_temperature:
+            feats.append(1.0 / self.beta)
 
-    # -- convenience views -------------------------------------------------
+        self.__dict__.update(  # frozen: bypass __setattr__ as object.__setattr__ does
+            g0=g0, origin=(g0(0.0), slope), split=split, support=support, total=total,
+            features=tuple(sorted({f for f in feats if f > 0.0 and math.isfinite(f)})))
+
+    # -- evaluation and convenience views ----------------------------------
+
+    def gt(self, w: float) -> float:
+        """``G_T(w)`` at one frequency ``w >= 0``, as a plain float."""
+        if self.zero_temperature:
+            return self.g0(w)
+        half = self.thermal_convention is ThermalConvention.COTH_HALF
+        x = self.beta * w * (0.5 if half else 1.0)
+        if x == 0.0:  # w == 0, or beta*w underflows
+            return gt_zero_limit(self)
+        if x < _COTH_SERIES_CUT:
+            return self.g0(w) * (1.0 / x + x / 3.0 - x * x * x / 45.0)
+        return self.g0(w) * (1.0 / math.tanh(x))
 
     @property
     def zero_temperature(self) -> bool:
@@ -169,14 +255,14 @@ def tabulated(points, omega_c: float = 1.0, beta: float = math.inf,
 # evaluation
 
 
-def _coth(x):
-    """coth(x) for x > 0, series-stabilized near zero; vectorized."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        direct = 1.0 / np.tanh(np.where(x > 0.0, x, 1.0))
-        series = 1.0 / np.where(x > 0.0, x, 1.0) + x / 3.0 - x**3 / 45.0
-    out = np.where(x < _COTH_SERIES_CUT, series, direct)
-    return out if out.ndim else float(out)
+def _map(fn, omega):
+    """Apply a scalar spectrum function to a scalar or elementwise to an array."""
+    w = np.asarray(omega, dtype=float)
+    if np.any(w < 0.0):
+        raise DomainError("omega must be >= 0")
+    if not np.ndim(omega):
+        return fn(float(w))
+    return np.array([fn(x) for x in w.ravel().tolist()], dtype=float).reshape(w.shape)
 
 
 def eval_g0(sd: SpectralDensity, omega):
@@ -184,38 +270,7 @@ def eval_g0(sd: SpectralDensity, omega):
 
     Accepts scalars or arrays (elementwise).
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise DomainError("omega must be >= 0")
-    if sd.kind is SpectrumKind.OHMIC:
-        out = sd.alpha * w * np.exp(-w / sd.omega_c)
-    elif sd.kind is SpectrumKind.LORENTZIAN:
-        out = sd.alpha * sd.omega_c**2 / (sd.omega_c**2 + (w - sd.omega_0) ** 2)
-    else:
-        tw, tg = sd.table_arrays()
-        out = np.interp(w, tw, tg, left=0.0, right=0.0)
-        # np.interp clamps to the edge values; force zero outside the support
-        out = np.where((w < tw[0]) | (w > tw[-1]), 0.0, out)
-    return out if np.ndim(omega) else float(out)
-
-
-def _g0_origin(sd: SpectralDensity) -> tuple[float, float]:
-    """(G_0(0+), slope of G_0 at 0+) for the infrared analysis.
-
-    The slope is only meaningful when the value at the origin is 0.
-    """
-    if sd.kind is SpectrumKind.OHMIC:
-        return 0.0, sd.alpha
-    if sd.kind is SpectrumKind.LORENTZIAN:
-        return sd.alpha * sd.omega_c**2 / (sd.omega_c**2 + sd.omega_0**2), 0.0
-    tw, tg = sd.table_arrays()
-    if tw[0] > 0.0:
-        return 0.0, 0.0  # spectrum vanishes on a neighborhood of 0
-    if tg[0] > 0.0:
-        return float(tg[0]), 0.0
-    if len(tw) > 1:
-        return 0.0, float((tg[1] - tg[0]) / (tw[1] - tw[0]))
-    return 0.0, 0.0
+    return _map(sd.g0, omega)
 
 
 def gt_zero_limit(sd: SpectralDensity) -> float:
@@ -224,9 +279,9 @@ def gt_zero_limit(sd: SpectralDensity) -> float:
     Returns ``math.inf`` when the thermal factor makes the limit diverge
     (finite temperature with ``G_0(0) > 0``).
     """
+    g00, slope = sd.origin
     if sd.zero_temperature:
-        return _g0_origin(sd)[0]
-    g00, slope = _g0_origin(sd)
+        return g00
     if g00 > 0.0:
         return math.inf
     # G_0 ~ slope*omega; coth(b w) ~ 1/(b w), coth(b w / 2) ~ 2/(b w)
@@ -237,18 +292,11 @@ def gt_zero_limit(sd: SpectralDensity) -> float:
 def eval_gt(sd: SpectralDensity, omega):
     """Finite-temperature coupling spectrum ``G_T(omega)``; omega >= 0.
 
-    At zero temperature this equals ``G_0``.  At ``omega == 0`` the analytic
-    limit is used instead of the indeterminate product.
+    At zero temperature this equals ``G_0``.  Where ``beta*omega`` is 0
+    (``omega == 0``, or an argument that underflows) the analytic limit is
+    used instead of the indeterminate product.
     """
-    if sd.zero_temperature:
-        return eval_g0(sd, omega)
-    w = np.asarray(omega, dtype=float)
-    g0 = np.asarray(eval_g0(sd, omega), dtype=float)
-    half = sd.thermal_convention is ThermalConvention.COTH_HALF
-    arg = sd.beta * w * (0.5 if half else 1.0)
-    out = np.where(w > 0.0, g0 * _coth(np.where(w > 0.0, arg, 1.0)),
-                   gt_zero_limit(sd))
-    return out if np.ndim(omega) else float(out)
+    return _map(sd.gt, omega)
 
 
 def total_coupling(sd: SpectralDensity) -> float:
@@ -257,59 +305,8 @@ def total_coupling(sd: SpectralDensity) -> float:
     Closed forms for the analytic families; exact trapezoid integral of the
     interpolant for tabulated input.
     """
-    if sd.kind is SpectrumKind.OHMIC:
-        total = sd.alpha * sd.omega_c**2
-    elif sd.kind is SpectrumKind.LORENTZIAN:
-        total = sd.alpha * sd.omega_c * (math.pi / 2.0 + math.atan(sd.omega_0 / sd.omega_c))
-    else:
-        tw, tg = sd.table_arrays()
-        total = float(integrate.trapezoid(tg, tw)) if len(tw) > 1 else 0.0
+    total = sd.total
     if not (math.isfinite(total) and total >= 0.0):
         raise NumericError(f"spectrum integral is not a finite nonnegative number: {total}",
                            estimate=total)
     return math.sqrt(total)
-
-
-# ---------------------------------------------------------------------------
-# structure hints consumed by the kernel quadrature
-
-
-def feature_frequencies(sd: SpectralDensity) -> list[float]:
-    """Positive frequencies where the integrand changes character (peaks,
-    kinks, thermal crossover); used as mandatory subdivision points."""
-    feats: list[float] = []
-    if sd.kind is SpectrumKind.OHMIC:
-        feats.append(sd.omega_c)
-    elif sd.kind is SpectrumKind.LORENTZIAN:
-        for p in (sd.omega_0 - 50.0 * sd.omega_c, sd.omega_0 - sd.omega_c,
-                  sd.omega_0, sd.omega_0 + sd.omega_c):
-            feats.append(p)
-    else:
-        tw, _ = sd.table_arrays()
-        knots = tw.tolist()
-        if len(knots) > 64:  # cap the number of forced subdivisions
-            idx = np.linspace(0, len(knots) - 1, 64).round().astype(int)
-            knots = [knots[i] for i in sorted(set(idx.tolist()))]
-        feats.extend(knots)
-    if not sd.zero_temperature:
-        feats.append(1.0 / sd.beta)
-    return sorted({f for f in feats if f > 0.0 and math.isfinite(f)})
-
-
-def oscillatory_split(sd: SpectralDensity) -> float:
-    """Frequency beyond which the spectrum is a structureless decaying tail,
-    suitable for dedicated semi-infinite oscillatory integration."""
-    if sd.kind is SpectrumKind.OHMIC:
-        return 50.0 * sd.omega_c
-    if sd.kind is SpectrumKind.LORENTZIAN:
-        return sd.omega_0 + 50.0 * sd.omega_c
-    tw, _ = sd.table_arrays()
-    return float(tw[-1])
-
-
-def support_cutoff(sd: SpectralDensity) -> float:
-    """Upper end of the spectral support (inf for the analytic families)."""
-    if sd.kind is SpectrumKind.TABULATED:
-        tw, _ = sd.table_arrays()
-        return float(tw[-1])
-    return math.inf

@@ -27,15 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .bath import (
-    SpectralDensity,
-    eval_g0,
-    eval_gt,
-    feature_frequencies,
-    gt_zero_limit,
-    oscillatory_split,
-    support_cutoff,
-)
+from .bath import SpectralDensity, eval_gt, gt_zero_limit
 from .errors import DomainError, KernelDivergenceError, NumericError, WidthUndefinedError
 
 __all__ = [
@@ -102,19 +94,19 @@ def _kernel_integral(sd: SpectralDensity, t: float, trig: str) -> tuple[float, f
     and equals ``t*Gamma(t)``.
     """
     if trig == "sin":
-        g = lambda w: eval_g0(sd, w)
+        g = sd.g0
         factor = _sin_factor
         pref = t  # smooth moment is g/w, multiplied by t in the split
-        mom = lambda w: eval_g0(sd, w) / w
+        mom = lambda w: g(w) / w
     else:
-        g = lambda w: eval_gt(sd, w)
+        g = sd.gt
         factor = _cos_factor
         pref = 1.0
-        mom = lambda w: eval_gt(sd, w) / (w * w)
-    mom2 = (lambda w: eval_g0(sd, w) / (w * w)) if trig == "sin" else mom
+        mom = lambda w: g(w) / (w * w)
+    mom2 = (lambda w: g(w) / (w * w)) if trig == "sin" else mom
 
-    feats = feature_frequencies(sd)
-    support = support_cutoff(sd)
+    feats = sd.features
+    support = sd.support
     a = math.pi / t
 
     value = 0.0
@@ -131,7 +123,7 @@ def _kernel_integral(sd: SpectralDensity, t: float, trig: str) -> tuple[float, f
         return value, budget
 
     # -- structured mid range [a, s]: smooth moment minus oscillatory part -
-    s = min(max(a, oscillatory_split(sd)), support)
+    s = min(max(a, sd.split), support)
     bounds = sorted({a, s} | {p for p in feats if a < p < s})
     chunks = _log_chunks(bounds)
 
@@ -227,22 +219,24 @@ def gamma_of_t(sd: SpectralDensity, t: float) -> float:
 # correlation time: inverse full width at half maximum of G_T
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def correlation_time(sd: SpectralDensity) -> float:
     """Bath memory time ``t_c = 1 / FWHM(G_T)`` measured on ``w >= 0``.
 
     When the maximum sits at (or the profile stays above half maximum down
     to) ``w = 0``, the width is taken from 0 to the upper half-maximum
     crossing.  Degenerate profiles raise :class:`WidthUndefinedError`.
+    Memoised per process.
     """
-    if math.isinf(gt_zero_limit(sd)):
+    g_at_0 = gt_zero_limit(sd)
+    if math.isinf(g_at_0):
         raise WidthUndefinedError(
             "G_T diverges at omega=0; no half-maximum width exists")
-    feats = feature_frequencies(sd) or [sd.omega_c]
+    feats = sd.features or (sd.omega_c,)
     lo = min(feats) * 1e-6
-    hi = max(oscillatory_split(sd), max(feats)) * 20.0
+    hi = max(sd.split, max(feats)) * 20.0
     w = np.geomspace(lo, hi, 4000)
-    vals = np.asarray(eval_gt(sd, w), dtype=float)
-    g_at_0 = gt_zero_limit(sd)
+    vals = eval_gt(sd, w)
 
     i_peak = int(np.argmax(vals))
     x_peak = float(w[i_peak])
@@ -250,7 +244,7 @@ def correlation_time(sd: SpectralDensity) -> float:
     if 0 < i_peak < len(w) - 1:
         # a narrow line can slip between grid points; polish the maximum
         res = optimize.minimize_scalar(
-            lambda x: -float(eval_gt(sd, x)),
+            lambda x: -sd.gt(x),
             bounds=(w[i_peak - 1], w[i_peak + 1]), method="bounded",
             options={"xatol": float(w[i_peak]) * 1e-12})
         if -float(res.fun) > peak_v:
@@ -263,7 +257,7 @@ def correlation_time(sd: SpectralDensity) -> float:
         raise WidthUndefinedError("spectrum is identically zero; width undefined")
     half = 0.5 * peak_v
 
-    gt = lambda x: float(eval_gt(sd, x)) - half
+    gt = lambda x: sd.gt(x) - half
     # upper crossing: first drop below half maximum beyond the peak; the
     # scan is seeded with the polished peak so sub-resolution lines still
     # bracket correctly
@@ -341,7 +335,7 @@ def markov_limits(sd: SpectralDensity, t_eval: float | None = None) -> MarkovLim
             raise DomainError(
                 f"t_eval={t_eval!r} is below 100*t_corr={100.0 * t_c!r}")
     f_m = f_of_t(sd, t_eval)
-    if float(eval_g0(sd, 0.0)) > 0.0:
+    if sd.origin[0] > 0.0:
         warnings.append(
             "f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); "
             f"no finite limit exists, value sampled at t={t_eval!r}")

@@ -612,31 +612,17 @@ _SWEEP_COLUMNS = ("tau_mqs", "f_at_tau", "gamma_at_tau", "fidelity", "corner",
 
 
 def _apply_axis(normalized: dict, axis: str, value: float) -> dict:
+    # values pass the same checks as the config fields they replace
     cfg = copy.deepcopy(normalized)
     if axis == "N":
-        n = int(value)
-        if n != value or n < 1:
-            raise ConfigError(f"N values must be positive integers, got {value!r}",
-                              field="values")
-        cfg["n_particles"] = n
-    elif axis == "beta":
-        if not value > 0.0:
-            raise ConfigError(f"beta values must be > 0, got {value!r}",
-                              field="values")
-        cfg["spectrum"]["beta"] = value
+        n = _number(value, "values", positive=True)
+        if not n.is_integer():
+            _fail("values", f"N values must be positive integers, got {value!r}")
+        cfg["n_particles"] = int(n)
     elif axis == "alpha":
-        if value < 0.0:
-            raise ConfigError(f"alpha values must be >= 0, got {value!r}",
-                              field="values")
-        cfg["spectrum"]["alpha"] = value
-    elif axis == "omega_0":
-        if not value > 0.0:
-            raise ConfigError(f"omega_0 values must be > 0, got {value!r}",
-                              field="values")
-        cfg["spectrum"]["omega_0"] = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; "
-                          f"expected one of {list(SWEEP_AXES)}", field="axis")
+        cfg["spectrum"]["alpha"] = _number(value, "values", nonnegative=True)
+    else:  # beta, omega_0
+        cfg["spectrum"][axis] = _number(value, "values", positive=True)
     return cfg
 
 
@@ -687,9 +673,10 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
         # the axis column prints integers whether values arrived as 2 or 2.0
         values = [int(v) if isinstance(v, float) and v.is_integer() else v
                   for v in values]
-    kind = normalized["spectrum"]["kind"]
-    if (axis, kind) in (("omega_0", "ohmic"), ("omega_0", "tabulated"), ("alpha", "tabulated")):
-        raise ConfigError(f"{axis} sweeps do not apply to {kind} spectra", field="axis")
+    # the validated spectrum carries exactly the fields its family has
+    if axis in ("alpha", "omega_0") and axis not in normalized["spectrum"]:
+        raise ConfigError(f"{axis} sweeps do not apply to "
+                          f"{normalized['spectrum']['kind']} spectra", field="axis")
     base = copy.deepcopy(normalized)
     base["outputs"] = ["report"]
     tasks = [(base, axis, v) for v in values]

@@ -1,6 +1,7 @@
 """Spectral-density construction, evaluation, and thermal weighting."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,22 @@ from spincat.bath import (
     tabulated,
     total_coupling,
 )
-from spincat.errors import DomainError
+from spincat.errors import DomainError, NumericError
+from spincat.evolve import solve_bath
+
+FAMILIES = [
+    ohmic(0.3, 2.0),
+    ohmic(0.3, 2.0, beta=1.5),
+    ohmic(0.3, 2.0, beta=1.5, thermal_convention=ThermalConvention.COTH_HALF),
+    lorentzian(1.2, 0.5, 4.0),
+    lorentzian(1.2, 0.5, 4.0, beta=1.5),
+    tabulated([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 0.0]]),
+    tabulated([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 0.0]], beta=1.5),
+]
+
+
+def family_id(sd):
+    return f"{sd.kind.value}-beta{sd.beta}-{sd.thermal_convention.value}"
 
 
 def test_ohmic_pointwise_closed_form():
@@ -43,6 +59,64 @@ def test_tabulated_interpolation_and_support():
     assert eval_g0(sd, 3.0) == 0.0
     assert eval_g0(sd, 4.0) == 0.0  # zero outside the support
     assert eval_g0(sd, 100.0) == 0.0
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 0.0]],
+    [[0.5, 2.0], [0.75, 0.1], [3.0, 4.0], [10.0, 1e-3]],  # support above 0
+    [[2.0, 3.0]],                                         # one knot
+])
+def test_tabulated_matches_np_interp(table):
+    sd = tabulated(table)
+    tw = np.array([p[0] for p in table])
+    tg = np.array([p[1] for p in table])
+    mids = (tw[:-1] + tw[1:]) / 2.0
+    w = np.concatenate([tw, mids, [0.0, tw[0] / 2.0, np.nextafter(tw[-1], np.inf),
+                                   tw[-1] + 1.0, 1e300]])
+    ref = np.where((w < tw[0]) | (w > tw[-1]), 0.0,
+                   np.interp(w, tw, tg, left=0.0, right=0.0))
+    assert [sd.g0(x) for x in w.tolist()] == ref.tolist()
+    assert np.array_equal(eval_g0(sd, w), ref)
+
+
+@pytest.mark.parametrize("sd", FAMILIES, ids=family_id)
+def test_array_evaluation_matches_scalar_calls(sd):
+    w = np.concatenate([[0.0, 1e-320], np.geomspace(1e-9, 80.0, 61)])
+    for fn, scalar in ((eval_g0, sd.g0), (eval_gt, sd.gt)):
+        values = fn(sd, w)
+        assert values.shape == w.shape
+        assert values.tolist() == [scalar(x) for x in w.tolist()]
+        assert values.tolist() == [fn(sd, x) for x in w.tolist()]
+        assert fn(sd, w.reshape(3, 3, 7)).tolist() == values.reshape(3, 3, 7).tolist()
+    assert isinstance(eval_gt(sd, 0.5), float)
+
+
+@pytest.mark.parametrize("sd", FAMILIES, ids=family_id)
+def test_pickle_round_trip_keeps_identity_and_values(sd):
+    copy = pickle.loads(pickle.dumps(sd))
+    assert copy == sd and hash(copy) == hash(sd) and repr(copy) == repr(sd)
+    w = [0.0, 0.3, 1.0, 2.5, 40.0]
+    assert [copy.g0(x) for x in w] == [sd.g0(x) for x in w]
+    assert [copy.gt(x) for x in w] == [sd.gt(x) for x in w]
+
+
+def test_equal_spectra_share_one_bath_solution():
+    solve_bath.cache_clear()
+    first = solve_bath(ohmic(2.5e-5), 1e6)
+    second = solve_bath(SpectralDensity("ohmic", alpha=2.5e-5), 1e6)
+    assert second is first
+    assert solve_bath.cache_info().misses == 1
+    assert solve_bath.cache_info().hits == 1
+
+
+def test_far_detuned_lorentzian_does_not_overflow():
+    sd = lorentzian(1.0, 1.0, 1e160)
+    assert gt_zero_limit(sd) == 0.0
+    assert eval_g0(sd, 1e160) == 1.0
+    assert total_coupling(sd) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    assert eval_g0(lorentzian(1, 1, 10), 1e200) == 0.0
+    with pytest.raises(NumericError):  # integral overflows: a numeric failure
+        total_coupling(ohmic(1.0, 1e200))
 
 
 def test_negative_frequency_rejected():
@@ -117,6 +191,10 @@ def test_thermal_origin_limits():
     # nonzero spectrum at the origin with finite temperature diverges
     assert math.isinf(gt_zero_limit(lorentzian(1.0, 1.0, 3.0, beta=2.0)))
     assert math.isinf(eval_gt(lorentzian(1.0, 1.0, 3.0, beta=2.0), 0.0))
+    # beta*w underflows to 0: still the limit alpha/beta, not G_0(w)
+    hot = ohmic(1.0, beta=1e-10)
+    assert eval_gt(hot, 1e-320) == pytest.approx(gt_zero_limit(hot), rel=1e-12)
+    assert eval_gt(hot, 1e-320) == pytest.approx(1e10, rel=1e-12)
 
 
 def test_total_coupling_values():

@@ -345,6 +345,16 @@ def test_sweep_axis_validation(tmp_path):
     assert exc.value.field == "axis"
     summary = sweep(cfg, "N", [2.5], jobs=1, output_dir=str(tmp_path))
     assert summary["failed"] == 1  # non-integer N fails per point
+    # sweep values pass the checks a config value would: three fail per point
+    summary = sweep(cfg, "beta", [math.inf, math.nan, -1.0, 1e-8], jobs=1,
+                    output_dir=str(tmp_path))
+    assert summary["failed"] == 3
+    header, *rows = read_csv(tmp_path / "sweep.csv")
+    rows = [dict(zip(header, r)) for r in rows]
+    assert [r["error"] for r in rows] == [
+        "values: must be finite", "values: must be finite",
+        "values: must be > 0, got -1.0", ""]
+    assert float(rows[3]["tau_mqs"]) > 0.0
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -457,6 +467,13 @@ def test_cli_numeric_failure_exits_3(tmp_path, capsys):
     cfg["spectrum"]["alpha"] = 1e-30
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("numeric error in formation-time solve:")
+    # a far-detuned line overflows omega_0**2: a numeric failure, not a crash
+    path.write_text(json.dumps(small_config(spectrum={
+        "kind": "lorentzian", "alpha": 1.0, "omega_c": 1.0, "omega_0": 1e160})))
     rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 3
