@@ -8,7 +8,7 @@ with an inverse temperature ``beta``.  The finite-temperature spectrum is
 convention.  Three model families are supported:
 
 * ohmic:       ``G_0 = alpha * omega * exp(-omega/omega_c)``
-* lorentzian:  ``G_0 = alpha * omega_c**2 / (omega_c**2 + (omega-omega_0)**2)``
+* lorentzian:  ``G_0 = alpha / (1 + ((omega-omega_0)/omega_c)**2)``
 * tabulated:   linear interpolation of ``(omega, G_0)`` samples, zero outside
                the tabulated support.
 
@@ -62,9 +62,10 @@ def _ohmic_g0(alpha: float, omega_c: float, w: float) -> float:
     return alpha * w * math.exp(-w / omega_c)
 
 
-def _lorentzian_g0(peak: float, width2: float, omega_0: float, w: float) -> float:
-    d = w - omega_0
-    return peak / (width2 + d * d)
+def _lorentzian_g0(alpha: float, omega_0: float, omega_c: float, w: float) -> float:
+    # scale-free: omega_c**2 would overflow for omega_c above about 1.3e154
+    r = (w - omega_0) / omega_c
+    return alpha / (1.0 + r * r)
 
 
 def _tabulated_g0(ws: tuple, gs: tuple, w: float) -> float:
@@ -169,8 +170,7 @@ class SpectralDensity:
             support = math.inf
             total = self.alpha * (self.omega_c * self.omega_c)
         elif self.kind is SpectrumKind.LORENTZIAN:
-            width2 = self.omega_c * self.omega_c
-            g0 = functools.partial(_lorentzian_g0, self.alpha * width2, width2, self.omega_0)
+            g0 = functools.partial(_lorentzian_g0, self.alpha, self.omega_0, self.omega_c)
             slope = 0.0
             feats = [self.omega_0 - 50.0 * self.omega_c, self.omega_0 - self.omega_c,
                      self.omega_0, self.omega_0 + self.omega_c]
@@ -214,18 +214,15 @@ class SpectralDensity:
         x = self.beta * w * (0.5 if half else 1.0)
         if x == 0.0:  # w == 0, or beta*w underflows
             return gt_zero_limit(self)
+        g = self.g0(w)
         if x < _COTH_SERIES_CUT:
-            return self.g0(w) * (1.0 / x + x / 3.0 - x * x * x / 45.0)
-        return self.g0(w) * (1.0 / math.tanh(x))
+            # divide by x: 1/x overflows where x is subnormal
+            return g / x + g * (x / 3.0 - x * x * x / 45.0)
+        return g * (1.0 / math.tanh(x))
 
     @property
     def zero_temperature(self) -> bool:
         return math.isinf(self.beta)
-
-    def table_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        w = np.array([p[0] for p in self.table])
-        g = np.array([p[1] for p in self.table])
-        return w, g
 
 
 def ohmic(alpha: float, omega_c: float = 1.0, beta: float = math.inf,

@@ -8,6 +8,14 @@ Throughout the package the component order is ``m = +l, +l-1, ..., -l``
 
 Dense storage is used everywhere: even ``N = 512`` is only a 513x513
 complex matrix.
+
+Density matrices are checked once, where they enter the package: the public
+:class:`DickeDensityMatrix` constructor tests hermiticity, unit trace and
+positive semidefiniteness of a matrix a caller supplies.  The package's own
+results skip those tests, because the maps that build them keep a matrix
+physical: the projector of a normalised state, the exact dephasing
+propagator of :mod:`spincat.evolve` (a Schur product with a unit-diagonal
+positive kernel), and the orthogonal Lz-to-Lx rotation.
 """
 
 from __future__ import annotations
@@ -111,15 +119,18 @@ class DickeState:
 
     def projector(self) -> "DickeDensityMatrix":
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DickeDensityMatrix(self.sector, rho, self.basis)
+        return _density_matrix(self.sector, rho, self.basis)
 
 
 @dataclass(frozen=True)
 class DickeDensityMatrix:
     """Density matrix over ``m`` indices (order ``+l`` first) in a sector.
 
-    Construction enforces hermiticity, unit trace and positive
-    semidefiniteness within fixed tolerances.
+    Constructing one enforces hermiticity, unit trace and positive
+    semidefiniteness within fixed tolerances (the eigenvalue test is
+    O(d**3)).  Matrices the package builds itself (``projector``,
+    ``evolve_state``, ``to_x_basis``) are physical by construction and skip
+    the tests; all of them hold a read-only ``elements`` array.
     """
 
     sector: SectorLabel
@@ -143,6 +154,17 @@ class DickeDensityMatrix:
         rho.setflags(write=False)
         object.__setattr__(self, "elements", rho)
         object.__setattr__(self, "basis_tag", Basis(self.basis_tag))
+
+
+def _density_matrix(sector: SectorLabel, elements: np.ndarray,
+                    basis: Basis) -> DickeDensityMatrix:
+    """A density matrix the package built from checked inputs by a map that
+    keeps it physical: freezes ``elements`` (a fresh complex d x d array)
+    and runs none of the constructor's tests."""
+    elements.setflags(write=False)
+    rho = object.__new__(DickeDensityMatrix)  # skips __init__ and __post_init__
+    rho.__dict__.update(sector=sector, elements=elements, basis_tag=basis)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +265,7 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
     mat = rotation_to_x(rho.sector)
-    return DickeDensityMatrix(rho.sector, mat @ rho.elements @ mat.T, Basis.LX)
+    return _density_matrix(rho.sector, mat @ rho.elements @ mat.T, Basis.LX)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,11 @@ from .dicke import (
     DickeDensityMatrix,
     DickeState,
     SectorLabel,
-    coherence_corner,
+    _density_matrix,
     coherent_state,
     fidelity,
     purity,
+    rotation_to_x,
     to_x_basis,
 )
 from .errors import NoFormationError, NumericError, UsageError
@@ -57,6 +58,8 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _TAU_RESIDUAL_TOL = 1e-9 * _HALF_PI
+# Default formation-time search horizon, in units of the correlation time.
+_DEFAULT_HORIZON_FACTOR = 1e6
 
 
 class MqsConvention(str, enum.Enum):
@@ -88,7 +91,7 @@ class EvolutionParams:
     initial: DickeState
     mqs_convention: MqsConvention = MqsConvention.TWIST
     force_zero_decoherence: bool = False
-    solve_horizon_factor: float = 1e6
+    solve_horizon_factor: float = _DEFAULT_HORIZON_FACTOR
 
     def __post_init__(self):
         object.__setattr__(self, "mqs_convention", MqsConvention(self.mqs_convention))
@@ -137,13 +140,19 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
 
 
 def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
-    """The exact propagator at ``t`` given the kernel values there."""
-    rho0 = np.outer(p.initial.amplitudes, p.initial.amplitudes.conj())
+    """The exact propagator at ``t`` given the kernel values there.
+
+    A Schur product of the initial projector with a unitary phase matrix and
+    the positive kernel ``exp(-t Gamma (m - m')**2)`` (unit diagonal): the
+    result is a density matrix by construction and is not checked again.
+    """
+    rho = np.outer(p.initial.amplitudes, p.initial.amplitudes.conj())
     m = p.sector.m_values()
     m2 = m * m
-    phase = np.exp(-1j * t * f * (m2[:, None] - m2[None, :]))
-    decay = np.exp(-t * gamma * (m[:, None] - m[None, :]) ** 2)
-    return DickeDensityMatrix(p.sector, rho0 * phase * decay, Basis.LZ)
+    # in place, so that no second d x d product is held at the same time
+    rho *= np.exp(-1j * t * f * (m2[:, None] - m2[None, :]))
+    rho *= np.exp(-t * gamma * (m[:, None] - m[None, :]) ** 2)
+    return _density_matrix(p.sector, rho, Basis.LZ)
 
 
 def mqs_target(sector: SectorLabel, theta: float, phi: float,
@@ -239,7 +248,7 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     return BathSolution(float(tau), f_tau, gamma_of_t(sd, tau))
 
 
-def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = 1e6) -> float:
+def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = _DEFAULT_HORIZON_FACTOR) -> float:
     """Earliest time with ``t*f(t) = pi/2``: the ``tau`` of :func:`solve_bath`."""
     return solve_bath(sd, horizon_factor).tau
 
@@ -248,9 +257,10 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     """Evolve to the formation time and score the superposition.
 
     The fidelity is taken against the convention's target built from the
-    initial state's preparation angles; the corner coherence is evaluated
-    after rotating to the Lx basis.  ``gamma_bar`` in the survival
-    condition is ``Gamma(tau)`` (already a time-averaged rate).
+    initial state's preparation angles; the corner coherence is the Lx-basis
+    element ``|rho_{+l,-l}|``, read in O(d**2) from rows 0 and -1 of the
+    Lz-to-Lx rotation without rotating the whole matrix.  ``gamma_bar`` in
+    the survival condition is ``Gamma(tau)`` (already a time-averaged rate).
     """
     if p.initial.bloch is None:
         raise UsageError(
@@ -263,7 +273,8 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     target = mqs_target(p.sector, theta, phi, p.mqs_convention)
     fid = fidelity(rho, target)
     pur = purity(rho)
-    corner = coherence_corner(to_x_basis(rho))
+    mat = rotation_to_x(p.sector)
+    corner = float(abs(mat[0] @ rho.elements @ mat[-1]))
     n = p.sector.n_particles
     product = bath.tau * gamma_bar
     feasible = product * n * n < 1.0

@@ -60,7 +60,14 @@ import numpy as np
 from .bath import SpectralDensity, SpectrumKind, ThermalConvention
 from .dicke import Basis, SectorLabel, coherent_state
 from .errors import ConfigError, SpinCatError
-from .evolve import EvolutionParams, MqsConvention, assess_mqs, snapshot_series, solve_tau_mqs
+from .evolve import (
+    _DEFAULT_HORIZON_FACTOR,
+    EvolutionParams,
+    MqsConvention,
+    assess_mqs,
+    snapshot_series,
+    solve_tau_mqs,
+)
 from .kernels import markov_limits, tabulate_kernels
 
 __all__ = [
@@ -75,6 +82,13 @@ __all__ = [
 ]
 
 _OUTPUT_KINDS = ("kernels", "snapshots", "report")
+# Largest ensemble a config may ask for, so that a run fails with a config
+# error instead of exhausting memory.  One dense d x d complex array
+# (d = N + 1) takes 16*d**2 bytes; a run holds about six of them at once
+# (the measured peak, 99 bytes per element, comes from formatting an Lx
+# snapshot), so N = 4096 needs 6 * 16 * 4097**2 ~ 1.6e9 bytes, inside a
+# 2 GiB budget.
+_MAX_PARTICLES = 4096
 SWEEP_AXES = ("N", "beta", "alpha", "omega_0")
 
 
@@ -107,11 +121,13 @@ def _number(value, path: str, positive=False, nonnegative=False) -> float:
     return v
 
 
-def _integer(value, path: str, minimum=None) -> int:
+def _integer(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -217,7 +233,8 @@ def validate_config(raw: dict) -> dict:
     units = _string(_get(raw, "units", "", False, "omega_c"), "units",
                     {"omega_c", "hz"})
     spectrum = _validate_spectrum(_get(raw, "spectrum", "", True), "spectrum")
-    n = _integer(_get(raw, "n_particles", "", True), "n_particles", minimum=1)
+    n = _integer(_get(raw, "n_particles", "", True), "n_particles",
+                 minimum=1, maximum=_MAX_PARTICLES)
     theta = _number(_get(raw, "theta", "", True), "theta")
     phi = _number(_get(raw, "phi", "", True), "phi")
 
@@ -258,7 +275,8 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(solver, dict):
         _fail("solver", f"expected an object, got {type(solver).__name__}")
     _check_unknown(solver, {"horizon_factor"}, "solver")
-    horizon = _number(_get(solver, "horizon_factor", "solver", False, 1e6),
+    horizon = _number(_get(solver, "horizon_factor", "solver", False,
+                           _DEFAULT_HORIZON_FACTOR),
                       "solver.horizon_factor", positive=True)
     if not horizon > 1.0:
         _fail("solver.horizon_factor", f"must exceed 1, got {horizon!r}")
@@ -618,7 +636,7 @@ def _apply_axis(normalized: dict, axis: str, value: float) -> dict:
         n = _number(value, "values", positive=True)
         if not n.is_integer():
             _fail("values", f"N values must be positive integers, got {value!r}")
-        cfg["n_particles"] = int(n)
+        cfg["n_particles"] = _integer(int(n), "values", maximum=_MAX_PARTICLES)
     elif axis == "alpha":
         cfg["spectrum"]["alpha"] = _number(value, "values", nonnegative=True)
     else:  # beta, omega_0

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from spincat import scenario
+from spincat import dicke, evolve, scenario
 from spincat.cli import main
+from spincat.dicke import DickeDensityMatrix, SectorLabel
 from spincat.errors import ConfigError
 from spincat.evolve import solve_bath
 from spincat.scenario import (
@@ -165,6 +166,12 @@ def test_number_validation():
     assert config_error(cfg).field == "spectrum.alpha"
     assert config_error(small_config(n_particles=0)).field == "n_particles"
     assert config_error(small_config(n_particles=True)).field == "n_particles"
+    # N is bounded by dense-matrix memory; validating allocates nothing
+    assert validate_config(small_config(n_particles=scenario._MAX_PARTICLES))
+    err = config_error(small_config(n_particles=scenario._MAX_PARTICLES + 1))
+    assert err.field == "n_particles"
+    assert str(err) == f"n_particles: must be <= {scenario._MAX_PARTICLES}, " \
+                       f"got {scenario._MAX_PARTICLES + 1}"
     assert config_error(
         small_config(solver={"horizon_factor": 1.0})).field == "solver.horizon_factor"
     cfg = small_config(time_grid={"kind": "log", "start": 1.0, "stop": 0.5,
@@ -285,6 +292,34 @@ def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
                (tmp_path / "warm" / name).read_bytes()
 
 
+def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
+    calls = {"eigvalsh": 0, "check": 0, "to_x_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(DickeDensityMatrix, "__post_init__",
+                        counted("check", DickeDensityMatrix.__post_init__))
+    to_x = counted("to_x_basis", dicke.to_x_basis)
+    monkeypatch.setattr(dicke, "to_x_basis", to_x)
+    monkeypatch.setattr(evolve, "to_x_basis", to_x)
+    cfg = preset_config("fig1")
+    cfg.update(n_particles=200, outputs=["snapshots", "report"],
+               snapshot_times={"kind": "tau-fractions", "values": [1.0]})
+    run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
+    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 1}  # one Lx snapshot
+    sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
+          output_dir=str(tmp_path / "sweep"))
+    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 1}
+    # a caller-supplied matrix is still checked in full
+    DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
+    assert calls == {"eigvalsh": 1, "check": 1, "to_x_basis": 1}
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -345,6 +380,12 @@ def test_sweep_axis_validation(tmp_path):
     assert exc.value.field == "axis"
     summary = sweep(cfg, "N", [2.5], jobs=1, output_dir=str(tmp_path))
     assert summary["failed"] == 1  # non-integer N fails per point
+    too_many = scenario._MAX_PARTICLES + 1  # fails before any matrix is built
+    summary = sweep(cfg, "N", [2, too_many], jobs=1, output_dir=str(tmp_path))
+    assert summary["failed"] == 1
+    header, *rows = read_csv(tmp_path / "sweep.csv")
+    assert [dict(zip(header, r))["error"] for r in rows] == [
+        "", f"values: must be <= {scenario._MAX_PARTICLES}, got {too_many}"]
     # sweep values pass the checks a config value would: three fail per point
     summary = sweep(cfg, "beta", [math.inf, math.nan, -1.0, 1e-8], jobs=1,
                     output_dir=str(tmp_path))
@@ -478,6 +519,14 @@ def test_cli_numeric_failure_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err.startswith("numeric error in formation-time solve:")
+    # a very broad line would overflow omega_c**2; the spectrum stays finite
+    path.write_text(json.dumps(small_config(spectrum={
+        "kind": "lorentzian", "alpha": 1.0, "omega_c": 1e200, "omega_0": 1.0})))
+    rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith(
+        "numeric error in formation-time solve: accumulated phase")
 
 
 def test_cli_presets_verb(capsys):

@@ -10,6 +10,7 @@ from spincat.bath import lorentzian, ohmic
 from spincat.dicke import (
     Basis,
     SectorLabel,
+    coherence_corner,
     coherent_state,
     fidelity,
     purity,
@@ -54,6 +55,23 @@ def test_populations_invariant():
     d0 = np.diag(evolve_state(p, 0.0).elements)
     for t in (0.5, 37.0, 8.1e3, 2.4e5):
         assert np.array_equal(np.diag(evolve_state(p, t).elements), d0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 255])
+def test_built_density_matrices_are_physical_and_read_only(n):
+    # the package builds these without the constructor's checks; check here
+    sec = SectorLabel(n)
+    p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.3))
+    tau = solve_tau_mqs(p.spectrum)
+    for rho in (p.initial.projector(), evolve_state(p, 0.4 * tau), evolve_state(p, tau)):
+        for r in (rho, to_x_basis(rho)):
+            el = r.elements
+            assert np.max(np.abs(el - el.conj().T)) <= 1e-12
+            assert abs(np.trace(el) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(el)[0] >= -1e-10
+            assert not el.flags.writeable
+            with pytest.raises(ValueError):
+                el[0, 0] = 0.0
 
 
 def test_zero_decoherence_hook_preserves_purity():
@@ -304,6 +322,16 @@ def test_assessment_reports_convention():
     assert rep.convention_used == "antipodal"
     # even l on the equator: antipodal target equals the twist one
     assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 513])
+def test_assessment_corner_matches_full_rotation(n):
+    sec = SectorLabel(n)
+    tilted = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.0))
+    for p in (equator_params(n), equator_params(n, force_zero_decoherence=True), tilted):
+        rep = assess_mqs(p)
+        rho = evolve_state(p, rep.tau_mqs)
+        assert abs(rep.corner - coherence_corner(to_x_basis(rho))) <= 1e-15
 
 
 def test_assessment_fidelity_decreases_with_decoherence():
