@@ -49,6 +49,7 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
+_TINY = np.finfo(float).tiny  # smallest normal float64
 
 
 class Basis(str, enum.Enum):
@@ -261,11 +262,25 @@ def rotate_state_to_x(state: DickeState) -> DickeState:
 
 
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
-    """Re-express an Lz-basis density matrix in the Lx eigenbasis."""
+    """Re-express an Lz-basis density matrix in the Lx eigenbasis.
+
+    The rotation ``M`` is real, so ``M rho M^T`` is computed as two real
+    products, ``M Re(rho) M^T`` and ``M Im(rho) M^T``, on contiguous copies
+    of the real and imaginary parts.  In those copies, entries below the
+    smallest normal float (subnormals, e.g. products of the smallest
+    coherent-state amplitudes) are set to 0: together they move a result
+    entry by less than ``d * 2.3e-308``, and without this the matrix
+    products run several times slower.  ``rho`` itself is not touched.
+    """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
     mat = rotation_to_x(rho.sector)
-    return _density_matrix(rho.sector, mat @ rho.elements @ mat.T, Basis.LX)
+    out = np.empty_like(rho.elements)
+    for dst, part in ((out.real, rho.elements.real), (out.imag, rho.elements.imag)):
+        part = part.copy()
+        part[np.abs(part) < _TINY] = 0.0
+        dst[...] = mat @ part @ mat.T
+    return _density_matrix(rho.sector, out, Basis.LX)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -84,10 +85,11 @@ __all__ = [
 _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # Largest ensemble a config may ask for, so that a run fails with a config
 # error instead of exhausting memory.  One dense d x d complex array
-# (d = N + 1) takes 16*d**2 bytes; a run holds about six of them at once
-# (the measured peak, 99 bytes per element, comes from formatting an Lx
-# snapshot), so N = 4096 needs 6 * 16 * 4097**2 ~ 1.6e9 bytes, inside a
-# 2 GiB budget.
+# (d = N + 1) takes 16*d**2 bytes; a run holds about four of them at once
+# (the measured peak, 64 bytes per element, comes from the Lz-to-Lx
+# rotation of an Lx snapshot: rho, the result, the rotation and real
+# d x d temporaries; snapshot text is streamed row by row), so N = 4096
+# needs 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside a 2 GiB budget.
 _MAX_PARTICLES = 4096
 SWEEP_AXES = ("N", "beta", "alpha", "omega_0")
 
@@ -469,12 +471,17 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, text: str | Iterable[str]):
+    # ``text`` is one string or an iterable of strings written in order; the
+    # target is replaced only once all of it is written
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -490,18 +497,15 @@ def _time_grid_points(grid: dict) -> np.ndarray:
     return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
-def _snapshot_csv(rho, time: float) -> str:
-    # |rho_{mm'}| magnitude grid; rows and columns run m = +l .. -l
-    lines = [
-        f"# basis = {rho.basis_tag.value}",
-        f"# l = {float(rho.sector.l)!r}",
-        f"# time = {float(time)!r}",
-        "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l",
-    ]
-    mags = np.abs(rho.elements)
-    for row in mags:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _snapshot_csv(rho, time: float) -> Iterator[str]:
+    # |rho_{mm'}| magnitude grid; rows and columns run m = +l .. -l.  Yields
+    # the header, then one line per row, so the grid text is never held whole.
+    yield (f"# basis = {rho.basis_tag.value}\n"
+           f"# l = {float(rho.sector.l)!r}\n"
+           f"# time = {float(time)!r}\n"
+           "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
+    for row in np.abs(rho.elements):
+        yield ",".join(map(repr, row.tolist())) + "\n"
 
 
 def _report_payload(scn: Scenario, report) -> dict:

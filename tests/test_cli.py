@@ -9,7 +9,7 @@ import pytest
 
 from spincat import dicke, evolve, scenario
 from spincat.cli import main
-from spincat.dicke import DickeDensityMatrix, SectorLabel
+from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
 from spincat.evolve import solve_bath
 from spincat.scenario import (
@@ -318,6 +318,40 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     # a caller-supplied matrix is still checked in full
     DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
     assert calls == {"eigvalsh": 1, "check": 1, "to_x_basis": 1}
+
+
+def test_snapshot_text_is_streamed_unchanged(tmp_path):
+    sec = SectorLabel(7)
+    amps = coherent_state(sec, 1.1, 0.3).amplitudes.copy()
+    amps[[2, 5]] = [1e-160, 0.0]  # |rho| entries of about 1e-320 (subnormal) and 0
+    amps /= np.linalg.norm(amps)
+    lz = DickeDensityMatrix(sec, np.outer(amps, amps.conj()), Basis.LZ)
+    mags = np.abs(lz.elements)
+    assert np.any((mags > 0.0) & (mags < np.finfo(float).tiny)) and np.any(mags == 0.0)
+    lx = DickeDensityMatrix(sec, lz.elements, Basis.LX)
+    for i, (rho, t) in enumerate([(lz, 0.0), (lx, 3.3e4), (to_x_basis(lz), 1.5)]):
+        header = [f"# basis = {rho.basis_tag.value}", f"# l = {float(rho.sector.l)!r}",
+                  f"# time = {float(t)!r}",
+                  "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l"]
+        rows = [",".join(repr(float(v)) for v in row) for row in np.abs(rho.elements)]
+        path = tmp_path / f"snapshot_{i:03d}.csv"
+        scenario._write_atomic(str(path), scenario._snapshot_csv(rho, t))
+        assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
+
+
+def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
+    target = tmp_path / "snapshot_000.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "# basis = Lx\n"
+        yield "0.5," * 5000 + "\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        scenario._write_atomic(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.glob(".tmp-*~")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from spincat.dicke import (
@@ -153,6 +156,46 @@ def test_to_x_basis_consistent_with_state_rotation():
                        atol=1e-13)
     # rotation preserves the spectrum and hence the purity
     assert purity(rho_x) == pytest.approx(purity(rho), abs=1e-12)
+
+
+def test_to_x_basis_matches_complex_product_with_subnormal_entries():
+    # amplitudes of 1e-160 give entries of about 1e-320 (subnormal) in the
+    # real and the imaginary parts; real, imaginary and zero amplitudes give
+    # parts that are exactly zero; 3e-7 gives normal entries of about 1e-13,
+    # which must survive
+    sec = SectorLabel(9)
+    amps = np.array([0.5, 0.3j, 0.2 + 0.4j, 1e-160, 1e-160j, 2e-160 - 1e-160j,
+                     0.0, -0.1, 0.25 - 0.1j, 3e-7j])
+    amps /= np.linalg.norm(amps)
+    other = np.roll(amps, 3) * np.exp(0.7j)
+    rho = DickeDensityMatrix(sec, 0.75 * np.outer(amps, amps.conj())
+                             + 0.25 * np.outer(other, other.conj()), Basis.LZ)
+    tiny = np.finfo(float).tiny
+    for part in (rho.elements.real, rho.elements.imag):
+        assert np.any((part != 0.0) & (np.abs(part) < tiny))
+        assert np.any(part == 0.0)
+    before = rho.elements.copy()
+    rho_x = to_x_basis(rho).elements
+    mat = rotation_to_x(sec).astype(complex)
+    assert np.max(np.abs(rho_x - mat @ rho.elements @ mat.T)) <= 1e-15
+    assert np.max(np.abs(rho_x - rho_x.conj().T)) <= 1e-15
+    assert abs(np.trace(rho_x) - 1.0) <= 1e-15
+    assert np.array_equal(before.view(np.int64), rho.elements.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), rank=st.integers(1, 13), data=st.data())
+def test_to_x_basis_preserves_trace_and_purity(n, rank, data):
+    parts = data.draw(arrays(np.float64, (2, n + 1, rank),
+                             elements=st.floats(-1.0, 1.0)))
+    a = parts[0] + 1j * parts[1]
+    gram = a @ a.conj().T
+    tr = float(np.trace(gram).real)
+    assume(tr > 1e-6)
+    rho = DickeDensityMatrix(SectorLabel(n), (gram + gram.conj().T) / (2.0 * tr))
+    rho_x = to_x_basis(rho)
+    assert abs(np.trace(rho_x.elements) - np.trace(rho.elements)) <= 1e-12
+    assert abs(purity(rho_x) - purity(rho)) <= 1e-12
 
 
 def test_density_matrix_validation():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from spincat.bath import lorentzian, ohmic
@@ -19,6 +21,7 @@ from spincat.dicke import (
 from spincat.errors import NoFormationError, UsageError
 from spincat.evolve import (
     EvolutionParams,
+    _dephase,
     MqsConvention,
     assess_mqs,
     evolve_state,
@@ -55,6 +58,17 @@ def test_populations_invariant():
     d0 = np.diag(evolve_state(p, 0.0).elements)
     for t in (0.5, 37.0, 8.1e3, 2.4e5):
         assert np.array_equal(np.diag(evolve_state(p, t).elements), d0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi),
+       t=st.floats(0.0, 1e6), f=st.floats(-1e3, 1e3), gamma=st.floats(0.0, 1e3))
+def test_propagator_conserves_populations_exactly(n, theta, phi, t, f, gamma):
+    # the propagator evolve_state applies, for any kernel values f(t), Gamma(t)
+    sec = SectorLabel(n)
+    ini = coherent_state(sec, theta, phi)
+    rho = _dephase(EvolutionParams(ohmic(2.5e-5), sec, ini), t, f, gamma)
+    assert np.array_equal(np.diag(rho.elements), ini.amplitudes * ini.amplitudes.conj())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 255])
