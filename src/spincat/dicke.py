@@ -7,7 +7,10 @@ Throughout the package the component order is ``m = +l, +l-1, ..., -l``
 (largest projection first); serialized artifacts state this explicitly.
 
 Dense storage is used everywhere: even ``N = 512`` is only a 513x513
-complex matrix.
+complex matrix.  The Lz-to-Lx rotation is built by a numpy recursion each
+time it is asked for, and nothing holds on to it; the corner coherence of a
+formed state needs only the coherent states along +x and -x (its first and
+last rows).
 
 Density matrices are checked once, where they enter the package: the public
 :class:`DickeDensityMatrix` constructor tests hermiticity, unit trace and
@@ -23,11 +26,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericError, UsageError
 
@@ -194,7 +194,8 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     two_l = int(round(2 * l))
     k = np.round(l - m).astype(int)  # 0 .. 2l
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    log_binom = 0.5 * (gammaln(two_l + 1) - gammaln(k + 1) - gammaln(two_l - k + 1))
+    lg = np.array([math.lgamma(i + 1.0) for i in range(two_l + 1)])  # ln(i!)
+    log_binom = 0.5 * (lg[two_l] - lg - lg[::-1])
 
     # magnitude in log space, exact zeros handled by masks so that
     # 0**0 = 1 and 0**positive = 0 without log-of-zero noise
@@ -219,38 +220,69 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
 # rotation between the Lz and Lx eigenbases
 
 
-@lru_cache(maxsize=64)
-def _rotation_matrix(two_l: int) -> np.ndarray:
-    """Orthogonal map from Lz-basis components to Lx-basis components.
+# Rows whose recursion passes this magnitude are scaled back to 1; the edge
+# growth of an extreme row is about 2**l, which overflows for l > 1023.
+_RESCALE_AT = 1e100
 
-    Row r of the result is the Lx eigenvector with eigenvalue ``m = l - r``
-    expressed in the Lz basis, so ``c_x = M @ c_z``.  The rows are obtained
-    as eigenvectors of the tridiagonal Lx matrix (a numerically stable
-    symmetric-tridiagonal eigenproblem); each row's sign is fixed by making
-    its last (m' = -l) component positive, which reproduces the active
-    rotation by ``-pi/2`` about the y axis.
-    """
-    l = two_l / 2.0
-    dim = two_l + 1
-    m = l - np.arange(dim)
-    # <m|Lx|m-1> = sqrt(l(l+1) - m(m-1))/2 couples index k to k+1
-    off = 0.5 * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] - 1.0))
-    vals, vecs = eigh_tridiagonal(np.zeros(dim), off)
-    # ascending eigenvalues are -l..+l; row r needs eigenvalue l - r
-    mat = vecs[:, ::-1].T.copy()
-    signs = np.where(mat[:, -1] >= 0.0, 1.0, -1.0)
-    mat *= signs[:, None]
-    mat.setflags(write=False)
-    return mat
+
+def _recurse(vecs: np.ndarray, mu: np.ndarray, off: np.ndarray, ks: range):
+    """Run the Lx eigen-equation ``off[k-1] v[k-1] + off[k] v[k+1] = mu v[k]``
+    from index ``ks[0]`` (seeded with +1) along ``ks``, for every row at once,
+    writing component ``k`` of every row into ``vecs[k]``."""
+    first = ks[0]
+    prev = np.zeros_like(mu)
+    cur = np.ones_like(mu)
+    vecs[first] = cur
+    c_prev = 0.0
+    for k, nxt in zip(ks, ks[1:]):
+        c_next = off[min(k, nxt)]
+        prev, cur = cur, (mu * cur - c_prev * prev) / c_next
+        c_prev = c_next
+        vecs[nxt] = cur
+        big = np.flatnonzero(np.abs(cur) > _RESCALE_AT)
+        if big.size:
+            factor = 1.0 / np.abs(cur[big])
+            prev[big] *= factor
+            cur[big] *= factor
+            vecs[min(first, nxt):max(first, nxt) + 1, big] *= factor
 
 
 def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     """Rotation matrix taking Lz-basis components to Lx-basis components.
 
-    The returned array is cached and marked read-only; copy before
-    mutating.  Orthogonal to machine precision for all supported sectors.
+    Row r is the Lx eigenvector with eigenvalue ``mu = l - r`` in the Lz
+    basis, so ``c_x = M @ c_z``; as a matrix ``M = expm(+i pi/2 J_y)``, the
+    active rotation by ``-pi/2`` about the y axis.  Built on each call (one
+    d x d array, O(d**2) work) and returned read-only.
+
+    The rows solve the three-term Lx eigen-equation by recursion, all at
+    once: forward from ``m' = +l`` and backward from ``m' = -l``.  The
+    amplitudes decay towards both edges, so each half grows as it goes and
+    is stable.  The forward half is matched to the backward one by least
+    squares on the middle two indices, and each row is normalised.  The
+    backward seed is +1, so every row's ``m' = -l`` component is positive --
+    the signs of ``expm(+i pi/2 J_y)`` -- for every N, even where that
+    component underflows.  Entries below the smallest normal float are set
+    to 0: they would slow the matrix products of :func:`to_x_basis`.
     """
-    return _rotation_matrix(int(round(2 * sector.l)))
+    dim = sector.dimension
+    if dim == 1:
+        vecs = np.ones((1, 1))
+    else:
+        m = sector.m_values()
+        l = sector.l
+        # <m|Lx|m-1> = sqrt(l(l+1) - m(m-1))/2 couples index k to k+1
+        off = 0.5 * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] - 1.0))
+        vecs = np.empty((dim, dim))  # vecs[k, r]: component k of row r
+        j = (dim - 2) // 2  # the halves meet at indices j and j + 1
+        _recurse(vecs, m, off, range(0, j + 2))
+        f0, f1 = vecs[j].copy(), vecs[j + 1].copy()
+        _recurse(vecs, m, off, range(dim - 1, j - 1, -1))
+        vecs[:j] *= (f0 * vecs[j] + f1 * vecs[j + 1]) / (f0 * f0 + f1 * f1)
+        vecs /= np.sqrt(np.einsum("kr,kr->r", vecs, vecs))
+        vecs[np.abs(vecs) < _TINY] = 0.0
+    vecs.setflags(write=False)
+    return vecs.T
 
 
 def rotate_state_to_x(state: DickeState) -> DickeState:

@@ -37,7 +37,6 @@ from .dicke import (
     coherent_state,
     fidelity,
     purity,
-    rotation_to_x,
     to_x_basis,
 )
 from .errors import NoFormationError, NumericError, UsageError
@@ -258,9 +257,11 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
 
     The fidelity is taken against the convention's target built from the
     initial state's preparation angles; the corner coherence is the Lx-basis
-    element ``|rho_{+l,-l}|``, read in O(d**2) from rows 0 and -1 of the
-    Lz-to-Lx rotation without rotating the whole matrix.  ``gamma_bar`` in
-    the survival condition is ``Gamma(tau)`` (already a time-averaged rate).
+    element ``|rho_{+l,-l}|``.  Rows 0 and -1 of the Lz-to-Lx rotation are
+    the spin coherent states along +x and -x (up to sign), so the corner is
+    read as ``|<+x| rho |-x>|`` with O(d) extra memory and no rotation.
+    ``gamma_bar`` in the survival condition is ``Gamma(tau)`` (already a
+    time-averaged rate).
     """
     if p.initial.bloch is None:
         raise UsageError(
@@ -273,8 +274,9 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     target = mqs_target(p.sector, theta, phi, p.mqs_convention)
     fid = fidelity(rho, target)
     pur = purity(rho)
-    mat = rotation_to_x(p.sector)
-    corner = float(abs(mat[0] @ rho.elements @ mat[-1]))
+    plus_x = coherent_state(p.sector, _HALF_PI, 0.0).amplitudes
+    minus_x = coherent_state(p.sector, _HALF_PI, math.pi).amplitudes
+    corner = float(abs(plus_x.conj() @ rho.elements @ minus_x))
     n = p.sector.n_particles
     product = bath.tau * gamma_bar
     feasible = product * n * n < 1.0

@@ -189,23 +189,30 @@ def _kernel_integral(sd: SpectralDensity, t: float, trig: str) -> tuple[float, f
     return value, budget
 
 
-def f_of_t(sd: SpectralDensity, t: float) -> float:
-    """Twisting-phase rate ``f(t)``; requires ``t > 0``."""
+def _check_time(t: float):
+    """The kernels split their integrals at ``pi/t``, which must be finite:
+    ``t`` below about 1.7e-308 is out of their domain."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t}")
+    if not math.isfinite(math.pi / float(t)):
+        raise DomainError(f"t must be large enough that pi/t is finite, got {t}")
+
+
+def f_of_t(sd: SpectralDensity, t: float) -> float:
+    """Twisting-phase rate ``f(t)``; requires ``t > 0`` with ``pi/t`` finite."""
+    _check_time(t)
     value, _ = _kernel_integral(sd, t, "sin")
     return value / t
 
 
 def gamma_of_t(sd: SpectralDensity, t: float) -> float:
-    """Dephasing rate ``Gamma(t)``; requires ``t > 0``.
+    """Dephasing rate ``Gamma(t)``; requires ``t > 0`` with ``pi/t`` finite.
 
     Raises :class:`KernelDivergenceError` when the thermally dressed
     spectrum carries weight at zero frequency (``G_T ~ 1/w`` there), which
     makes the integral logarithmically divergent at the infrared end.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    _check_time(t)
     if math.isinf(gt_zero_limit(sd)):
         raise KernelDivergenceError(
             "Gamma(t) diverges: finite-temperature spectrum has nonzero "

@@ -88,7 +88,8 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # (d = N + 1) takes 16*d**2 bytes; a run holds about four of them at once
 # (the measured peak, 64 bytes per element, comes from the Lz-to-Lx
 # rotation of an Lx snapshot: rho, the result, the rotation and real
-# d x d temporaries; snapshot text is streamed row by row), so N = 4096
+# d x d temporaries; the rotation is built for that snapshot and freed with
+# it, none is cached, and snapshot text is streamed row by row), so N = 4096
 # needs 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside a 2 GiB budget.
 _MAX_PARTICLES = 4096
 SWEEP_AXES = ("N", "beta", "alpha", "omega_0")
@@ -702,7 +703,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     base = copy.deepcopy(normalized)
     base["outputs"] = ["report"]
     tasks = [(base, axis, v) for v in values]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))

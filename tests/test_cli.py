@@ -293,7 +293,7 @@ def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
 
 
 def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
-    calls = {"eigvalsh": 0, "check": 0, "to_x_basis": 0}
+    calls = {"eigvalsh": 0, "check": 0, "to_x_basis": 0, "rotation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -307,17 +307,24 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     to_x = counted("to_x_basis", dicke.to_x_basis)
     monkeypatch.setattr(dicke, "to_x_basis", to_x)
     monkeypatch.setattr(evolve, "to_x_basis", to_x)
+    rotation = counted("rotation", dicke.rotation_to_x)
+    monkeypatch.setattr(dicke, "rotation_to_x", rotation)
+    monkeypatch.setattr(evolve, "rotation_to_x", rotation, raising=False)
     cfg = preset_config("fig1")
-    cfg.update(n_particles=200, outputs=["snapshots", "report"],
-               snapshot_times={"kind": "tau-fractions", "values": [1.0]})
+    cfg.update(n_particles=200, outputs=["report"])
+    run_scenario(validate_config(cfg), output_dir=str(tmp_path / "report"))
+    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 0, "rotation": 0}
+    cfg.update(outputs=["snapshots", "report"],
+               snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]})
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
-    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 1}  # one Lx snapshot
+    # one rotation per Lx snapshot
+    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 2, "rotation": 2}
     sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
           output_dir=str(tmp_path / "sweep"))
-    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 1}
+    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 2, "rotation": 2}
     # a caller-supplied matrix is still checked in full
     DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
-    assert calls == {"eigvalsh": 1, "check": 1, "to_x_basis": 1}
+    assert calls == {"eigvalsh": 1, "check": 1, "to_x_basis": 2, "rotation": 2}
 
 
 def test_snapshot_text_is_streamed_unchanged(tmp_path):
@@ -466,12 +473,20 @@ def test_sweep_pool_is_capped_at_point_count(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 64)
     cfg = validate_config(small_config())
     values = [2, 4, 6]
     sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
     assert pools == [len(values)]
     sweep(copy.deepcopy(cfg), "N", [2], jobs=100000, output_dir=str(tmp_path))
     assert pools == [len(values)]  # one point runs serially
+    # and at the number of processors
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 2)
+    sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values), 2]
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: None)
+    sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values), 2]  # unknown count: one worker, serial
 
 
 def test_sweep_n_feasibility_flip(tmp_path):
@@ -535,6 +550,16 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "basis" in captured.err
+    # times so small that pi/t overflows are out of the kernels' domain
+    for cfg in (small_config(outputs=["kernels"], time_grid={
+                    "kind": "log", "start": 1e-310, "stop": 1.0, "count": 3}),
+                small_config(outputs=["snapshots"], snapshot_times={
+                    "kind": "absolute", "values": [1e-310]})):
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: t must be large enough that pi/t is finite")
 
 
 def test_cli_numeric_failure_exits_3(tmp_path, capsys):

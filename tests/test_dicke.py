@@ -94,7 +94,9 @@ def test_coherent_state_requires_symmetric_sector():
 def test_rotation_matches_exponential():
     # rows of the rotation are the Jx eigenvectors; as a matrix it equals
     # expm(+i (pi/2) Jy) in the Lz basis
-    for n in (1, 2, 3, 6, 11):
+    # at N = 150 and 400 the m' = -l component that fixes a row's sign is
+    # far below roundoff for the outer rows (2**-l for the extreme ones)
+    for n in (1, 2, 3, 6, 11, 150, 400):
         sec = SectorLabel(n)
         dim = sec.dimension
         l = sec.l
@@ -122,10 +124,22 @@ def test_rotation_small_sector_known_matrices():
 
 
 def test_rotation_unitarity():
-    for n in (1, 2, 5, 24, 50):
+    for n in (1, 2, 5, 24, 50, 1000):
         M = rotation_to_x(SectorLabel(n))
         dim = M.shape[0]
         assert np.abs(M @ M.T - np.eye(dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+def test_rotation_edge_rows_are_x_coherent_states(n):
+    # rows 0 and -1 are the spin coherent states along +x and -x:
+    # sqrt(C(2l, k)) / 2**l and (-1)**k times it, k = l - m' = 0 .. 2l
+    k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    mag = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]) - 0.5 * n * math.log(2.0))
+    M = rotation_to_x(SectorLabel(n))
+    assert np.abs(M[0] - mag).max() <= 1e-12
+    assert np.abs(M[-1] - (-1.0) ** k * mag).max() <= 1e-12
 
 
 def test_rotate_pole_gives_binomial():

@@ -121,6 +121,13 @@ def test_domain_errors():
         f_of_t(sd, -1.0)
     with pytest.raises(DomainError):
         gamma_of_t(sd, 0.0)
+    # pi/t overflows below about 1.7e-308: out of the kernels' domain
+    for t in (1e-310, 1.7e-308):
+        with pytest.raises(DomainError):
+            f_of_t(ohmic(1e-3), t)
+        with pytest.raises(DomainError):
+            gamma_of_t(ohmic(1e-3), t)
+    assert f_of_t(ohmic(1e-3), 1e-300) == 0.0
 
 
 def test_infrared_divergent_gamma_raises():
