@@ -42,7 +42,7 @@ def _load_config(ref: str) -> dict:
         try:
             with open(ref, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, an over-long integer, or not UTF-8
             raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {ref!r}: {exc}") from exc

@@ -16,16 +16,16 @@ which artifacts to write, and where.  The full shape::
         "beta": null,                  # null = zero temperature
         "table": [[0.0, 0.0], ...]     # tabulated only: [omega, g] knots
       },
-      "n_particles": 50,
+      "n_particles": 50,               # 1 .. 4096
       "theta": 0.785398,               # preparation polar angle
       "phi": 0.0,                      # preparation azimuth
       "time_grid": {                   # kernel tabulation grid
         "kind": "log",                 # log | linear
-        "start": 0.01, "stop": 1e6, "count": 121
+        "start": 0.01, "stop": 1e6, "count": 121   # count <= 800000
       },
       "snapshot_times": {
         "kind": "tau-fractions",       # tau-fractions | absolute
-        "values": [0.3, 1.0]
+        "values": [0.3, 1.0]           # len * (N+1)**2 <= 195225786
       },
       "basis": "Lx",                   # basis for emitted snapshots
       "conventions": {"thermal": "coth-full", "mqs": "twist"},
@@ -35,10 +35,14 @@ which artifacts to write, and where.  The full shape::
     }
 
 ``time_grid`` is required only when "kernels" is requested, and
-``snapshot_times`` only when "snapshots" is.  All frequencies are in
+``snapshot_times`` only when "snapshots" is.  The maxima above (and at
+most 1800 values per sweep) come from the work and output budgets written
+beside ``_MAX_PARTICLES``; over one, validation fails with the field path
+before any kernel work.  All frequencies are in
 units of ``omega_c`` unless ``units`` is "hz" (then frequencies are in
 Hz and times in seconds); the choice only labels the numbers, the math
-is scale-free.  Files are written atomically (temp file + rename), all
+is scale-free.  Files are written atomically (temp file + rename) with the
+mode a plain ``open(path, "w")`` gives (``0o666`` less the umask), all
 floats in the shortest decimal form that round-trips, so identical
 configs produce byte-identical artifacts.
 """
@@ -47,14 +51,14 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
-import tempfile
+import secrets
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .evolve import (
     _DEFAULT_HORIZON_FACTOR,
     EvolutionParams,
     MqsConvention,
+    MqsReport,
     assess_mqs,
     snapshot_series,
     solve_tau_mqs,
@@ -72,7 +77,6 @@ from .evolve import (
 from .kernels import markov_limits, tabulate_kernels
 
 __all__ = [
-    "Scenario",
     "validate_config",
     "build_scenario",
     "preset_names",
@@ -83,15 +87,28 @@ __all__ = [
 ]
 
 _OUTPUT_KINDS = ("kernels", "snapshots", "report")
-# Largest ensemble a config may ask for, so that a run fails with a config
-# error instead of exhausting memory.  One dense d x d complex array
-# (d = N + 1) takes 16*d**2 bytes; a run holds about four of them at once
-# (the measured peak, 64 bytes per element, comes from the Lz-to-Lx
-# rotation of an Lx snapshot: rho, the result, the rotation and real
-# d x d temporaries; the rotation is built for that snapshot and freed with
-# it, none is cached, and snapshot text is streamed row by row), so N = 4096
-# needs 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside a 2 GiB budget.
+# Input maxima, each derived from a memory, work or output budget, so that a
+# config fails with a config error instead of exhausting the machine.
+#
+# Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
+# array (d = N + 1) takes 16*d**2 bytes; a run holds about four of them at
+# once (the measured peak, 64 bytes per element, comes from the Lz-to-Lx
+# rotation of an Lx snapshot: rho, the result, the rotation and real d x d
+# temporaries; the rotation is built for that snapshot and freed with it,
+# none is cached, snapshots are computed, written and freed one at a time
+# whatever their count, and snapshot text is streamed row by row), so
+# N = 4096 needs 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
+# Kernel and sweep work, from a budget of one hour on one core: a time-grid
+# point costs two kernel integrals, measured at 2.6 ms (fig1) and 4.5 ms
+# (fig2) per point, and a sweep point costs about 2.0 s at N = 4096.
+_WORK_BUDGET_S = 3600.0
+_MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
+_MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800
+# Snapshot text, from a 4 GiB output budget per run: an |rho| grid entry
+# takes about 22 bytes of text (one N = 4096 grid, 4097**2 entries, is about
+# 370 MB), so a run writes at most len(values) * (N+1)**2 entries.
+_MAX_SNAPSHOT_ENTRIES = 2**32 // 22                   # 195225786
 SWEEP_AXES = ("N", "beta", "alpha", "omega_0")
 
 
@@ -114,7 +131,10 @@ def _get(d: dict, key: str, path: str, required: bool, default=None):
 def _number(value, path: str, positive=False, nonnegative=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         _fail(path, "must be finite")
     if positive and not v > 0.0:
@@ -198,11 +218,12 @@ def _validate_time_grid(raw, path: str) -> dict:
     stop = _number(_get(raw, "stop", path, True), f"{path}.stop", positive=True)
     if not stop > start:
         _fail(f"{path}.stop", f"must exceed start={start!r}, got {stop!r}")
-    count = _integer(_get(raw, "count", path, True), f"{path}.count", minimum=2)
+    count = _integer(_get(raw, "count", path, True), f"{path}.count", minimum=2,
+                     maximum=_MAX_TIME_GRID_COUNT)
     return {"kind": kind, "start": start, "stop": stop, "count": count}
 
 
-def _validate_snapshot_times(raw, path: str) -> dict:
+def _validate_snapshot_times(raw, path: str, n_particles: int) -> dict:
     if not isinstance(raw, dict):
         _fail(path, f"expected an object, got {type(raw).__name__}")
     _check_unknown(raw, {"kind", "values"}, path)
@@ -211,6 +232,11 @@ def _validate_snapshot_times(raw, path: str) -> dict:
     values = _get(raw, "values", path, True)
     if not isinstance(values, list) or not values:
         _fail(f"{path}.values", "expected a nonempty list of times")
+    most = _MAX_SNAPSHOT_ENTRIES // (n_particles + 1) ** 2
+    if len(values) > most:
+        _fail(f"{path}.values", f"at most {most} snapshots at n_particles={n_particles} "
+              f"(len(values) * (N+1)**2 <= {_MAX_SNAPSHOT_ENTRIES} grid entries), "
+              f"got {len(values)}")
     vals = [_number(v, f"{path}.values[{i}]", nonnegative=True)
             for i, v in enumerate(values)]
     return {"kind": kind, "values": vals}
@@ -260,7 +286,7 @@ def validate_config(raw: dict) -> dict:
     snapshot_times = None
     if "snapshot_times" in raw:
         snapshot_times = _validate_snapshot_times(raw["snapshot_times"],
-                                                  "snapshot_times")
+                                                  "snapshot_times", n)
     elif "snapshots" in outputs:
         _fail("snapshot_times", 'required when "snapshots" is in outputs')
 
@@ -312,57 +338,29 @@ def validate_config(raw: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario objects
+# physics
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A validated scenario with its physics objects constructed."""
+def build_scenario(normalized: dict) -> EvolutionParams:
+    """The physics of a validated config, as one :class:`EvolutionParams`.
 
-    name: str
-    units: str
-    spectrum: SpectralDensity
-    n_particles: int
-    theta: float
-    phi: float
-    basis: Basis
-    mqs_convention: MqsConvention
-    horizon_factor: float
-    outputs: tuple
-    time_grid: dict | None
-    snapshot_times: dict | None
-    output_dir: str | None
-    config: dict
-
-    @property
-    def sector(self) -> SectorLabel:
-        return SectorLabel(self.n_particles)
-
-
-def _build_spectrum(sp: dict, thermal: str) -> SpectralDensity:
-    # validated spectrum keys are SpectralDensity fields; beta None is T = 0
-    return SpectralDensity(**dict(sp, beta=sp["beta"] or math.inf), thermal_convention=thermal)
-
-
-def build_scenario(normalized: dict) -> Scenario:
-    """Construct the physics objects for a validated config."""
-    return Scenario(
-        name=normalized["name"],
-        units=normalized["units"],
-        spectrum=_build_spectrum(normalized["spectrum"],
-                                 normalized["conventions"]["thermal"]),
-        n_particles=normalized["n_particles"],
-        theta=normalized["theta"],
-        phi=normalized["phi"],
-        basis=Basis(normalized["basis"]),
-        mqs_convention=MqsConvention(normalized["conventions"]["mqs"]),
-        horizon_factor=normalized["solver"]["horizon_factor"],
-        outputs=tuple(normalized["outputs"]),
-        time_grid=normalized.get("time_grid"),
-        snapshot_times=normalized.get("snapshot_times"),
-        output_dir=normalized.get("output_dir"),
-        config=normalized,
-    )
+    The spectrum takes the config's thermal convention, with ``beta: null``
+    read as zero temperature (``inf``); the initial state is the coherent
+    state at ``(theta, phi)`` in the ``n_particles`` sector; the MQS
+    convention and the formation-time horizon come from ``conventions`` and
+    ``solver``.  Everything else about a run (name, outputs, grids, basis,
+    output directory) is read from ``normalized`` itself.
+    """
+    sp = normalized["spectrum"]
+    sector = SectorLabel(normalized["n_particles"])
+    return EvolutionParams(
+        # validated spectrum keys are SpectralDensity fields; beta None is T = 0
+        SpectralDensity(**dict(sp, beta=sp["beta"] or math.inf),
+                        thermal_convention=normalized["conventions"]["thermal"]),
+        sector,
+        coherent_state(sector, normalized["theta"], normalized["phi"]),
+        mqs_convention=normalized["conventions"]["mqs"],
+        solve_horizon_factor=normalized["solver"]["horizon_factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +472,10 @@ def _json_dumps(obj) -> str:
 
 def _write_atomic(path: str, text: str | Iterable[str]):
     # ``text`` is one string or an iterable of strings written in order; the
-    # target is replaced only once all of it is written
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # target is replaced only once all of it is written.  The temp file is
+    # created 0o666 less the umask, as ``open(path, "w")`` would create it.
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             if isinstance(text, str):
@@ -509,27 +508,17 @@ def _snapshot_csv(rho, time: float) -> Iterator[str]:
         yield ",".join(map(repr, row.tolist())) + "\n"
 
 
-def _report_payload(scn: Scenario, report) -> dict:
+def _report_payload(normalized: dict, report: MqsReport) -> dict:
     return {
         "schema": 1,
-        "name": scn.name,
-        "units": scn.units,
-        "spectrum": dict(scn.config["spectrum"],
-                         thermal_convention=scn.config["conventions"]["thermal"]),
-        "n_particles": scn.n_particles,
-        "theta": scn.theta,
-        "phi": scn.phi,
-        "report": {
-            "tau_mqs": report.tau_mqs,
-            "f_at_tau": report.f_at_tau,
-            "gamma_at_tau": report.gamma_at_tau,
-            "fidelity": report.fidelity,
-            "corner": report.corner,
-            "purity": report.purity,
-            "feasible": report.feasible,
-            "n_max": report.n_max,
-            "convention_used": report.convention_used,
-        },
+        "name": normalized["name"],
+        "units": normalized["units"],
+        "spectrum": dict(normalized["spectrum"],
+                         thermal_convention=normalized["conventions"]["thermal"]),
+        "n_particles": normalized["n_particles"],
+        "theta": normalized["theta"],
+        "phi": normalized["phi"],
+        "report": dataclasses.asdict(report),
     }
 
 
@@ -539,32 +528,33 @@ def _annotate(exc: SpinCatError, operation: str):
     return exc
 
 
-def _evolution_params(scn: Scenario) -> EvolutionParams:
-    return EvolutionParams(scn.spectrum, scn.sector,
-                           coherent_state(scn.sector, scn.theta, scn.phi),
-                           mqs_convention=scn.mqs_convention,
-                           solve_horizon_factor=scn.horizon_factor)
-
-
 def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
     """Execute a validated scenario and write its artifacts.
 
-    Returns the summary dict that the CLI prints as one JSON line:
-    scenario name, resolved output directory, the list of files written,
-    and the formation report (when requested).  ``output_dir`` overrides
-    the config's own setting.
+    The physics comes from :func:`build_scenario`; the name, outputs, time
+    grid, snapshot times, basis and output directory are read from
+    ``normalized``.  Returns the summary dict that the CLI prints as one
+    JSON line: scenario name, resolved output directory, the list of files
+    written, and the formation report (when requested).  ``output_dir``
+    overrides the config's own setting.
+
+    ``kernels.csv`` and ``report.json`` are written before any snapshot.
+    Snapshots are computed, written and freed one at a time, so a run holds
+    one snapshot matrix whatever their count; a numeric failure at snapshot
+    ``k`` leaves ``snapshot_000.csv`` .. ``k - 1`` written, and no index.
     """
-    scn = build_scenario(normalized)
-    out_dir = output_dir or scn.output_dir or f"{scn.name}-out"
+    params = build_scenario(normalized)
+    name, outputs = normalized["name"], normalized["outputs"]
+    out_dir = output_dir or normalized.get("output_dir") or f"{name}-out"
     os.makedirs(out_dir, exist_ok=True)
     files: list[str] = []
-    summary: dict = {"name": scn.name, "output_dir": out_dir, "files": files,
+    summary: dict = {"name": name, "output_dir": out_dir, "files": files,
                      "report": None}
 
-    if "kernels" in scn.outputs:
+    if "kernels" in outputs:
         try:
-            table = tabulate_kernels(scn.spectrum,
-                                     _time_grid_points(scn.time_grid))
+            table = tabulate_kernels(params.spectrum,
+                                     _time_grid_points(normalized["time_grid"]))
         except SpinCatError as exc:
             raise _annotate(exc, "kernel tabulation")
         _write_atomic(os.path.join(out_dir, "kernels.csv"),
@@ -572,54 +562,49 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
         files.append("kernels.csv")
 
     tau = None
-    need_tau = "report" in scn.outputs or (
-        "snapshots" in scn.outputs
-        and scn.snapshot_times["kind"] == "tau-fractions")
-    if need_tau:
+    snap = normalized.get("snapshot_times")
+    if "report" in outputs or ("snapshots" in outputs and snap["kind"] == "tau-fractions"):
         try:
-            tau = solve_tau_mqs(scn.spectrum, scn.horizon_factor)
+            tau = solve_tau_mqs(params.spectrum, params.solve_horizon_factor)
         except SpinCatError as exc:
             raise _annotate(exc, "formation-time solve")
 
-    params = None
-    if "report" in scn.outputs or "snapshots" in scn.outputs:
-        params = _evolution_params(scn)
-
-    if "report" in scn.outputs:
+    if "report" in outputs:
         try:
             report = assess_mqs(params)
         except SpinCatError as exc:
             raise _annotate(exc, "formation assessment")
-        payload = _report_payload(scn, report)
+        payload = _report_payload(normalized, report)
         _write_atomic(os.path.join(out_dir, "report.json"),
                       _json_dumps(payload))
         files.append("report.json")
         summary["report"] = payload["report"]
 
-    if "snapshots" in scn.outputs:
-        snap = scn.snapshot_times
+    if "snapshots" in outputs:
         if snap["kind"] == "tau-fractions":
             times = [v * tau for v in snap["values"]]
         else:
             times = list(snap["values"])
-        try:
-            snaps = snapshot_series(params, times, scn.basis)
-        except SpinCatError as exc:
-            raise _annotate(exc, "snapshot evolution")
+        basis = Basis(normalized["basis"])
         index = []
-        for i, (t, rho) in enumerate(zip(times, snaps)):
+        for i, t in enumerate(times):
+            try:
+                (rho,) = snapshot_series(params, [t], basis)
+            except SpinCatError as exc:
+                raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
             _write_atomic(os.path.join(out_dir, fname), _snapshot_csv(rho, t))
+            del rho  # free this matrix before the next one is computed
             files.append(fname)
             index.append({
                 "file": fname,
                 "time": t,
-                "basis": rho.basis_tag.value,
-                "n_particles": scn.n_particles,
-                "l": scn.sector.l,
+                "basis": basis.value,
+                "n_particles": params.sector.n_particles,
+                "l": params.sector.l,
             })
         _write_atomic(os.path.join(out_dir, "snapshots_index.json"),
-                      _json_dumps({"schema": 1, "name": scn.name,
+                      _json_dumps({"schema": 1, "name": name,
                                    "snapshots": index}))
         files.append("snapshots_index.json")
 
@@ -651,26 +636,21 @@ def _apply_axis(normalized: dict, axis: str, value: float) -> dict:
 
 def _sweep_point(task) -> dict:
     normalized, axis, value = task
-    row = {c: "" for c in _SWEEP_COLUMNS}
+    row = dict.fromkeys(_SWEEP_COLUMNS)  # None cells are written empty
     try:
-        cfg = _apply_axis(normalized, axis, value)
-        scn = build_scenario(cfg)
-        report = assess_mqs(_evolution_params(scn))
-        limits = markov_limits(scn.spectrum)
-        row.update(
-            tau_mqs=report.tau_mqs, f_at_tau=report.f_at_tau,
-            gamma_at_tau=report.gamma_at_tau, fidelity=report.fidelity,
-            corner=report.corner, purity=report.purity,
-            feasible=report.feasible,
-            n_max="" if report.n_max is None else report.n_max,
-            f_markov=limits.f_markov, gamma_markov=limits.gamma_markov,
-        )
+        params = build_scenario(_apply_axis(normalized, axis, value))
+        report = assess_mqs(params)
+        limits = markov_limits(params.spectrum)
+        row.update(dataclasses.asdict(report), f_markov=limits.f_markov,
+                   gamma_markov=limits.gamma_markov)
     except SpinCatError as exc:
         row["error"] = str(exc)
     return row
 
 
 def _format_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -685,6 +665,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     One row per value, in input order; a failed point fills the ``error``
     column and the sweep continues.  ``jobs > 1`` distributes points over
     at most one process per point; results are identical to a serial run.
+    At most ``_MAX_SWEEP_VALUES`` values are accepted.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; "
@@ -692,6 +673,9 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value", field="values")
+    if len(values) > _MAX_SWEEP_VALUES:
+        raise ConfigError(f"at most {_MAX_SWEEP_VALUES} values per sweep, "
+                          f"got {len(values)}", field="values")
     if axis == "N":
         # the axis column prints integers whether values arrived as 2 or 2.0
         values = [int(v) if isinstance(v, float) and v.is_integer() else v
@@ -700,9 +684,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     if axis in ("alpha", "omega_0") and axis not in normalized["spectrum"]:
         raise ConfigError(f"{axis} sweeps do not apply to "
                           f"{normalized['spectrum']['kind']} spectra", field="axis")
-    base = copy.deepcopy(normalized)
-    base["outputs"] = ["report"]
-    tasks = [(base, axis, v) for v in values]
+    tasks = [(normalized, axis, v) for v in values]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +180,23 @@ def test_number_validation():
     cfg = small_config(time_grid={"kind": "log", "start": 1.0, "stop": 0.5,
                                   "count": 5})
     assert config_error(cfg).field == "time_grid.stop"
+    # 800000 points of two kernel integrals at 4.5 ms each take one hour
+    grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 800000}
+    assert validate_config(small_config(time_grid=grid))["time_grid"]["count"] == 800000
+    err = config_error(small_config(time_grid=dict(grid, count=800001)))
+    assert str(err) == "time_grid.count: must be <= 800000, got 800001"
+
+
+def test_snapshot_grid_entries_are_bounded():
+    # validating builds no matrix, so the bound is checked at full size: 4 GiB
+    # of text at 22 bytes per entry is 11 grids at N = 4096
+    for n, most in ((4096, 11), (50, 75057)):
+        times = {"kind": "absolute", "values": [1.0] * most}
+        assert validate_config(small_config(n_particles=n, snapshot_times=times))
+        times["values"].append(1.0)
+        err = config_error(small_config(n_particles=n, snapshot_times=times))
+        assert err.field == "snapshot_times.values"
+        assert f"at most {most} snapshots at n_particles={n}" in str(err)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +381,51 @@ def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
     assert list(tmp_path.glob(".tmp-*~")) == []
 
 
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
+    cfg = validate_config(small_config(
+        outputs=["kernels", "snapshots", "report"],
+        time_grid={"kind": "log", "start": 0.1, "stop": 1e3, "count": 3},
+        snapshot_times={"kind": "tau-fractions", "values": [1.0]}))
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / oct(umask)
+        old = os.umask(umask)
+        try:
+            run_scenario(copy.deepcopy(cfg), output_dir=str(out / "run"))
+            sweep(copy.deepcopy(cfg), "N", [2], jobs=1, output_dir=str(out / "sweep"))
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.rglob("*")
+                 if p.is_file()}
+        assert sorted(modes) == ["kernels.csv", "report.json", "snapshot_000.csv",
+                                 "snapshots_index.json", "sweep.csv"]
+        assert set(modes.values()) == {mode}
+
+
+def test_run_holds_one_snapshot_matrix_at_a_time(tmp_path):
+    n = 300
+    times = [1.0, 2.0, 3.0, 4.0]
+
+    def run(values, out):
+        cfg = small_config(n_particles=n, outputs=["snapshots"], basis="Lx",
+                           snapshot_times={"kind": "absolute", "values": values})
+        run_scenario(validate_config(cfg), output_dir=str(tmp_path / out))
+
+    run(times, "warm")  # kernel values at every time are now cached
+
+    def peak(values, out):
+        tracemalloc.start()
+        try:
+            run(values, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(times[-1:], "one")
+    four = peak(times, "four")
+    # four snapshots need less than one more d x d complex matrix than one
+    assert four < one + 16 * (n + 1) ** 2
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -437,6 +502,19 @@ def test_sweep_axis_validation(tmp_path):
         "values: must be finite", "values: must be finite",
         "values: must be > 0, got -1.0", ""]
     assert float(rows[3]["tau_mqs"]) > 0.0
+
+
+def test_sweep_value_count_is_bounded(tmp_path, monkeypatch):
+    def no_work(task):
+        raise AssertionError("a sweep over the maximum ran a point")
+
+    monkeypatch.setattr(scenario, "_sweep_point", no_work)
+    cfg = validate_config(small_config())
+    # 1800 points at about 2.0 s each (N = 4096) take one hour
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, "N", [2] * 1801, output_dir=str(tmp_path))
+    assert str(exc.value) == "values: at most 1800 values per sweep, got 1801"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -541,6 +619,18 @@ def test_cli_invalid_json_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "not valid JSON" in captured.err
+    # an integer literal too long to convert, and a file that is not UTF-8
+    text = json.dumps(small_config())
+    path.write_text(text.replace('"phi": 0.0', '"phi": 1' + "0" * 5000))
+    rc = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    path.write_bytes(text.replace('"small"', '"sm\u00e9ll"').encode("latin-1"))
+    rc = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "not valid JSON" in captured.err
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):
@@ -550,6 +640,29 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "basis" in captured.err
+    # a number beyond the float range, and inputs over their work or output
+    # maxima, fail on the field before any kernel work
+    path.write_text(json.dumps(small_config()).replace('"theta": 1.5707963267948966',
+                                                       '"theta": 1' + "0" * 400))
+    rc = main(["run", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: theta: must be finite\n"
+    grid = {"kind": "log", "start": 0.1, "stop": 1.0, "count": 800001}
+    snaps = {"kind": "absolute", "values": [1.0] * 12}
+    for cfg, field in ((small_config(outputs=["kernels"], time_grid=grid), "time_grid.count"),
+                       (small_config(n_particles=4096, outputs=["snapshots"],
+                                     snapshot_times=snaps), "snapshot_times.values")):
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    path.write_text(json.dumps(small_config()))
+    values = ",".join(["2"] * 1801)
+    rc = main(["sweep", str(path), "--axis", "N", "--values", values,
+               "--output-dir", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: values: at most ")
+    assert not (tmp_path / "sweep").exists()
     # times so small that pi/t overflows are out of the kernels' domain
     for cfg in (small_config(outputs=["kernels"], time_grid={
                     "kind": "log", "start": 1e-310, "stop": 1.0, "count": 3}),

@@ -102,6 +102,44 @@ def test_tabulated_matches_direct_quadrature():
         assert t * gamma_of_t(sd, t) == pytest.approx(tg_ref, rel=1e-9)
 
 
+def _thermal_ohmic_t_gamma(alpha, omega_c, beta, t):
+    """``t*Gamma(t)`` for ``G_T = alpha w exp(-w/omega_c) coth(beta w / 2)``.
+
+    A closed form with no quadrature in it: expanding
+    ``coth(x/2) = 1 + 2 sum_k exp(-k x)`` and summing with
+    ``prod_k (1 + x**2/(k+c)**2) = |Gamma(1+c)|**2 / |Gamma(1+c+ix)|**2``
+    gives, with ``c = 1/(beta omega_c)``::
+
+        t Gamma = alpha [ln(1 + omega_c**2 t**2)/2
+                         + 2 Re lnGamma(1+c) - 2 Re lnGamma(1+c+it/beta)]
+
+    The two lnGamma terms cancel to a small difference at small ``t``, so
+    they are taken at 40 digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, beta = mpmath.mpf(t), mpmath.mpf(beta)
+        c = 1 / (beta * omega_c)
+        value = alpha * (mpmath.log1p((omega_c * t) ** 2) / 2
+                         + 2 * mpmath.re(mpmath.loggamma(1 + c))
+                         - 2 * mpmath.re(mpmath.loggamma(1 + c + 1j * t / beta)))
+        return float(value)
+
+
+@pytest.mark.parametrize("beta", [0.3, 5.0, 200.0])
+@pytest.mark.parametrize("convention", list(ThermalConvention))
+def test_thermal_ohmic_gamma_matches_closed_form(beta, convention):
+    # coth(beta w) is coth(beta' w / 2) with beta' = 2 beta; t covers the
+    # head, mid-panel and tail regimes
+    alpha = 0.3
+    sd = ohmic(alpha, 1.0, beta=beta, thermal_convention=convention)
+    beta_half = beta if convention is ThermalConvention.COTH_HALF else 2.0 * beta
+    for t in np.geomspace(1e-3, 1e6, 19).tolist():
+        assert t * gamma_of_t(sd, t) == pytest.approx(
+            _thermal_ohmic_t_gamma(alpha, 1.0, beta_half, t), rel=1e-9)
+
+
 def test_thermal_gamma_plateau():
     # finite-temperature decoherence rate approaches (pi/2) * G_T(0+)
     alpha, beta = 1.0, 2.0
