@@ -14,8 +14,9 @@ convention.  Three model families are supported:
 
 Each family is defined in one place, the family branch of
 :class:`SpectralDensity`, which fixes when the spectrum is built its scalar
-``g0`` and the constants the kernel quadrature reads (``origin``,
-``features``, ``split``, ``support``, ``total``).  Spectra are evaluated as
+``g0`` (and from it ``gt``, with the thermal convention bound in) and the
+constants the kernel quadrature reads (``origin``, ``features``, ``split``,
+``support``, ``total``).  Spectra are evaluated as
 plain floats (``sd.g0(w)``, ``sd.gt(w)``); :func:`eval_g0` and
 :func:`eval_gt` add the domain check and map them over arrays.
 
@@ -78,6 +79,18 @@ def _tabulated_g0(ws: tuple, gs: tuple, w: float) -> float:
     return (gs[j + 1] - gs[j]) / (ws[j + 1] - ws[j]) * (w - ws[j]) + gs[j]
 
 
+def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w: float) -> float:
+    # G_T = G_0 * coth(x), x = beta * w * scale (scale 1 or 1/2 by convention)
+    x = beta * w * scale
+    if x == 0.0:  # w == 0, or beta*w underflows
+        return zero_limit
+    g = g0(w)
+    if x < _COTH_SERIES_CUT:
+        # divide by x: 1/x overflows where x is subnormal
+        return g / x + g * (x / 3.0 - x * x * x / 45.0)
+    return g * (1.0 / math.tanh(x))
+
+
 class SpectrumKind(str, enum.Enum):
     """Model family of the zero-temperature coupling spectrum."""
 
@@ -126,6 +139,9 @@ class SpectralDensity:
     ``repr`` ignore them):
 
     g0 : picklable ``G_0(w)`` of one float ``w >= 0``, no domain check.
+    gt : picklable ``G_T(w)`` likewise: ``g0`` itself at zero temperature,
+        else ``G_0`` times the convention's coth factor, with the analytic
+        limit where ``beta*w`` is 0.
     origin : ``(G_0(0+), slope of G_0 at 0+)``; the slope matters only when
         ``G_0(0+) == 0``.
     features : positive frequencies where the integrand changes character
@@ -203,22 +219,14 @@ class SpectralDensity:
         self.__dict__.update(  # frozen: bypass __setattr__ as object.__setattr__ does
             g0=g0, origin=(g0(0.0), slope), split=split, support=support, total=total,
             features=tuple(sorted({f for f in feats if f > 0.0 and math.isfinite(f)})))
-
-    # -- evaluation and convenience views ----------------------------------
-
-    def gt(self, w: float) -> float:
-        """``G_T(w)`` at one frequency ``w >= 0``, as a plain float."""
         if self.zero_temperature:
-            return self.g0(w)
-        half = self.thermal_convention is ThermalConvention.COTH_HALF
-        x = self.beta * w * (0.5 if half else 1.0)
-        if x == 0.0:  # w == 0, or beta*w underflows
-            return gt_zero_limit(self)
-        g = self.g0(w)
-        if x < _COTH_SERIES_CUT:
-            # divide by x: 1/x overflows where x is subnormal
-            return g / x + g * (x / 3.0 - x * x * x / 45.0)
-        return g * (1.0 / math.tanh(x))
+            self.__dict__["gt"] = g0
+        else:
+            half = self.thermal_convention is ThermalConvention.COTH_HALF
+            self.__dict__["gt"] = functools.partial(
+                _thermal_gt, g0, self.beta, 0.5 if half else 1.0, gt_zero_limit(self))
+
+    # -- convenience views --------------------------------------------------
 
     @property
     def zero_temperature(self) -> bool:

@@ -303,15 +303,25 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     coherent-state amplitudes) are set to 0: together they move a result
     entry by less than ``d * 2.3e-308``, and without this the matrix
     products run several times slower.  ``rho`` itself is not touched.
+
+    The result is exactly Hermitian: each real product ``P`` is written as
+    ``(P + P^T)/2`` for the real part and ``(P - P^T)/2`` for the imaginary
+    part, straight into the result (sums commute in floating point, so the
+    two halves match bit for bit).  Rounding left the products asymmetric
+    by about 1e-16; the symmetrised entries move by no more than that.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
     mat = rotation_to_x(rho.sector)
     out = np.empty_like(rho.elements)
-    for dst, part in ((out.real, rho.elements.real), (out.imag, rho.elements.imag)):
+    for dst, part, mirror in ((out.real, rho.elements.real, np.add),
+                              (out.imag, rho.elements.imag, np.subtract)):
         part = part.copy()
         part[np.abs(part) < _TINY] = 0.0
-        dst[...] = mat @ part @ mat.T
+        prod = mat @ part @ mat.T
+        mirror(prod, prod.T, out=dst)
+        dst *= 0.5
+        del prod  # not held while the next part is rotated
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

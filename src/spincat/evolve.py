@@ -294,10 +294,16 @@ def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[
     order does not affect the results.
     """
     basis = Basis(basis)
-    out = []
-    for t in np.asarray(times, dtype=float):
-        rho = evolve_state(p, float(t))
-        if basis is Basis.LX:
-            rho = to_x_basis(rho)
-        out.append(rho)
-    return out
+    return [_snapshot(p, float(t), basis) for t in np.asarray(times, dtype=float)]
+
+
+def _snapshot(p: EvolutionParams, t: float, basis: Basis,
+              bath: BathSolution | None = None) -> DickeDensityMatrix:
+    """The state at ``t`` in ``basis``; at ``t == bath.tau`` the kernel
+    values are read from ``bath`` instead of being integrated again."""
+    if bath is not None and t == bath.tau:
+        rho = _dephase(p, t, bath.f_tau,
+                       0.0 if p.force_zero_decoherence else bath.gamma_tau)
+    else:
+        rho = evolve_state(p, t)
+    return to_x_basis(rho) if basis is Basis.LX else rho

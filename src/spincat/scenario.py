@@ -70,9 +70,9 @@ from .evolve import (
     EvolutionParams,
     MqsConvention,
     MqsReport,
+    _snapshot,
     assess_mqs,
-    snapshot_series,
-    solve_tau_mqs,
+    solve_bath,
 )
 from .kernels import markov_limits, tabulate_kernels
 
@@ -96,8 +96,10 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # rotation of an Lx snapshot: rho, the result, the rotation and real d x d
 # temporaries; the rotation is built for that snapshot and freed with it,
 # none is cached, snapshots are computed, written and freed one at a time
-# whatever their count, and snapshot text is streamed row by row), so
-# N = 4096 needs 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
+# whatever their count, and snapshot text is streamed row by row; the text
+# writer holds |rho| and at most about d*d/4 strings, measured at 28 bytes
+# per element, below the rotation's 48 on top of rho), so N = 4096 needs
+# 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a time-grid
 # point costs two kernel integrals, measured at 2.6 ms (fig1) and 4.5 ms
@@ -500,12 +502,30 @@ def _time_grid_points(grid: dict) -> np.ndarray:
 def _snapshot_csv(rho, time: float) -> Iterator[str]:
     # |rho_{mm'}| magnitude grid; rows and columns run m = +l .. -l.  Yields
     # the header, then one line per row, so the grid text is never held whole.
-    yield (f"# basis = {rho.basis_tag.value}\n"
-           f"# l = {float(rho.sector.l)!r}\n"
-           f"# time = {float(time)!r}\n"
-           "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
-    for row in np.abs(rho.elements):
-        yield ",".join(map(repr, row.tolist())) + "\n"
+    # Only |rho| is kept: the caller's last reference to rho goes when the
+    # header is taken.  |rho| of a Hermitian matrix is symmetric, so row i
+    # formats its entries j >= i and takes the rest from column i: the
+    # strings of (k, i), k < i, kept as rows k were written and freed with
+    # row i (at most about d*d/4 strings at once).  A lower entry that
+    # differs from its mirror is formatted on its own, so every entry reads
+    # repr(|rho_ij|) whatever the matrix.
+    header = (f"# basis = {rho.basis_tag.value}\n"
+              f"# l = {float(rho.sector.l)!r}\n"
+              f"# time = {float(time)!r}\n"
+              "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
+    mag = np.abs(rho.elements)
+    del rho
+    yield header
+    cols = [[] for _ in mag]
+    for i, row in enumerate(mag):
+        upper = list(map(repr, row[i:].tolist()))
+        line, cols[i] = cols[i], None
+        for k in np.flatnonzero(row[:i] != mag[:i, i]).tolist():
+            line[k] = repr(float(row[k]))
+        for col, text in zip(cols[i + 1:], upper[1:]):
+            col.append(text)
+        line += upper
+        yield ",".join(line) + "\n"
 
 
 def _report_payload(normalized: dict, report: MqsReport) -> dict:
@@ -561,11 +581,11 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
                       "\n".join(table.csv_lines()) + "\n")
         files.append("kernels.csv")
 
-    tau = None
+    bath = None
     snap = normalized.get("snapshot_times")
     if "report" in outputs or ("snapshots" in outputs and snap["kind"] == "tau-fractions"):
         try:
-            tau = solve_tau_mqs(params.spectrum, params.solve_horizon_factor)
+            bath = solve_bath(params.spectrum, params.solve_horizon_factor)
         except SpinCatError as exc:
             raise _annotate(exc, "formation-time solve")
 
@@ -582,19 +602,20 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
 
     if "snapshots" in outputs:
         if snap["kind"] == "tau-fractions":
-            times = [v * tau for v in snap["values"]]
+            times = [v * bath.tau for v in snap["values"]]
         else:
             times = list(snap["values"])
         basis = Basis(normalized["basis"])
         index = []
         for i, t in enumerate(times):
             try:
-                (rho,) = snapshot_series(params, [t], basis)
+                rho = _snapshot(params, t, basis, bath)
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
-            _write_atomic(os.path.join(out_dir, fname), _snapshot_csv(rho, t))
-            del rho  # free this matrix before the next one is computed
+            lines = _snapshot_csv(rho, t)
+            del rho  # the text needs only |rho|: free rho before it is written
+            _write_atomic(os.path.join(out_dir, fname), lines)
             files.append(fname)
             index.append({
                 "file": fname,

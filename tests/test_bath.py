@@ -1,5 +1,6 @@
 """Spectral-density construction, evaluation, and thermal weighting."""
 
+import functools
 import math
 import pickle
 
@@ -98,6 +99,22 @@ def test_pickle_round_trip_keeps_identity_and_values(sd):
     w = [0.0, 0.3, 1.0, 2.5, 40.0]
     assert [copy.g0(x) for x in w] == [sd.g0(x) for x in w]
     assert [copy.gt(x) for x in w] == [sd.gt(x) for x in w]
+
+
+def test_gt_is_fixed_when_the_spectrum_is_built():
+    cold = ohmic(0.3, 2.0)
+    assert cold.gt is cold.g0
+    for convention, scale in ((ThermalConvention.COTH_FULL, 1.0),
+                              (ThermalConvention.COTH_HALF, 0.5)):
+        sd = ohmic(0.3, 2.0, beta=1.5, thermal_convention=convention)
+        assert isinstance(sd.gt, functools.partial)
+        assert sd.gt.args[1:] == (1.5, scale, gt_zero_limit(sd))
+        assert sd.gt(0.0) == gt_zero_limit(sd)
+        assert sd.gt(0.8) == sd.g0(0.8) * (1.0 / math.tanh(1.5 * 0.8 * scale))
+    # == and hash still read the fields alone
+    assert ohmic(0.3, 2.0, beta=1.5) == SpectralDensity("ohmic", alpha=0.3, omega_c=2.0,
+                                                         beta=1.5)
+    assert "gt" not in repr(cold) and "g0" not in repr(cold)
 
 
 def test_equal_spectra_share_one_bath_solution():

@@ -366,6 +366,85 @@ def test_snapshot_text_is_streamed_unchanged(tmp_path):
         assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
 
 
+def _grid_text(mags) -> str:
+    # the per-element formula: repr of every entry of |rho|, row by row
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mags)
+
+
+def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
+    sec = SectorLabel(64)
+    d = sec.dimension
+    calls = []
+
+    def counted_repr(v):
+        calls.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(scenario, "repr", counted_repr, raising=False)
+    exact = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
+    assert np.array_equal(np.abs(exact.elements), np.abs(exact.elements).T)
+    nudged = exact.elements.copy()
+    for i, j in [(5, 2), (40, 0), (64, 63), (30, 29)]:  # a few lower entries some ulps off their mirrors
+        nudged[i, j] *= 1.0 + 1e-15
+    nudged[50, 10] = 0.25
+    for rho, extra in ((exact, 0), (dicke._density_matrix(sec, nudged, Basis.LX), 5)):
+        mags = np.abs(rho.elements)
+        assert np.count_nonzero(mags != mags.T) == 2 * extra
+        calls.clear()
+        text = "".join(scenario._snapshot_csv(rho, 2.0))
+        assert text.split("\n", 4)[4] == _grid_text(mags)
+        # one repr per mirror pair and diagonal entry, one per lone entry
+        assert len(calls) == d * (d + 1) // 2 + extra
+
+
+def test_snapshot_text_peak_is_below_the_rotation_peak():
+    # the formatter holds |rho| and at most about d*d/4 strings
+    sec = SectorLabel(400)
+    lz = coherent_state(sec, 1.1, 0.3).projector()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lx = to_x_basis(lz)
+        rotation = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        size = sum(map(len, scenario._snapshot_csv(lx, 1.0)))
+        formatter = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 20 * sec.dimension ** 2
+    assert formatter < rotation
+
+
+def test_tau_snapshot_reads_the_bath_solution(tmp_path, monkeypatch):
+    calls = {"f_of_t": 0, "gamma_of_t": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evolve, name, counted(name, getattr(evolve, name)))
+    cfg = small_config(n_particles=30, basis="Lx",
+                       snapshot_times={"kind": "tau-fractions", "values": [1.0]})
+    solve_bath.cache_clear()
+    run_scenario(validate_config(dict(cfg, outputs=["report"])),
+                 output_dir=str(tmp_path / "report"))
+    after_report = dict(calls)
+    solve_bath.cache_clear()
+    run_scenario(validate_config(dict(cfg, outputs=["report", "snapshots"])),
+                 output_dir=str(tmp_path / "both"))
+    assert calls == {name: 2 * n for name, n in after_report.items()}
+    # the text is that of the state evolved to tau from the kernels again
+    params = build_scenario(validate_config(cfg))
+    tau = solve_bath(params.spectrum, params.solve_horizon_factor).tau
+    (rho,) = evolve.snapshot_series(params, [tau], Basis.LX)
+    assert (tmp_path / "both" / "snapshot_000.csv").read_text() == \
+        "".join(scenario._snapshot_csv(rho, tau))
+
+
 def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
     target = tmp_path / "snapshot_000.csv"
     target.write_text("old\n")

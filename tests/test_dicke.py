@@ -14,6 +14,7 @@ from spincat.dicke import (
     DickeDensityMatrix,
     DickeState,
     SectorLabel,
+    _density_matrix,
     coherence_corner,
     coherent_state,
     fidelity,
@@ -210,6 +211,25 @@ def test_to_x_basis_preserves_trace_and_purity(n, rank, data):
     rho_x = to_x_basis(rho)
     assert abs(np.trace(rho_x.elements) - np.trace(rho.elements)) <= 1e-12
     assert abs(purity(rho_x) - purity(rho)) <= 1e-12
+    assert np.array_equal(rho_x.elements, rho_x.elements.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 1000])
+def test_to_x_basis_is_exactly_hermitian(n):
+    # a coherent state off the axes, twisted and dephased: complex entries
+    # of every size, so the two rotated parts round asymmetrically
+    sec = SectorLabel(n)
+    amps = coherent_state(sec, 1.1, 0.4).amplitudes
+    m = sec.m_values()
+    kernel = np.exp(-0.37j * (m[:, None] ** 2 - m[None, :] ** 2)
+                    - 1e-3 * (m[:, None] - m[None, :]) ** 2)
+    rho = _density_matrix(sec, np.outer(amps, amps.conj()) * kernel, Basis.LZ)
+    x = to_x_basis(rho).elements
+    assert np.array_equal(x, x.conj().T)
+    assert np.all(x.imag.diagonal() == 0.0)
+    # the symmetrised result is the complex product to rounding
+    mat = rotation_to_x(sec).astype(complex)
+    assert np.max(np.abs(x - mat @ rho.elements @ mat.T)) <= 1e-15
 
 
 def test_density_matrix_validation():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincat.bath import ThermalConvention, lorentzian, ohmic, tabulated
 from spincat.errors import DomainError, KernelDivergenceError, WidthUndefinedError
@@ -245,6 +247,61 @@ def test_accumulated_phase_monotone():
         t = np.geomspace(1e-2, 1e3, 10)
         tf = np.array([ti * f_of_t(sd, float(ti)) for ti in t])
         assert np.all(np.diff(tf) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# properties of every family: few, fixed examples, so the suite stays quick
+
+_TABLE = [[0.4 * k, 2.5e-5 * 0.4 * k * math.exp(-0.4 * k) * (1.0 + 0.25 * math.sin(0.3 * k))]
+          for k in range(24)]
+
+# spectrum with its coupling scaled by c: alpha for the analytic families,
+# every table value for the tabulated one; the thermal Lorentzian is left
+# out (G_0(0) > 0 makes its Gamma diverge)
+_SCALED = {
+    "ohmic": lambda c: ohmic(c * 2.5e-5),
+    "ohmic-thermal": lambda c: ohmic(c * 2.5e-5, beta=5.0),
+    "ohmic-thermal-half": lambda c: ohmic(c * 2.5e-5, beta=5.0,
+                                          thermal_convention=ThermalConvention.COTH_HALF),
+    "lorentzian": lambda c: lorentzian(c * 0.043, 1.0, 10.0),
+    "tabulated": lambda c: tabulated([[w, c * g] for w, g in _TABLE]),
+    "tabulated-thermal": lambda c: tabulated([[w, c * g] for w, g in _TABLE], beta=5.0),
+}
+_FEW = settings(max_examples=6, deadline=None, derandomize=True)
+_TIMES = st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.parametrize("make", [
+    lambda beta, conv: ohmic(0.3, 2.0, beta=beta, thermal_convention=conv),
+    lambda beta, conv: lorentzian(1.2, 0.5, 4.0, beta=beta, thermal_convention=conv),
+    lambda beta, conv: tabulated(_TABLE, beta=beta, thermal_convention=conv),
+], ids=["ohmic", "lorentzian", "tabulated"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(beta=st.floats(1e-3, 1e3),
+       w=st.one_of(st.just(0.0), st.floats(1e-300, 1e3)))
+def test_coth_half_is_coth_full_at_half_beta(make, beta, w):
+    half = make(beta, ThermalConvention.COTH_HALF)
+    full = make(beta / 2.0, ThermalConvention.COTH_FULL)
+    assert half.gt(w) == full.gt(w)
+
+
+@pytest.mark.parametrize("family", sorted(_SCALED))
+@_FEW
+@given(c=st.floats(0.1, 10.0), t=_TIMES)
+def test_kernels_are_linear_in_the_coupling(family, c, t):
+    scaled, unit = _SCALED[family](c), _SCALED[family](1.0)
+    assert f_of_t(scaled, t) == pytest.approx(c * f_of_t(unit, t), rel=1e-12)
+    assert gamma_of_t(scaled, t) == pytest.approx(c * gamma_of_t(unit, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(_SCALED))
+@_FEW
+@given(t=_TIMES, ratio=st.floats(1.01, 10.0))
+def test_accumulated_phase_is_nondecreasing_and_gamma_nonnegative(family, t, ratio):
+    sd = _SCALED[family](1.0)
+    later = t * ratio
+    assert later * f_of_t(sd, later) >= t * f_of_t(sd, t)
+    assert gamma_of_t(sd, t) >= 0.0
 
 
 def test_tabulate_kernels_table():
