@@ -13,12 +13,13 @@ convention.  Three model families are supported:
                the tabulated support.
 
 Each family is defined in one place, the family branch of
-:class:`SpectralDensity`, which fixes when the spectrum is built its scalar
+:class:`SpectralDensity`, which fixes when the spectrum is built its
 ``g0`` (and from it ``gt``, with the thermal convention bound in) and the
 constants the kernel quadrature reads (``origin``, ``features``, ``split``,
-``support``, ``total``).  Spectra are evaluated as
-plain floats (``sd.g0(w)``, ``sd.gt(w)``); :func:`eval_g0` and
-:func:`eval_gt` add the domain check and map them over arrays.
+``support``, ``total``).  ``sd.g0`` and ``sd.gt`` are numpy forms that take
+a float or an array of any shape, elementwise and without a domain check;
+:func:`eval_g0` and :func:`eval_gt` add the check and return a float for a
+scalar argument.
 
 All frequencies are angular frequencies in a single consistent unit (the
 cutoff ``omega_c`` is the natural choice); times are in the inverse unit.
@@ -26,14 +27,12 @@ cutoff ``omega_c`` is the natural choice); times are in the inverse unit.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NumericError
 
@@ -55,40 +54,37 @@ __all__ = [
 _COTH_SERIES_CUT = 1e-4
 
 
-# Family formulas on one float; products, not powers, so that overflow
-# gives inf (and the spectrum 0) instead of raising.
+# Family formulas, elementwise on a float or an array.  Overflow gives inf
+# (and the spectrum 0) instead of raising.
 
 
-def _ohmic_g0(alpha: float, omega_c: float, w: float) -> float:
-    return alpha * w * math.exp(-w / omega_c)
+def _ohmic_g0(alpha: float, omega_c: float, w):
+    with np.errstate(over="ignore"):
+        return alpha * w * np.exp(-w / omega_c)
 
 
-def _lorentzian_g0(alpha: float, omega_0: float, omega_c: float, w: float) -> float:
+def _lorentzian_g0(alpha: float, omega_0: float, omega_c: float, w):
     # scale-free: omega_c**2 would overflow for omega_c above about 1.3e154
-    r = (w - omega_0) / omega_c
-    return alpha / (1.0 + r * r)
+    with np.errstate(over="ignore"):
+        r = (w - omega_0) / omega_c
+        return alpha / (1.0 + r * r)
 
 
-def _tabulated_g0(ws: tuple, gs: tuple, w: float) -> float:
-    # linear interpolation as np.interp does it; zero outside [ws[0], ws[-1]]
-    if not ws[0] <= w <= ws[-1]:
-        return 0.0
-    j = bisect.bisect_right(ws, w) - 1
-    if ws[j] == w:
-        return gs[j]
-    return (gs[j + 1] - gs[j]) / (ws[j + 1] - ws[j]) * (w - ws[j]) + gs[j]
+def _tabulated_g0(ws: np.ndarray, gs: np.ndarray, w):
+    # linear interpolation, zero outside [ws[0], ws[-1]]
+    return np.interp(w, ws, gs, left=0.0, right=0.0)
 
 
-def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w: float) -> float:
+def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w):
     # G_T = G_0 * coth(x), x = beta * w * scale (scale 1 or 1/2 by convention)
-    x = beta * w * scale
-    if x == 0.0:  # w == 0, or beta*w underflows
-        return zero_limit
+    x = beta * np.asarray(w, dtype=float) * scale
     g = g0(w)
-    if x < _COTH_SERIES_CUT:
-        # divide by x: 1/x overflows where x is subnormal
-        return g / x + g * (x / 3.0 - x * x * x / 45.0)
-    return g * (1.0 / math.tanh(x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # below the cut, divide by x: 1/x overflows where x is subnormal
+        out = np.where(x < _COTH_SERIES_CUT, g / x + g * (x / 3.0 - x * x * x / 45.0),
+                       g * (1.0 / np.tanh(x)))
+    # x == 0 where w == 0, or where beta*w underflows: the analytic limit
+    return np.where(x == 0.0, zero_limit, out)[()]
 
 
 class SpectrumKind(str, enum.Enum):
@@ -138,7 +134,8 @@ class SpectralDensity:
     Attributes fixed at construction (not fields: ``==``, ``hash`` and
     ``repr`` ignore them):
 
-    g0 : picklable ``G_0(w)`` of one float ``w >= 0``, no domain check.
+    g0 : picklable ``G_0(w)``, elementwise on a float or an array of
+        ``w >= 0``, no domain check.
     gt : picklable ``G_T(w)`` likewise: ``g0`` itself at zero temperature,
         else ``G_0`` times the convention's coth factor, with the analytic
         limit where ``beta*w`` is 0.
@@ -176,8 +173,8 @@ class SpectralDensity:
         if self.table is not None and self.kind is not SpectrumKind.TABULATED:
             raise DomainError("table is only valid for the tabulated family")
 
-        # The one place that knows the families: fix the scalar G_0 and the
-        # constants the kernel quadrature reads.
+        # The one place that knows the families: fix the array form of G_0
+        # and the constants the kernel quadrature reads.
         if self.kind is SpectrumKind.OHMIC:
             g0 = functools.partial(_ohmic_g0, self.alpha, self.omega_c)
             slope = self.alpha
@@ -206,18 +203,19 @@ class SpectralDensity:
                 raise DomainError("table frequencies must be strictly increasing")
             if not all(g >= 0.0 and math.isfinite(g) for g in gs):
                 raise DomainError("table values must be finite and >= 0")
-            g0 = functools.partial(_tabulated_g0, ws, gs)
+            g0 = functools.partial(_tabulated_g0, _frozen(ws), _frozen(gs))
             # first-segment slope; a table starting above 0 vanishes near 0
             slope = (gs[1] - gs[0]) / (ws[1] - ws[0]) if ws[0] == 0.0 and len(ws) > 1 else 0.0
             picks = np.linspace(0, len(ws) - 1, min(len(ws), 64))  # cap subdivisions
             feats = [ws[i] for i in picks.round().astype(int).tolist()]
             split = support = ws[-1]
-            total = float(integrate.trapezoid(gs, ws))
+            total = math.fsum(0.5 * (w1 - w0) * (g0_ + g1)
+                              for w0, w1, g0_, g1 in zip(ws, ws[1:], gs, gs[1:]))
         if not self.zero_temperature:
             feats.append(1.0 / self.beta)
 
         self.__dict__.update(  # frozen: bypass __setattr__ as object.__setattr__ does
-            g0=g0, origin=(g0(0.0), slope), split=split, support=support, total=total,
+            g0=g0, origin=(float(g0(0.0)), slope), split=split, support=support, total=total,
             features=tuple(sorted({f for f in feats if f > 0.0 and math.isfinite(f)})))
         if self.zero_temperature:
             self.__dict__["gt"] = g0
@@ -260,14 +258,19 @@ def tabulated(points, omega_c: float = 1.0, beta: float = math.inf,
 # evaluation
 
 
-def _map(fn, omega):
-    """Apply a scalar spectrum function to a scalar or elementwise to an array."""
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _evaluate(fn, omega):
+    """Apply an array-form spectrum after the domain check; a float for a scalar."""
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
         raise DomainError("omega must be >= 0")
-    if not np.ndim(omega):
-        return fn(float(w))
-    return np.array([fn(x) for x in w.ravel().tolist()], dtype=float).reshape(w.shape)
+    out = fn(w)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_g0(sd: SpectralDensity, omega):
@@ -275,7 +278,7 @@ def eval_g0(sd: SpectralDensity, omega):
 
     Accepts scalars or arrays (elementwise).
     """
-    return _map(sd.g0, omega)
+    return _evaluate(sd.g0, omega)
 
 
 def gt_zero_limit(sd: SpectralDensity) -> float:
@@ -301,7 +304,7 @@ def eval_gt(sd: SpectralDensity, omega):
     (``omega == 0``, or an argument that underflows) the analytic limit is
     used instead of the indeterminate product.
     """
-    return _map(sd.gt, omega)
+    return _evaluate(sd.gt, omega)
 
 
 def total_coupling(sd: SpectralDensity) -> float:

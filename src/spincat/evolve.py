@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import brent
 from .bath import SpectralDensity
 from .dicke import (
     Basis,
@@ -205,8 +206,6 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     :class:`NoFormationError` (with the achieved supremum) when the phase
     never reaches the threshold inside the horizon.  Memoised per process.
     """
-    from scipy.optimize import brentq
-
     from .kernels import correlation_time
 
     t_c = correlation_time(sd)
@@ -237,7 +236,7 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
         tau = lo
     else:
         # certified bracket: g(lo) < 0 <= g(hi)
-        tau = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
     f_tau = f_of_t(sd, tau)
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:

@@ -110,7 +110,7 @@ def test_gt_is_fixed_when_the_spectrum_is_built():
         assert isinstance(sd.gt, functools.partial)
         assert sd.gt.args[1:] == (1.5, scale, gt_zero_limit(sd))
         assert sd.gt(0.0) == gt_zero_limit(sd)
-        assert sd.gt(0.8) == sd.g0(0.8) * (1.0 / math.tanh(1.5 * 0.8 * scale))
+        assert sd.gt(0.8) == sd.g0(0.8) * (1.0 / np.tanh(1.5 * 0.8 * scale))
     # == and hash still read the fields alone
     assert ohmic(0.3, 2.0, beta=1.5) == SpectralDensity("ohmic", alpha=0.3, omega_c=2.0,
                                                          beta=1.5)

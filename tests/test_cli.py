@@ -5,6 +5,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -842,3 +845,27 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys):
 
 def test_sweep_axes_constant():
     assert SWEEP_AXES == ("N", "beta", "alpha", "omega_0")
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # only a Lorentzian's smooth tail moment still uses scipy (imported
+    # there): neither the import nor a fig1 run and sweep loads any of it
+    import spincat
+
+    code = textwrap.dedent(f"""
+        import sys
+        import spincat
+        loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert loaded() == [], loaded()
+        from spincat.cli import main
+        assert main(["run", "fig1", "--output-dir", {str(tmp_path / "run")!r}]) == 0
+        assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "1",
+                     "--output-dir", {str(tmp_path / "sweep")!r}]) == 0
+        print(loaded())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "report.json").exists()
