@@ -206,8 +206,7 @@ class SpectralDensity:
             g0 = functools.partial(_tabulated_g0, _frozen(ws), _frozen(gs))
             # first-segment slope; a table starting above 0 vanishes near 0
             slope = (gs[1] - gs[0]) / (ws[1] - ws[0]) if ws[0] == 0.0 and len(ws) > 1 else 0.0
-            picks = np.linspace(0, len(ws) - 1, min(len(ws), 64))  # cap subdivisions
-            feats = [ws[i] for i in picks.round().astype(int).tolist()]
+            feats = list(ws)  # every knot is a kink
             split = support = ws[-1]
             total = math.fsum(0.5 * (w1 - w0) * (g0_ + g1)
                               for w0, w1, g0_, g1 in zip(ws, ws[1:], gs, gs[1:]))

@@ -199,45 +199,59 @@ class BathSolution:
 def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     """Formation time ``tau`` (root of ``t*f(t) = pi/2``) and the kernels there.
 
-    ``t*f(t)`` is nondecreasing, so the first crossing is found by bracket
-    doubling from the bath correlation time up to ``horizon_factor * t_corr``
-    followed by root polishing; the returned root satisfies
-    ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  Raises
-    :class:`NoFormationError` (with the achieved supremum) when the phase
-    never reaches the threshold inside the horizon.  Memoised per process.
+    ``t*f(t)`` is nondecreasing and ``f`` tends to its Markov limit ``f_M``,
+    so the search starts at ``(pi/2)/f_M`` (:func:`markov_limits`, shared
+    with the kernel tables), kept within ``[t_corr, horizon_factor *
+    t_corr]``, or at ``t_corr`` when ``f_M`` is not positive.  From there it
+    doubles up, or halves down, until ``g(lo) < 0 <= g(hi)`` with
+    ``g(t) = t*f(t) - pi/2``, keeping the last point integrated as the other
+    end; a step that passes the Markov sample stops there instead, since its
+    ``f`` is already known.  Brent's method polishes the root inside that
+    certified bracket, and the returned root satisfies ``|tau f(tau) - pi/2|
+    <= 1e-9 * pi/2``.  ``f`` is kept by time for the whole solve, so no
+    time is integrated twice and ``f(tau)`` is the value Brent computed
+    there.  Raises :class:`NoFormationError` (with ``t*f`` at the horizon)
+    when the phase never reaches the threshold inside the horizon.
+    Memoised per process.
     """
-    from .kernels import correlation_time
+    from .kernels import correlation_time, markov_limits
 
     t_c = correlation_time(sd)
     horizon = horizon_factor * t_c
-    g = lambda t: t * f_of_t(sd, t) - _HALF_PI
+    markov = markov_limits(sd)
+    f_m, t_m = markov.f_markov, markov.t_eval
+    known = {t_m: f_m}  # f by time, for this solve
 
-    hi = t_c
-    ghi = g(hi)
-    while ghi < 0.0 and hi < horizon:
-        hi = min(2.0 * hi, horizon)
-        ghi = g(hi)
-    if ghi < 0.0:
-        raise NoFormationError(
-            f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
-            f"(< pi/2) up to the horizon t = {horizon!r}",
-            estimate=ghi + _HALF_PI)
-    lo = hi / 2.0
-    glo = g(lo)
-    for _ in range(200):
-        if glo <= 0.0:
-            break
-        hi, ghi = lo, glo
-        lo = lo / 2.0
-        glo = g(lo)
-    else:
-        raise NumericError("failed to bracket the formation time from below")
-    if glo == 0.0:
-        tau = lo
-    else:
-        # certified bracket: g(lo) < 0 <= g(hi)
-        tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
-    f_tau = f_of_t(sd, tau)
+    def g(t):
+        if t not in known:
+            known[t] = f_of_t(sd, t)
+        return t * known[t] - _HALF_PI
+
+    lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
+    glo = ghi = g(hi)
+    if ghi < 0.0:  # double up; the last point below is the lower end
+        while ghi < 0.0 and hi < horizon:
+            lo, glo = hi, ghi
+            up = min(2.0 * hi, horizon)
+            hi = t_m if hi < t_m < up else up
+            ghi = g(hi)
+        if ghi < 0.0:
+            raise NoFormationError(
+                f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
+                f"(< pi/2) up to the horizon t = {horizon!r}",
+                estimate=ghi + _HALF_PI)
+    else:  # halve down; the last point at or above is the upper end
+        for _ in range(200):
+            if glo <= 0.0:
+                break
+            hi, ghi = lo, glo
+            lo = t_m if lo / 2.0 < t_m < lo else lo / 2.0
+            glo = g(lo)
+        else:
+            raise NumericError("failed to bracket the formation time from below")
+    # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
+    tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
+    f_tau = known[tau]
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
         raise NumericError(

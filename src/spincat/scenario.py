@@ -14,7 +14,7 @@ which artifacts to write, and where.  The full shape::
         "omega_c": 1.0,
         "omega_0": 10.0,               # lorentzian only: center frequency
         "beta": null,                  # null = zero temperature
-        "table": [[0.0, 0.0], ...]     # tabulated only: [omega, g] knots
+        "table": [[0.0, 0.0], ...]     # tabulated only: <= 10000 [omega, g] knots
       },
       "n_particles": 50,               # 1 .. 4096
       "theta": 0.785398,               # preparation polar angle
@@ -107,6 +107,11 @@ _MAX_PARTICLES = 4096
 _WORK_BUDGET_S = 3600.0
 _MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
 _MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800
+# Every knot of a table is a panel edge of every kernel integral, measured at
+# 13-23 us per knot and integral (0.28 s at 16000 knots, at tau); a bath
+# solve takes about ten integrals, and a beta sweep solves once per value,
+# so a table is kept to the 2.0 s per sweep point budgeted above.
+_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (10 * 20e-6))  # 10000
 # Snapshot text, from a 4 GiB output budget per run: an |rho| grid entry
 # takes about 22 bytes of text (one N = 4096 grid, 4097**2 entries, is about
 # 370 MB), so a run writes at most len(values) * (N+1)**2 entries.
@@ -187,6 +192,8 @@ def _validate_spectrum(raw, path: str) -> dict:
         table = _get(raw, "table", path, True)
         if not isinstance(table, list) or not table:
             _fail(f"{path}.table", "expected a nonempty list of [omega, g] pairs")
+        if len(table) > _MAX_TABLE_KNOTS:
+            _fail(f"{path}.table", f"at most {_MAX_TABLE_KNOTS} knots, got {len(table)}")
         pairs = []
         for i, row in enumerate(table):
             if not isinstance(row, list) or len(row) != 2:

@@ -188,6 +188,14 @@ def test_number_validation():
     assert validate_config(small_config(time_grid=grid))["time_grid"]["count"] == 800000
     err = config_error(small_config(time_grid=dict(grid, count=800001)))
     assert str(err) == "time_grid.count: must be <= 800000, got 800001"
+    # a solve takes about ten integrals at about 20 us per knot: 10000 knots
+    # keep it within the 2.0 s of a sweep point
+    table = [[0.1 * k, 1e-5] for k in range(scenario._MAX_TABLE_KNOTS)]
+    assert validate_config(small_config(spectrum={"kind": "tabulated", "table": table}))
+    err = config_error(small_config(spectrum={"kind": "tabulated",
+                                              "table": table + [[1e9, 0.0]]}))
+    assert err.field == "spectrum.table"
+    assert str(err) == "spectrum.table: at most 10000 knots, got 10001"
 
 
 def test_snapshot_grid_entries_are_bounded():
@@ -731,7 +739,10 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: theta: must be finite\n"
     grid = {"kind": "log", "start": 0.1, "stop": 1.0, "count": 800001}
     snaps = {"kind": "absolute", "values": [1.0] * 12}
+    table = [[float(k), 1e-5] for k in range(10001)]
     for cfg, field in ((small_config(outputs=["kernels"], time_grid=grid), "time_grid.count"),
+                       (small_config(spectrum={"kind": "tabulated", "table": table}),
+                        "spectrum.table"),
                        (small_config(n_particles=4096, outputs=["snapshots"],
                                      snapshot_times=snaps), "snapshot_times.values")):
         path.write_text(json.dumps(cfg))

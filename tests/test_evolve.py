@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from spincat.bath import lorentzian, ohmic
+from spincat import brent, kernels
+from spincat.bath import lorentzian, ohmic, tabulated
 from spincat.dicke import (
     Basis,
     SectorLabel,
@@ -18,7 +19,7 @@ from spincat.dicke import (
     purity,
     to_x_basis,
 )
-from spincat.errors import NoFormationError, UsageError
+from spincat.errors import NoFormationError, UsageError, WidthUndefinedError
 from spincat.evolve import (
     EvolutionParams,
     _dephase,
@@ -30,7 +31,8 @@ from spincat.evolve import (
     solve_bath,
     solve_tau_mqs,
 )
-from spincat.kernels import f_of_t, gamma_of_t
+from spincat.kernels import MarkovLimits, correlation_time, f_of_t, gamma_of_t, markov_limits
+from spincat.scenario import build_scenario, preset_config, validate_config
 
 HALF_PI = math.pi / 2.0
 
@@ -291,6 +293,119 @@ def test_solve_bath_failures_are_not_cached():
         with pytest.raises(NoFormationError):
             solve_bath(ohmic(1e-30), 1e4)
     assert solve_bath.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# solve_bath: a bracket seeded from the Markov rate, no time integrated twice
+
+
+def _workload_table(amp, width):
+    # the 24-knot Ohmic-like table with a smooth bump of the benchmark
+    w_max = 8.0 * width
+    bump = lambda w: 1.0 + 0.25 * math.sin(math.pi * w / w_max)
+    return [[w, 2.5e-5 * amp * w * math.exp(-w / width) * bump(w)]
+            for w in (w_max * k / 23 for k in range(24))]
+
+
+def _preset_bath(name):
+    params = build_scenario(validate_config(preset_config(name)))
+    return params.spectrum, params.solve_horizon_factor
+
+
+# tau of the solve that doubles up from t_corr, frozen to full precision
+_BATHS = {
+    "fig1": (lambda: _preset_bath("fig1"), 62833.42385220755),
+    "fig2": (lambda: _preset_bath("fig2"), 100.0),
+    "phonon": (lambda: _preset_bath("phonon"), 7.853983204770683e-07),
+    "cavity": (lambda: _preset_bath("cavity"), 0.015797073641955265),
+    "tabulated": (lambda: (tabulated(_workload_table(1.0, 1.1)), 1e6), 55386.88886411239),
+    "tabulated-thermal": (lambda: (tabulated(_workload_table(0.8, 0.9), beta=2.0), 1e6),
+                          84618.54902252425),
+}
+
+
+def _fresh_solve(monkeypatch, sd, horizon_factor):
+    """Solve with every bath cache cleared; return the solution (or the
+    error raised) and the (branch, time) of each kernel integral."""
+    for cached in (solve_bath, markov_limits, correlation_time):
+        cached.cache_clear()
+    integrals = []
+    integral = kernels._kernel_integral
+
+    def counted(sd, times, trig):
+        integrals.extend((trig, t) for t in times.tolist())
+        return integral(sd, times, trig)
+
+    monkeypatch.setattr(kernels, "_kernel_integral", counted)
+    try:
+        return solve_bath(sd, horizon_factor), integrals
+    except Exception as exc:  # returned for the test to inspect
+        return exc, integrals
+
+
+@pytest.mark.parametrize("name", sorted(_BATHS))
+def test_solve_bath_takes_a_handful_of_kernel_integrals(monkeypatch, name):
+    make, tau = _BATHS[name]
+    bath, integrals = _fresh_solve(monkeypatch, *make())
+    # Markov sample, bracket, Brent and Gamma(tau), none at a time seen before
+    assert len(integrals) <= 10
+    assert len(set(integrals)) == len(integrals)
+    assert bath.tau == pytest.approx(tau, rel=1e-14, abs=0.0)
+    assert abs(bath.tau * bath.f_tau - HALF_PI) <= 1e-9 * HALF_PI
+
+
+@pytest.mark.parametrize("sd, tau, ends", [
+    # f(start) < f_M: double up
+    (lorentzian(0.042987621655032664, 1.0, 10.0), 100.0, ("start", "double")),
+    # G_0(0) > 0 keeps f growing past f_M: halve down
+    (tabulated([[0.0, 1e-7], [1.0, 2e-5], [4.0, 2e-5], [8.0, 0.0]]), 27884.63918053878,
+     ("half", "start")),
+    # the Markov sample lies between the start and its half, or its double,
+    # and closes the bracket at no cost
+    (ohmic(2.6e-3), 605.7215787874289, ("markov", "start")),
+    (ohmic(5.2e-3), 303.64371969664006, ("start", "markov")),
+], ids=["double-up", "halve-down", "markov-below", "markov-above"])
+def test_solve_bath_brackets_from_the_markov_rate(monkeypatch, sd, tau, ends):
+    brackets = []  # correlation_time finds its crossings first
+    root = brent.root
+    monkeypatch.setattr(brent, "root",
+                        lambda g, a, b, **kw: brackets.append((a, b)) or root(g, a, b, **kw))
+    bath, integrals = _fresh_solve(monkeypatch, sd, 1e6)
+    markov = markov_limits(sd)
+    start = HALF_PI / markov.f_markov
+    named = {"start": start, "double": 2.0 * start, "half": start / 2.0,
+             "markov": markov.t_eval}
+    assert brackets[-1] == tuple(named[e] for e in ends)
+    assert len(set(integrals)) == len(integrals)
+    assert bath.tau == pytest.approx(tau, rel=1e-14, abs=0.0)
+
+
+def test_solve_bath_start_clamped_to_the_horizon(monkeypatch):
+    # (pi/2)/f_M lies far beyond the horizon: one integral there, and the
+    # same error and estimate as the solve that doubles up from t_corr
+    err, integrals = _fresh_solve(monkeypatch, ohmic(1e-12), 1e6)
+    assert isinstance(err, NoFormationError)
+    assert str(err) == ("accumulated phase t*f(t) reaches only 4.0876466034234227e-07 "
+                        "(< pi/2) up to the horizon t = 408766.2310295002")
+    assert err.estimate == 4.0876466034234227e-07
+    horizon = 1e6 * correlation_time(ohmic(1e-12))
+    assert integrals == [("sin", markov_limits(ohmic(1e-12)).t_eval), ("sin", horizon)]
+
+
+def test_solve_bath_without_a_positive_markov_rate_starts_at_t_corr(monkeypatch):
+    # the doubling from t_corr finds the same bracket and root
+    sd, horizon_factor = _preset_bath("fig1")
+    monkeypatch.setattr(kernels, "markov_limits", lambda sd: MarkovLimits(0.0, 0.0, math.inf))
+    bath, _ = _fresh_solve(monkeypatch, sd, horizon_factor)
+    solve_bath.cache_clear()  # solved from a stand-in Markov sample
+    assert bath.tau == pytest.approx(_BATHS["fig1"][1], rel=1e-14, abs=0.0)
+
+
+def test_solve_bath_zero_coupling_has_no_width(monkeypatch):
+    # correlation_time raises before any kernel is integrated
+    err, integrals = _fresh_solve(monkeypatch, ohmic(0.0), 1e6)
+    assert isinstance(err, WidthUndefinedError)
+    assert integrals == []
 
 
 # ---------------------------------------------------------------------------

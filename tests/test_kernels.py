@@ -203,6 +203,20 @@ def test_tabulated_kernels_match_closed_form(table):
         assert t * gamma_of_t(sd, t) == pytest.approx(tg, rel=1e-9)
 
 
+def test_dense_table_matches_closed_form():
+    # every knot is a kink, and a kink inside a panel costs its rule the
+    # accuracy: with one knot in 16 marked, t*f misses the contract by up
+    # to 3.6e-9 at the mid-panel and below-first-knot times
+    w = np.linspace(0.0, 8.0, 1000)
+    table = [[a, b] for a, b in zip(
+        w.tolist(), (2.5e-5 * w * np.exp(-w) * (1 + 0.25 * np.sin(7 * w))).tolist())]
+    sd = tabulated(table)
+    for t in (0.3, 20.0, 1e4):
+        tf, tg = _tabulated_t_kernels(table, t)
+        assert t * f_of_t(sd, t) == pytest.approx(tf, rel=1e-9)
+        assert t * gamma_of_t(sd, t) == pytest.approx(tg, rel=1e-9)
+
+
 def test_thermal_gamma_plateau():
     # finite-temperature decoherence rate approaches (pi/2) * G_T(0+)
     alpha, beta = 1.0, 2.0
@@ -328,6 +342,19 @@ _SCALED = {
     "tabulated": lambda c: tabulated([[w, c * g] for w, g in _TABLE]),
     "tabulated-thermal": lambda c: tabulated([[w, c * g] for w, g in _TABLE], beta=5.0),
 }
+# spectrum with every frequency scaled by c: the cutoff, a line's centre,
+# width and height, every knot and table value, and the temperature
+# (beta -> beta/c)
+_RESCALED = {
+    "ohmic": lambda c: ohmic(2.5e-5, c),
+    "ohmic-thermal": lambda c: ohmic(2.5e-5, c, beta=5.0 / c),
+    "ohmic-thermal-half": lambda c: ohmic(2.5e-5, c, beta=5.0 / c,
+                                          thermal_convention=ThermalConvention.COTH_HALF),
+    "lorentzian": lambda c: lorentzian(c * 0.043, c, c * 10.0),
+    "tabulated": lambda c: tabulated([[c * w, c * g] for w, g in _TABLE]),
+    "tabulated-thermal": lambda c: tabulated([[c * w, c * g] for w, g in _TABLE],
+                                             beta=5.0 / c),
+}
 _FEW = settings(max_examples=6, deadline=None, derandomize=True)
 _TIMES = st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)
 
@@ -353,6 +380,16 @@ def test_kernels_are_linear_in_the_coupling(family, c, t):
     scaled, unit = _SCALED[family](c), _SCALED[family](1.0)
     assert f_of_t(scaled, t) == pytest.approx(c * f_of_t(unit, t), rel=1e-12)
     assert gamma_of_t(scaled, t) == pytest.approx(c * gamma_of_t(unit, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(_RESCALED))
+@_FEW
+@given(c=st.floats(0.1, 10.0), t=_TIMES)
+def test_kernels_follow_the_frequency_scale(family, c, t):
+    # G_c(c w) = c G(w) gives f_c(t) = c f(c t) and Gamma_c(t) = c Gamma(c t)
+    scaled, unit = _RESCALED[family](c), _RESCALED[family](1.0)
+    assert f_of_t(scaled, t) == pytest.approx(c * f_of_t(unit, c * t), rel=1e-12)
+    assert gamma_of_t(scaled, t) == pytest.approx(c * gamma_of_t(unit, c * t), rel=1e-12)
 
 
 @pytest.mark.parametrize("family", sorted(_SCALED))
@@ -404,19 +441,28 @@ def test_tabulated_values_equal_single_time_calls(sd):
 
 
 def test_panel_cap_acts_per_time(monkeypatch):
-    # on a 200-knot table (every knot a kink that bisection must find),
-    # eight times refine to at most about 1600 panels each and 12400
-    # together: a block over the cap is integrated again in halves, so the
-    # cap acts on each time as in a call of its own
+    # the cap bounds the bisection of structure the panel layout does not
+    # mark.  A 200-knot table whose features are thinned to 64 knots leaves
+    # most kinks inside panels for bisection to find: eight times refine to
+    # at most about 1600 panels each and 12400 together, so a block over the
+    # cap is integrated again in halves, and the cap acts on each time as in
+    # a call of its own
     from spincat import kernels
     from spincat.errors import NumericError
 
     w = np.linspace(0.0, 8.0, 200)
     sd = tabulated(list(zip(w.tolist(),
                             (2.5e-5 * w * np.exp(-w) * (1 + 0.25 * np.sin(7 * w))).tolist())))
+    thinned = w[np.linspace(0, 199, 64).round().astype(int)][1:]
+    monkeypatch.setitem(sd.__dict__, "features", tuple(thinned.tolist()))
     grid = np.geomspace(1e-2, 1e3, 8)
     monkeypatch.setattr(kernels, "_MAX_PANELS", 4000)
+    sizes = []
+    integrate = kernels._integrate
+    monkeypatch.setattr(kernels, "_integrate",
+                        lambda sd, t, trig: sizes.append(t.size) or integrate(sd, t, trig))
     table = tabulate_kernels(sd, grid)
+    assert max(sizes) == 8 and min(sizes) < 4  # the batch went over the cap
     assert table.f_values.tolist() == [f_of_t(sd, t) for t in grid.tolist()]
     assert table.gamma_values.tolist() == [gamma_of_t(sd, t) for t in grid.tolist()]
     # below one time's need the cap stops a single call and a batch alike
