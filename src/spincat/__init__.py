@@ -41,7 +41,6 @@ from .errors import (
     WidthUndefinedError,
 )
 from .evolve import (
-    BathSolution,
     EvolutionParams,
     MqsConvention,
     MqsReport,
@@ -49,16 +48,17 @@ from .evolve import (
     evolve_state,
     mqs_target,
     snapshot_series,
-    solve_bath,
-    solve_tau_mqs,
 )
 from .kernels import (
+    BathSolution,
     KernelTable,
     MarkovLimits,
     correlation_time,
     f_of_t,
     gamma_of_t,
     markov_limits,
+    solve_bath,
+    solve_tau_mqs,
     tabulate_kernels,
 )
 

@@ -9,25 +9,23 @@ without moving populations; the exact propagator acts elementwise::
 The ``m**2`` phase is one-axis twisting: at accumulated phase
 ``t*f(t) = pi/2`` a spin coherent state is reshaped into an equal
 superposition of two macroscopically distinct coherent states.  This
-module builds those target states, solves for the earliest formation time
+module builds those target states, evolves to the earliest formation time
 ``tau`` (root of ``t*f(t) = pi/2``), and scores the formed state
 (fidelity, purity, extreme coherence) together with the survival
 condition ``tau * Gamma(tau) * N**2 < 1`` and the implied maximum
 ensemble size.  Only the Dicke-sector algebra depends on ``N``; ``tau``,
-``f(tau)``, ``Gamma(tau)`` and ``n_max`` belong to the bath and are memoised
-by :func:`solve_bath`.
+``f(tau)`` and ``Gamma(tau)`` belong to the bath, and are solved and
+memoised in :mod:`spincat.kernels` (:func:`solve_bath`).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import brent
 from .bath import SpectralDensity
 from .dicke import (
     Basis,
@@ -40,26 +38,21 @@ from .dicke import (
     purity,
     to_x_basis,
 )
-from .errors import NoFormationError, NumericError, UsageError
-from .kernels import _CACHE_SIZE, f_of_t, gamma_of_t
+from .errors import UsageError
+from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, f_of_t, gamma_of_t, solve_bath
+from .kernels import solve_tau_mqs  # noqa: F401  (callers import it from here too)
 
 __all__ = [
     "MqsConvention",
     "EvolutionParams",
     "MqsReport",
-    "BathSolution",
     "evolve_state",
     "mqs_target",
-    "solve_bath",
-    "solve_tau_mqs",
     "assess_mqs",
     "snapshot_series",
 ]
 
 _HALF_PI = math.pi / 2.0
-_TAU_RESIDUAL_TOL = 1e-9 * _HALF_PI
-# Default formation-time search horizon, in units of the correlation time.
-_DEFAULT_HORIZON_FACTOR = 1e6
 
 
 class MqsConvention(str, enum.Enum):
@@ -184,85 +177,6 @@ def mqs_target(sector: SectorLabel, theta: float, phi: float,
     amp = qw * a.amplitudes + qw.conjugate() * b.amplitudes
     amp = amp / np.linalg.norm(amp)
     return DickeState(sector, amp, Basis.LZ, bloch=None)
-
-
-@dataclass(frozen=True)
-class BathSolution:
-    """Bath-only formation quantities: ``tau`` with ``f`` and ``Gamma`` there."""
-
-    tau: float
-    f_tau: float
-    gamma_tau: float
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
-    """Formation time ``tau`` (root of ``t*f(t) = pi/2``) and the kernels there.
-
-    ``t*f(t)`` is nondecreasing and ``f`` tends to its Markov limit ``f_M``,
-    so the search starts at ``(pi/2)/f_M`` (:func:`markov_limits`, shared
-    with the kernel tables), kept within ``[t_corr, horizon_factor *
-    t_corr]``, or at ``t_corr`` when ``f_M`` is not positive.  From there it
-    doubles up, or halves down, until ``g(lo) < 0 <= g(hi)`` with
-    ``g(t) = t*f(t) - pi/2``, keeping the last point integrated as the other
-    end; a step that passes the Markov sample stops there instead, since its
-    ``f`` is already known.  Brent's method polishes the root inside that
-    certified bracket, and the returned root satisfies ``|tau f(tau) - pi/2|
-    <= 1e-9 * pi/2``.  ``f`` is kept by time for the whole solve, so no
-    time is integrated twice and ``f(tau)`` is the value Brent computed
-    there.  Raises :class:`NoFormationError` (with ``t*f`` at the horizon)
-    when the phase never reaches the threshold inside the horizon.
-    Memoised per process.
-    """
-    from .kernels import correlation_time, markov_limits
-
-    t_c = correlation_time(sd)
-    horizon = horizon_factor * t_c
-    markov = markov_limits(sd)
-    f_m, t_m = markov.f_markov, markov.t_eval
-    known = {t_m: f_m}  # f by time, for this solve
-
-    def g(t):
-        if t not in known:
-            known[t] = f_of_t(sd, t)
-        return t * known[t] - _HALF_PI
-
-    lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
-    glo = ghi = g(hi)
-    if ghi < 0.0:  # double up; the last point below is the lower end
-        while ghi < 0.0 and hi < horizon:
-            lo, glo = hi, ghi
-            up = min(2.0 * hi, horizon)
-            hi = t_m if hi < t_m < up else up
-            ghi = g(hi)
-        if ghi < 0.0:
-            raise NoFormationError(
-                f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
-                f"(< pi/2) up to the horizon t = {horizon!r}",
-                estimate=ghi + _HALF_PI)
-    else:  # halve down; the last point at or above is the upper end
-        for _ in range(200):
-            if glo <= 0.0:
-                break
-            hi, ghi = lo, glo
-            lo = t_m if lo / 2.0 < t_m < lo else lo / 2.0
-            glo = g(lo)
-        else:
-            raise NumericError("failed to bracket the formation time from below")
-    # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
-    tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
-    f_tau = known[tau]
-    residual = abs(tau * f_tau - _HALF_PI)
-    if residual > _TAU_RESIDUAL_TOL:
-        raise NumericError(
-            f"formation-time residual {residual!r} exceeds tolerance",
-            estimate=tau, error_bound=residual)
-    return BathSolution(float(tau), f_tau, gamma_of_t(sd, tau))
-
-
-def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = _DEFAULT_HORIZON_FACTOR) -> float:
-    """Earliest time with ``t*f(t) = pi/2``: the ``tau`` of :func:`solve_bath`."""
-    return solve_bath(sd, horizon_factor).tau
 
 
 def assess_mqs(p: EvolutionParams) -> MqsReport:

@@ -60,6 +60,11 @@ use), as it was before the kernels moved to numpy, because the benchmark's
 reference values pin it.  QAGI loses the wing of a line much wider than 1
 (the cavity preset's ``f`` is 0.6% low); the tail panels above, which are
 still laid out and read for the envelope, give the wing.
+
+The quantities that depend on the bath alone live here, memoised per
+process: :func:`markov_limits` (with ``t_corr``) per spectrum, and the
+formation time :func:`solve_bath` per spectrum and horizon, apart so that
+a run that never reads ``tau`` does not solve for it.
 """
 
 from __future__ import annotations
@@ -73,15 +78,19 @@ import numpy as np
 
 from . import brent
 from .bath import SpectralDensity, SpectrumKind, eval_gt, gt_zero_limit
-from .errors import DomainError, KernelDivergenceError, NumericError, WidthUndefinedError
+from .errors import (DomainError, KernelDivergenceError, NoFormationError, NumericError,
+                     WidthUndefinedError)
 
 __all__ = [
+    "BathSolution",
     "KernelTable",
     "MarkovLimits",
     "f_of_t",
     "gamma_of_t",
     "markov_limits",
     "correlation_time",
+    "solve_bath",
+    "solve_tau_mqs",
     "tabulate_kernels",
 ]
 
@@ -91,7 +100,11 @@ _EPSREL = 1e-11
 _CONTRACT_REL = 1e-9
 # Below this w*t, 1 - cos(w t) in the head is taken from its Taylor series.
 _SERIES_CUT = 1e-4
-_CACHE_SIZE = 64  # results kept per process by the memoised bath-only solvers
+_CACHE_SIZE = 64  # entries of each bath-only memo: Markov limits, bath solutions, QAGI tails
+_HALF_PI = math.pi / 2.0
+_TAU_RESIDUAL_TOL = 1e-9 * _HALF_PI
+# Default formation-time search horizon, in units of the correlation time.
+_DEFAULT_HORIZON_FACTOR = 1e6
 
 # Refinement limits: rounds of bisection, panels alive at once, the panels
 # one rule evaluation takes (bounds its temporaries to a few MiB), and the
@@ -649,14 +662,13 @@ def _gamma_values(sd: SpectralDensity, t: np.ndarray) -> np.ndarray:
 # correlation time: inverse full width at half maximum of G_T
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def correlation_time(sd: SpectralDensity) -> float:
     """Bath memory time ``t_c = 1 / FWHM(G_T)`` measured on ``w >= 0``.
 
     When the maximum sits at (or the profile stays above half maximum down
     to) ``w = 0``, the width is taken from 0 to the upper half-maximum
     crossing.  Degenerate profiles raise :class:`WidthUndefinedError`.
-    Memoised per process.
+    Not memoised: runs read it from :func:`markov_limits`.
     """
     g_at_0 = gt_zero_limit(sd)
     if math.isinf(g_at_0):
@@ -721,53 +733,36 @@ def correlation_time(sd: SpectralDensity) -> float:
 
 @dataclass(frozen=True)
 class MarkovLimits:
-    """Long-time kernel values with the evaluation time and caveats."""
+    """Long-time kernel values, their sampling time ``1e3 * t_corr``, and caveats."""
 
     f_markov: float
     gamma_markov: float
     t_eval: float
+    t_corr: float
     warnings: tuple[str, ...] = ()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def markov_limits(sd: SpectralDensity, t_eval: float | None = None) -> MarkovLimits:
-    """Long-time limits ``f_M`` and ``Gamma_M``.
+def markov_limits(sd: SpectralDensity) -> MarkovLimits:
+    """Long-time limits ``f_M`` and ``Gamma_M``, with ``t_corr``.
 
-    ``f_M`` is sampled at ``t_eval`` (default ``1e3 * t_c``; must be at
-    least ``100 * t_c``).  Spectra with ``G_0(0) > 0`` have no finite limit
-    for f (logarithmic growth); the sampled value is returned with a
-    warning.  ``Gamma_M`` uses the delta-kernel identity
-    ``Gamma_M = (pi/2) * G_T(0+)`` when that limit is finite and is
-    ``inf`` (with a warning) when the integral is infrared divergent.
-    Memoised per process.
+    ``f_M`` is sampled at ``t_eval = 1e3 * t_corr``, ``t_corr`` from
+    :func:`correlation_time` (which raises :class:`WidthUndefinedError` for
+    an infrared-divergent spectrum).  Spectra with ``G_0(0) > 0`` have no
+    finite limit for f (logarithmic growth); the sampled value is returned
+    with a warning.  ``Gamma_M`` uses the delta-kernel identity
+    ``Gamma_M = (pi/2) * G_T(0+)``.  Memoised per process, so a run
+    computes ``t_corr`` and samples ``f_M`` once per spectrum.
     """
-    warnings: list[str] = []
-    z = gt_zero_limit(sd)
-    if math.isinf(z):
-        # correlation_time is also undefined here; require explicit t_eval
-        gamma_m = math.inf
-        warnings.append(
-            "gamma-ir-divergent: G_T has infinite weight at omega=0; "
-            "Gamma(t) grows without bound")
-        if t_eval is None:
-            raise DomainError(
-                "t_eval required for infrared-divergent spectra "
-                "(no correlation time exists to set the default)")
-    else:
-        gamma_m = 0.5 * math.pi * z
-        t_c = correlation_time(sd)
-        if t_eval is None:
-            t_eval = 1e3 * t_c
-        elif t_eval < 100.0 * t_c:
-            raise DomainError(
-                f"t_eval={t_eval!r} is below 100*t_corr={100.0 * t_c!r}")
-    f_m = f_of_t(sd, t_eval)
+    t_c = correlation_time(sd)
+    t_eval = 1e3 * t_c
+    warnings = ()
     if sd.origin[0] > 0.0:
-        warnings.append(
-            "f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); "
-            f"no finite limit exists, value sampled at t={t_eval!r}")
-    return MarkovLimits(f_markov=f_m, gamma_markov=gamma_m, t_eval=float(t_eval),
-                        warnings=tuple(warnings))
+        warnings = ("f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); no finite "
+                    f"limit exists, value sampled at t={t_eval!r}",)
+    return MarkovLimits(f_markov=f_of_t(sd, t_eval),
+                        gamma_markov=0.5 * math.pi * gt_zero_limit(sd),
+                        t_eval=t_eval, t_corr=t_c, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +808,90 @@ def tabulate_kernels(sd: SpectralDensity, grid) -> KernelTable:
         _check_time(ti)
     f_vals = _f_values(sd, t) if t.size else np.zeros(0)
     g_vals = _gamma_values(sd, t) if t.size else np.zeros(0)
-    t_c = correlation_time(sd)
     lim = markov_limits(sd)
     for arr in (t, f_vals, g_vals):
         arr.setflags(write=False)
     return KernelTable(times=t, f_values=f_vals, gamma_values=g_vals,
                        f_markov=lim.f_markov, gamma_markov=lim.gamma_markov,
-                       t_corr=t_c, warnings=lim.warnings)
+                       t_corr=lim.t_corr, warnings=lim.warnings)
+
+
+# ---------------------------------------------------------------------------
+# formation time
+
+
+@dataclass(frozen=True)
+class BathSolution:
+    """Bath-only formation quantities: ``tau`` with ``f`` and ``Gamma`` there."""
+
+    tau: float
+    f_tau: float
+    gamma_tau: float
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
+    """Formation time ``tau`` (root of ``t*f(t) = pi/2``) and the kernels there.
+
+    ``t*f(t)`` is nondecreasing and ``f`` tends to its Markov limit ``f_M``,
+    so the search starts at ``(pi/2)/f_M`` (:func:`markov_limits`, shared
+    with the kernel tables), kept within ``[t_corr, horizon_factor *
+    t_corr]``, or at ``t_corr`` when ``f_M`` is not positive.  From there it
+    doubles up, or halves down, until ``g(lo) < 0 <= g(hi)`` with
+    ``g(t) = t*f(t) - pi/2``, keeping the last point integrated as the other
+    end; a step that passes the Markov sample stops there instead, since its
+    ``f`` is already known.  Brent's method polishes the root inside that
+    certified bracket, and the returned root satisfies ``|tau f(tau) - pi/2|
+    <= 1e-9 * pi/2``.  ``f`` is kept by time for the whole solve, so no
+    time is integrated twice and ``f(tau)`` is the value Brent computed
+    there.  Raises :class:`NoFormationError` (with ``t*f`` at the horizon)
+    when the phase never reaches the threshold inside the horizon.
+    Memoised per process.
+    """
+    markov = markov_limits(sd)
+    t_c = markov.t_corr
+    horizon = horizon_factor * t_c
+    f_m, t_m = markov.f_markov, markov.t_eval
+    known = {t_m: f_m}  # f by time, for this solve
+
+    def g(t):
+        if t not in known:
+            known[t] = f_of_t(sd, t)
+        return t * known[t] - _HALF_PI
+
+    lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
+    glo = ghi = g(hi)
+    if ghi < 0.0:  # double up; the last point below is the lower end
+        while ghi < 0.0 and hi < horizon:
+            lo, glo = hi, ghi
+            up = min(2.0 * hi, horizon)
+            hi = t_m if hi < t_m < up else up
+            ghi = g(hi)
+        if ghi < 0.0:
+            raise NoFormationError(
+                f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
+                f"(< pi/2) up to the horizon t = {horizon!r}",
+                estimate=ghi + _HALF_PI)
+    else:  # halve down; the last point at or above is the upper end
+        for _ in range(200):
+            if glo <= 0.0:
+                break
+            hi, ghi = lo, glo
+            lo = t_m if lo / 2.0 < t_m < lo else lo / 2.0
+            glo = g(lo)
+        else:
+            raise NumericError("failed to bracket the formation time from below")
+    # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
+    tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
+    f_tau = known[tau]
+    residual = abs(tau * f_tau - _HALF_PI)
+    if residual > _TAU_RESIDUAL_TOL:
+        raise NumericError(
+            f"formation-time residual {residual!r} exceeds tolerance",
+            estimate=tau, error_bound=residual)
+    return BathSolution(float(tau), f_tau, gamma_of_t(sd, tau))
+
+
+def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = _DEFAULT_HORIZON_FACTOR) -> float:
+    """Earliest time with ``t*f(t) = pi/2``: the ``tau`` of :func:`solve_bath`."""
+    return solve_bath(sd, horizon_factor).tau

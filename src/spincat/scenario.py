@@ -14,7 +14,8 @@ which artifacts to write, and where.  The full shape::
         "omega_c": 1.0,
         "omega_0": 10.0,               # lorentzian only: center frequency
         "beta": null,                  # null = zero temperature
-        "table": [[0.0, 0.0], ...]     # tabulated only: <= 10000 [omega, g] knots
+        "table": [[0.0, 0.0], ...]     # tabulated only: <= 10000 [omega, g] knots,
+                                       # knots * kernel times <= 90000000
       },
       "n_particles": 50,               # 1 .. 4096
       "theta": 0.785398,               # preparation polar angle
@@ -25,7 +26,7 @@ which artifacts to write, and where.  The full shape::
       },
       "snapshot_times": {
         "kind": "tau-fractions",       # tau-fractions | absolute
-        "values": [0.3, 1.0]           # len * (N+1)**2 <= 195225786
+        "values": [0.3, 1.0]           # len <= 800000, len * (N+1)**2 <= 195225786
       },
       "basis": "Lx",                   # basis for emitted snapshots
       "conventions": {"thermal": "coth-full", "mqs": "twist"},
@@ -65,16 +66,8 @@ import numpy as np
 from .bath import SpectralDensity, SpectrumKind, ThermalConvention
 from .dicke import Basis, SectorLabel, coherent_state
 from .errors import ConfigError, SpinCatError
-from .evolve import (
-    _DEFAULT_HORIZON_FACTOR,
-    EvolutionParams,
-    MqsConvention,
-    MqsReport,
-    _snapshot,
-    assess_mqs,
-    solve_bath,
-)
-from .kernels import markov_limits, tabulate_kernels
+from .evolve import EvolutionParams, MqsConvention, MqsReport, _snapshot, assess_mqs
+from .kernels import _DEFAULT_HORIZON_FACTOR, markov_limits, solve_bath, tabulate_kernels
 
 __all__ = [
     "validate_config",
@@ -101,17 +94,21 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # per element, below the rotation's 48 on top of rho), so N = 4096 needs
 # 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
-# Kernel and sweep work, from a budget of one hour on one core: a time-grid
-# point costs two kernel integrals, measured at 2.6 ms (fig1) and 4.5 ms
-# (fig2) per point, and a sweep point costs about 2.0 s at N = 4096.
+# Kernel and sweep work, from a budget of one hour on one core: a kernel
+# time (a time-grid point or a snapshot time) costs two kernel integrals,
+# measured at 2.6 ms (fig1) and 4.5 ms (fig2) per time, and a sweep point
+# costs about 2.0 s at N = 4096.
 _WORK_BUDGET_S = 3600.0
 _MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
 _MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800
 # Every knot of a table is a panel edge of every kernel integral, measured at
-# 13-23 us per knot and integral (0.28 s at 16000 knots, at tau); a bath
+# 11-23 us per knot and integral (0.28 s at 16000 knots, at tau); a bath
 # solve takes about ten integrals, and a beta sweep solves once per value,
-# so a table is kept to the 2.0 s per sweep point budgeted above.
-_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (10 * 20e-6))  # 10000
+# so a table is kept to the 2.0 s per sweep point budgeted above, and its
+# knots times the run's kernel times (two integrals each) to the hour.
+_KNOT_COST_S = 20e-6
+_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (10 * _KNOT_COST_S))  # 10000
+_MAX_KNOT_TIMES = round(_WORK_BUDGET_S / (2 * _KNOT_COST_S))                       # 90000000
 # Snapshot text, from a 4 GiB output budget per run: an |rho| grid entry
 # takes about 22 bytes of text (one N = 4096 grid, 4097**2 entries, is about
 # 370 MB), so a run writes at most len(values) * (N+1)**2 entries.
@@ -241,6 +238,9 @@ def _validate_snapshot_times(raw, path: str, n_particles: int) -> dict:
     values = _get(raw, "values", path, True)
     if not isinstance(values, list) or not values:
         _fail(f"{path}.values", "expected a nonempty list of times")
+    if len(values) > _MAX_TIME_GRID_COUNT:
+        _fail(f"{path}.values", f"at most {_MAX_TIME_GRID_COUNT} snapshots (two kernel "
+              f"integrals each, as a time_grid point), got {len(values)}")
     most = _MAX_SNAPSHOT_ENTRIES // (n_particles + 1) ** 2
     if len(values) > most:
         _fail(f"{path}.values", f"at most {most} snapshots at n_particles={n_particles} "
@@ -298,6 +298,13 @@ def validate_config(raw: dict) -> dict:
                                                   "snapshot_times", n)
     elif "snapshots" in outputs:
         _fail("snapshot_times", 'required when "snapshots" is in outputs')
+    # the run's kernel times: time-grid points and snapshot times
+    times = (time_grid["count"] if time_grid else 0) + (
+        len(snapshot_times["values"]) if snapshot_times else 0)
+    if len(spectrum.get("table", ())) * times > _MAX_KNOT_TIMES:
+        _fail("spectrum.table", f"at most {_MAX_KNOT_TIMES // times} knots with {times} "
+              f"kernel times (knots * (time_grid.count + len(snapshot_times.values)) "
+              f"<= {_MAX_KNOT_TIMES}), got {len(spectrum['table'])}")
 
     basis = _string(_get(raw, "basis", "", False, "Lz"), "basis",
                     {b.value for b in Basis})

@@ -13,11 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincat import dicke, evolve, scenario
+from spincat import dicke, evolve, kernels, scenario
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
-from spincat.evolve import solve_bath
+from spincat.kernels import markov_limits, solve_bath
 from spincat.scenario import (
     SWEEP_AXES,
     build_scenario,
@@ -208,6 +208,41 @@ def test_snapshot_grid_entries_are_bounded():
         err = config_error(small_config(n_particles=n, snapshot_times=times))
         assert err.field == "snapshot_times.values"
         assert f"at most {most} snapshots at n_particles={n}" in str(err)
+    # each snapshot time costs two kernel integrals, as a grid point does:
+    # at small N the time-grid maximum binds before the text budget
+    times = {"kind": "absolute", "values": [1.0] * scenario._MAX_TIME_GRID_COUNT}
+    assert validate_config(small_config(n_particles=1, snapshot_times=times))
+    times["values"].append(1.0)
+    err = config_error(small_config(n_particles=1, snapshot_times=times))
+    assert str(err) == ("snapshot_times.values: at most 800000 snapshots (two kernel "
+                        "integrals each, as a time_grid point), got 800001")
+
+
+def test_table_knots_are_bounded_with_the_kernel_times():
+    # every knot costs every kernel integral: knots * kernel times (grid
+    # points and snapshot times, two integrals of about 20 us per knot each)
+    # is kept to the hour, 90000000
+    assert scenario._MAX_KNOT_TIMES == 90_000_000
+    table = [[0.1 * k, 1e-5] for k in range(10000)]
+    spectrum = {"kind": "tabulated", "table": table}
+    grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 8999}
+    snaps = {"kind": "absolute", "values": [1.0]}
+    assert validate_config(small_config(spectrum=spectrum, time_grid=grid,
+                                        snapshot_times=snaps))
+    for over in (dict(time_grid=dict(grid, count=9000), snapshot_times=snaps),
+                 dict(time_grid=grid, snapshot_times=dict(snaps, values=[1.0, 2.0]))):
+        err = config_error(small_config(spectrum=spectrum, **over))
+        assert err.field == "spectrum.table"
+        assert str(err) == ("spectrum.table: at most 9998 knots with 9001 kernel times "
+                            "(knots * (time_grid.count + len(snapshot_times.values)) "
+                            "<= 90000000), got 10000")
+    # only the grid: 800000 points leave room for 112 knots
+    grid = dict(grid, count=800000)
+    spectrum = {"kind": "tabulated", "table": table[:112]}
+    assert validate_config(small_config(spectrum=spectrum, time_grid=grid))
+    spectrum["table"] = table[:113]
+    assert config_error(small_config(spectrum=spectrum, time_grid=grid)).field == \
+        "spectrum.table"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +309,11 @@ def test_absolute_snapshot_times_skip_formation_solve(tmp_path):
     assert summary["report"] is None
 
 
+def clear_bath_memos():
+    solve_bath.cache_clear()
+    markov_limits.cache_clear()
+
+
 def formation_solves(fn, *args, **kwargs) -> int:
     """Formation solves that ``fn`` performs on a cleared bath cache."""
     solve_bath.cache_clear()
@@ -288,6 +328,25 @@ def test_run_solves_the_bath_once(tmp_path):
         outputs=["snapshots", "report"],
         snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]}))
     assert formation_solves(run_scenario, snaps, output_dir=str(tmp_path / "b")) == 1
+
+
+def test_run_computes_each_bath_quantity_once(tmp_path, monkeypatch):
+    # kernels, report and a tau-fraction snapshot all read t_corr and the
+    # Markov sample: one width scan and one integral at t_eval per run
+    widths, integrated = [], []
+    correlation_time, integral = kernels.correlation_time, kernels._kernel_integral
+    monkeypatch.setattr(kernels, "correlation_time",
+                        lambda sd: widths.append(sd) or correlation_time(sd))
+    monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times, trig: (
+        integrated.extend(times.tolist()) or integral(sd, times, trig)))
+    cfg = validate_config(small_config(
+        outputs=["kernels", "snapshots", "report"],
+        time_grid={"kind": "log", "start": 0.1, "stop": 1e5, "count": 7},
+        snapshot_times={"kind": "tau-fractions", "values": [1.0]}))
+    clear_bath_memos()
+    run_scenario(cfg, output_dir=str(tmp_path))
+    assert len(widths) == 1
+    assert integrated.count(markov_limits(build_scenario(cfg).spectrum).t_eval) == 1
 
 
 def test_runs_without_tau_do_not_solve(tmp_path):
@@ -436,15 +495,18 @@ def test_tau_snapshot_reads_the_bath_solution(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(evolve, name, counted(name, getattr(evolve, name)))
+    # the bath solve looks the kernels up in kernels, the propagator in evolve
+    for module in (kernels, evolve):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cfg = small_config(n_particles=30, basis="Lx",
                        snapshot_times={"kind": "tau-fractions", "values": [1.0]})
-    solve_bath.cache_clear()
+    clear_bath_memos()
     run_scenario(validate_config(dict(cfg, outputs=["report"])),
                  output_dir=str(tmp_path / "report"))
     after_report = dict(calls)
-    solve_bath.cache_clear()
+    assert min(after_report.values()) >= 1
+    clear_bath_memos()
     run_scenario(validate_config(dict(cfg, outputs=["report", "snapshots"])),
                  output_dir=str(tmp_path / "both"))
     assert calls == {name: 2 * n for name, n in after_report.items()}
@@ -723,7 +785,7 @@ def test_cli_invalid_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in captured.err
 
 
-def test_cli_config_error_exits_2(tmp_path, capsys):
+def test_cli_config_error_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config(basis="Ly")))
     rc = main(["run", str(path)])
@@ -737,16 +799,28 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     rc = main(["run", str(path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: theta: must be finite\n"
+
+    def no_kernel_work(*args):
+        raise AssertionError("a config over a maximum reached the kernels")
+
     grid = {"kind": "log", "start": 0.1, "stop": 1.0, "count": 800001}
     snaps = {"kind": "absolute", "values": [1.0] * 12}
     table = [[float(k), 1e-5] for k in range(10001)]
+    many = {"kind": "absolute", "values": [1.0] * 800001}
     for cfg, field in ((small_config(outputs=["kernels"], time_grid=grid), "time_grid.count"),
                        (small_config(spectrum={"kind": "tabulated", "table": table}),
                         "spectrum.table"),
+                       (small_config(spectrum={"kind": "tabulated", "table": table[:113]},
+                                     outputs=["kernels"], time_grid=dict(grid, count=800000)),
+                        "spectrum.table"),
                        (small_config(n_particles=4096, outputs=["snapshots"],
-                                     snapshot_times=snaps), "snapshot_times.values")):
+                                     snapshot_times=snaps), "snapshot_times.values"),
+                       (small_config(n_particles=1, outputs=["snapshots"],
+                                     snapshot_times=many), "snapshot_times.values")):
         path.write_text(json.dumps(cfg))
-        rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        with monkeypatch.context() as m:  # a missing bound fails here, not hours later
+            m.setattr(kernels, "_kernel_integral", no_kernel_work)
+            rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
     path.write_text(json.dumps(small_config()))

@@ -325,9 +325,9 @@ _BATHS = {
 
 
 def _fresh_solve(monkeypatch, sd, horizon_factor):
-    """Solve with every bath cache cleared; return the solution (or the
+    """Solve with every bath memo cleared; return the solution (or the
     error raised) and the (branch, time) of each kernel integral."""
-    for cached in (solve_bath, markov_limits, correlation_time):
+    for cached in (solve_bath, markov_limits):
         cached.cache_clear()
     integrals = []
     integral = kernels._kernel_integral
@@ -395,7 +395,8 @@ def test_solve_bath_start_clamped_to_the_horizon(monkeypatch):
 def test_solve_bath_without_a_positive_markov_rate_starts_at_t_corr(monkeypatch):
     # the doubling from t_corr finds the same bracket and root
     sd, horizon_factor = _preset_bath("fig1")
-    monkeypatch.setattr(kernels, "markov_limits", lambda sd: MarkovLimits(0.0, 0.0, math.inf))
+    monkeypatch.setattr(kernels, "markov_limits",
+                        lambda sd: MarkovLimits(0.0, 0.0, math.inf, correlation_time(sd)))
     bath, _ = _fresh_solve(monkeypatch, sd, horizon_factor)
     solve_bath.cache_clear()  # solved from a stand-in Markov sample
     assert bath.tau == pytest.approx(_BATHS["fig1"][1], rel=1e-14, abs=0.0)

@@ -282,8 +282,9 @@ def test_markov_limits_thermal_ohmic():
     sd = ohmic(1.0, 1.0, beta=2.0)
     lim = markov_limits(sd)
     assert lim.gamma_markov == pytest.approx(math.pi / 4.0, rel=1e-14)
-    # default sampling time sits at 1e3 memory times of the thermal profile
-    assert lim.t_eval == pytest.approx(1e3 * correlation_time(sd), rel=1e-12)
+    # the sampling time sits at 1e3 memory times of the thermal profile
+    assert lim.t_corr == correlation_time(sd)
+    assert lim.t_eval == 1e3 * lim.t_corr
     assert lim.warnings == ()
     # f_markov approaches alpha * omega_c from below
     assert 0.99 < lim.f_markov < 1.0
@@ -295,22 +296,20 @@ def test_markov_limits_zero_temperature():
     assert lim.f_markov == pytest.approx(0.5 * 2.0, rel=5e-3)
 
 
-def test_markov_limits_t_eval_validation():
-    sd = ohmic(1.0)
-    with pytest.raises(DomainError):
-        markov_limits(sd, t_eval=1.0)  # below 100 * t_corr
-    lim = markov_limits(sd, t_eval=1e4)
-    assert lim.t_eval == 1e4
-
-
 def test_markov_limits_infrared_divergent():
-    sd = lorentzian(1.0, 1.0, 3.0, beta=2.0)
-    with pytest.raises(DomainError):
-        markov_limits(sd)  # needs an explicit sampling time
-    lim = markov_limits(sd, t_eval=50.0)
-    assert math.isinf(lim.gamma_markov)
-    assert any(w.startswith("gamma-ir-divergent") for w in lim.warnings)
-    assert any(w.startswith("f-slow-growth") for w in lim.warnings)
+    # G_T ~ 1/w at the origin: no width, so no time to sample f_M at
+    with pytest.raises(WidthUndefinedError, match="G_T diverges at omega=0"):
+        markov_limits(lorentzian(1.0, 1.0, 3.0, beta=2.0))
+
+
+def test_markov_limits_warn_of_slow_growth():
+    # fig2's line at T = 0 keeps weight at the origin, so f grows ~ ln t
+    sd = lorentzian(0.042987621655032664, 1.0, 10.0)
+    lim = markov_limits(sd)
+    assert lim.warnings == (
+        "f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); no finite limit "
+        f"exists, value sampled at t={lim.t_eval!r}",)
+    assert lim.gamma_markov == 0.5 * math.pi * sd.origin[0]
     assert math.isfinite(lim.f_markov)
 
 
