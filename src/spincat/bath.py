@@ -75,10 +75,10 @@ def _tabulated_g0(ws: np.ndarray, gs: np.ndarray, w):
     return np.interp(w, ws, gs, left=0.0, right=0.0)
 
 
-def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w):
-    # G_T = G_0 * coth(x), x = beta * w * scale (scale 1 or 1/2 by convention)
+def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w, g=None):
+    # G_T = G_0 * coth(x), x = beta * w * scale (1 or 1/2 by convention); g = G_0(w) if given
     x = beta * np.asarray(w, dtype=float) * scale
-    g = g0(w)
+    g = g0(w) if g is None else g
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # below the cut, divide by x: 1/x overflows where x is subnormal
         out = np.where(x < _COTH_SERIES_CUT, g / x + g * (x / 3.0 - x * x * x / 45.0),
@@ -139,6 +139,8 @@ class SpectralDensity:
     gt : picklable ``G_T(w)`` likewise: ``g0`` itself at zero temperature,
         else ``G_0`` times the convention's coth factor, with the analytic
         limit where ``beta*w`` is 0.
+    dress : ``G_T(w)`` from the values ``g = G_0(w)``, ``dress(w, g)``:
+        ``gt(w)`` is ``dress(w, g0(w))`` bit for bit; None at zero temperature.
     origin : ``(G_0(0+), slope of G_0 at 0+)``; the slope matters only when
         ``G_0(0+) == 0``.
     features : positive frequencies where the integrand changes character
@@ -217,11 +219,12 @@ class SpectralDensity:
             g0=g0, origin=(float(g0(0.0)), slope), split=split, support=support, total=total,
             features=tuple(sorted({f for f in feats if f > 0.0 and math.isfinite(f)})))
         if self.zero_temperature:
-            self.__dict__["gt"] = g0
+            self.__dict__.update(gt=g0, dress=None)
         else:
             half = self.thermal_convention is ThermalConvention.COTH_HALF
-            self.__dict__["gt"] = functools.partial(
-                _thermal_gt, g0, self.beta, 0.5 if half else 1.0, gt_zero_limit(self))
+            thermal = (self.beta, 0.5 if half else 1.0, gt_zero_limit(self))
+            self.__dict__.update(gt=functools.partial(_thermal_gt, g0, *thermal),
+                                 dress=functools.partial(_thermal_gt, None, *thermal))
 
     # -- convenience views --------------------------------------------------
 

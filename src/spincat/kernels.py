@@ -7,59 +7,43 @@ Two time-dependent rates follow from the bath spectrum:
 * ``Gamma(t) = (1/t) * integral G_T(w) * (1 - cos w t) / w**2 dw``  —
   the time-averaged dephasing rate.
 
-Both integrals run over ``w in [0, inf)`` and become violently oscillatory
-once ``w*t`` is large.  ``_kernel_integral`` evaluates them for a whole
-array of times at once, in numpy, by globally adaptive quadrature: every
-panel of every time is one row of the same array, each round evaluates all
-new panels with one rule call, and each (time, stage) group bisects its own
-panels until its summed error estimate meets its tolerance.  A group's
-panels do not depend on the other times in the array, so a time's value is
-the same alone or in a batch (a batch whose panels outgrow the cap on
-panels alive at once is integrated again in halves).  Between consecutive
-breakpoints (0, the spectrum's features, ``pi/t``, ``sd.split``) panels
-are graded: they double in length away from each end, starting at the
-end's distance to the nearest feature (or 0) beyond it, so a panel is
-about as long as its distance to the structure it approaches, and no panel
-away from 0 spans more than an octave or so.  The stages are:
+Both run over ``w in [0, inf)`` and are parts of one integral: at zero
+temperature ``t (Gamma + i f) = integral G_0 (1 + i w t - exp(i w t)) /
+w**2 dw``.  ``_kernel_integral`` evaluates both for an array of times at
+once, in numpy, by globally adaptive quadrature on shared panels: ``G_0``
+is evaluated once per node and ``G_T`` dressed from it (``sd.dress``), every
+panel of every time is one row of the same array, and each (time, stage)
+group bisects its own panels until each kernel's summed error meets that
+kernel's tolerance, so a time's values are the same alone or in a batch.
+Panels are graded between breakpoints (:func:`_graded`).  The stages:
 
-* the head ``[0, min(pi/t, support)]``: ``G * factor``, with the factor
-  free of cancellation, on G10K21 panels (Gauss-Kronrod with QUADPACK's
-  qk21 error estimate);
-* the smooth moment ``G/w`` (sin) or ``G/w**2`` (cos) of the exact split
-  ``trig part = smooth moment - oscillatory remainder`` above ``pi/t``:
-  the same G10K21 panels on the mid range up to ``sd.split``, and on the
-  semi-infinite tail beyond it in ``u``, ``w = p0 + d/u``, which makes an
-  algebraic tail smooth and scales the tail by its distance ``d`` from the
-  last feature ``p0``.  The same panels carry the envelope moment
-  ``G/w**2``.  Both stages of a time are held to ``1e-11`` of its
-  ``head + smooth`` value;
-* the oscillatory remainder ``integral e(x) trig(x) dx``, ``x = w t``,
-  ``e = t G(x/t)/x**2``, on the mid panels scaled to ``x`` and held to
-  ``max(epsa, 1e-11 |remainder|)``: Filon-Clenshaw-Curtis panels (the
-  25-point Clenshaw-Curtis interpolant of ``e`` integrated exactly against
-  ``exp(i x)``, with moments from 64-point Gauss-Legendre sums while the
-  panel half-width ``theta`` is at most 48 radians and from the
-  terminating integration-by-parts series beyond; the error estimate is
-  the interpolant's last Chebyshev coefficients), and G10K21 where
-  ``theta <= 1``.
+* the head ``[0, min(pi/t, support)]``: ``G_0`` and ``G_T`` times their
+  factors, free of cancellation, on G10K21 panels (Gauss-Kronrod with
+  QUADPACK's qk21 error estimate);
+* the smooth moments ``G_0/w`` (``f``) and ``G_T/w**2`` (``Gamma``) of the
+  exact split ``sin or cos part = smooth moment - oscillatory remainder``
+  above ``pi/t``, on the same panels up to ``sd.split`` and on the tail beyond it
+  in ``u``, ``w = p0 + d/u`` (:func:`_smooth_rule`), with ``f``'s envelope
+  moment ``G_0/w**2`` (``Gamma``'s is its smooth moment); both stages of a
+  time are held to ``1e-11`` of its ``head + smooth`` value;
+* the oscillatory remainders ``integral e sin x dx`` (``f``) and ``integral
+  e cos x dx`` (``Gamma``), ``x = w t``, ``e = t G(x/t)/x**2``, held to
+  ``max(epsa, 1e-11 |remainder|)``: each envelope is integrated once against
+  ``exp(i x)``, ``f`` read from the imaginary part and ``Gamma`` from the
+  real part (one envelope serves both at zero temperature), by
+  Filon-Clenshaw-Curtis (:func:`_filon_matrices`), and by G10K21 where the
+  panel's half-width is at most 1 radian.
 
-The oscillatory remainder on a range is bounded by its envelope moment; a
-mid panel whose bound is below the absolute floor ``epsa = 1e-13 |value|``
-goes into the error budget instead of being integrated.  The tail is cut
-at the ``W`` beyond which the envelope moment (value plus error) falls
-below ``epsa``, integrated up to ``W`` on panels doubling away from
-``p0``, and that bound is added to the budget.  The assembled value must
-meet ``1e-9`` relative (the kernel contract) with its whole budget, and
-the evaluation raises :class:`NumericError` instead of returning a value
-that misses it.  No rule sum goes through BLAS (``einsum`` without
-``optimize``), so values do not depend on the batch or the thread count.
-
-One piece is still QUADPACK's: for a Lorentzian, the smooth moment over the
-tail beyond the split is QAGI's (:func:`_qagi_tail`, scipy imported on first
-use), as it was before the kernels moved to numpy, because the benchmark's
-reference values pin it.  QAGI loses the wing of a line much wider than 1
-(the cavity preset's ``f`` is 0.6% low); the tail panels above, which are
-still laid out and read for the envelope, give the wing.
+A remainder is bounded by its envelope moment: a mid panel whose bounds are
+both below their floors ``epsa = 1e-13 |value|`` goes into the error budgets
+instead of being integrated, and the tail is cut where both envelope
+moments beyond fall below ``epsa``.  Each kernel must meet ``1e-9`` relative
+(the kernel contract) with its whole budget, or the evaluation raises
+:class:`NumericError` naming it.  No rule sum goes through BLAS (``einsum``
+without ``optimize``), so values do not depend on the batch or the thread
+count.  For a Lorentzian the smooth moments over the tail beyond the split
+are still QUADPACK QAGI's (:func:`_qagi_tail`), which the benchmark's
+reference values pin.
 
 The quantities that depend on the bath alone live here, memoised per
 process: :func:`markov_limits` (with ``t_corr``) per spectrum, and the
@@ -149,15 +133,16 @@ _GK_W = np.stack([_GK_WK, _GK_WG], axis=1)
 _EPS = np.finfo(float).eps
 
 
-def _gk21(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G10K21 values and QUADPACK error estimates of rows ``f`` (n, 21)
-    sampled at ``_GK_X`` on panels of half-width ``h``."""
-    resk, resg = np.einsum("nk,kj->jn", f, _GK_W)
-    resabs = np.einsum("nk,k->n", np.abs(f), _GK_WK)
-    resasc = np.einsum("nk,k->n", np.abs(f - 0.5 * resk[:, None]), _GK_WK)
+def _gk21(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """G10K21 values and QUADPACK error estimates, (n, 2, k), of rows ``f``
+    (n, k, 21), k integrands sampled at ``_GK_X`` on panels of half-width
+    ``h``."""
+    resk, resg = np.einsum("nik,kj->jni", f, _GK_W)
+    resabs = np.einsum("nik,k->ni", np.abs(f), _GK_WK)
+    resasc = np.einsum("nik,k->ni", np.abs(f - 0.5 * resk[..., None]), _GK_WK)
     err = np.abs(resk - resg)
     err = np.where(resasc != 0.0, resasc * np.fmin(1.0, (200.0 * err / resasc) ** 1.5), err)
-    return resk * h, np.maximum(err, 50.0 * _EPS * resabs) * h
+    return np.stack([resk, np.maximum(err, 50.0 * _EPS * resabs)], axis=1) * h[:, None, None]
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,34 +214,43 @@ def _blocked(rule, lo, hi, aux):
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
+def _group_sums(gid, cols, ng):
+    """Sums (groups, columns) of the rows of ``cols`` by group, in row order."""
+    k = cols.shape[1]
+    return np.bincount((gid[:, None] * k + np.arange(k)).ravel(), cols.ravel(),
+                       ng * k).reshape(ng, k)
+
+
 def _refine(rule, lo, hi, aux, gid, ng, tolerance):
     """Bisect panels until each group's summed error meets its tolerance.
 
     Panel ``i`` covers ``[lo[i], hi[i]]``, belongs to group ``gid[i]`` (of
     ``ng``) and carries the integer row ``aux[i]``, which its halves
-    inherit; ``rule(lo, hi, aux)`` returns each panel's value and error
-    estimate, and any further per-panel columns, which are carried along.
-    ``tolerance(sums)`` maps the groups' value sums to their tolerances.  A
-    group is done when its errors sum to at most its tolerance; until then,
-    each round halves its panels whose error exceeds that tolerance divided
-    by their number.  A panel is split only on its own group's sums and
-    errors, so when each tolerance reads only its own time's groups, a
+    inherit; ``rule(lo, hi, aux)`` returns each panel's estimates (each
+    kernel's value, then each kernel's error) and further columns, which
+    are carried along.  ``tolerance(sums)`` maps the groups' value sums to
+    their tolerances.  Each round halves a group's panels where a kernel's
+    error exceeds its tolerance over their number, until its errors sum to
+    at most its tolerance.  A panel is split only on its own group's sums
+    and errors, so when each tolerance reads only its own time's groups, a
     time's panels, their order and its sums do not depend on the other
     times, unless a round would take the panels beyond ``_MAX_PANELS``:
     refinement then stops for every group.  Returns the final ``lo, hi,
-    aux, gid``, the rule's columns and whether that cap was hit.
+    aux, gid``, the rule's columns, the groups' sums and whether that cap
+    was hit.
     """
     cols = _blocked(rule, lo, hi, aux)
     capped = False
-    for _ in range(_MAX_ROUNDS):
-        val, err = cols[0], cols[1]
-        errs = np.bincount(gid, err, ng)
-        tol = tolerance(np.bincount(gid, val, ng))
-        bad = errs > tol
-        if not bad.any():
+    for rnd in range(_MAX_ROUNDS + 1):
+        est = cols[0]
+        k = est.shape[1] // 2
+        sums = _group_sums(gid, est, ng)
+        tol = tolerance(sums[:, :k])
+        bad = sums[:, k:] > tol
+        if rnd == _MAX_ROUNDS or not bad.any():
             break
-        share = tol / np.maximum(np.bincount(gid, minlength=ng), 1)
-        split = bad[gid] & (err > share[gid]) & (hi - lo > 1e-13 * hi)
+        share = tol / np.maximum(np.bincount(gid, minlength=ng), 1)[:, None]
+        split = (bad[gid] & (est[:, k:] > share[gid])).any(axis=1) & (hi - lo > 1e-13 * hi)
         n_split = np.count_nonzero(split)
         if not n_split:
             break
@@ -273,7 +267,7 @@ def _refine(rule, lo, hi, aux, gid, ng, tolerance):
         aux = np.concatenate([aux[keep], n_aux])
         gid = np.concatenate([gid[keep], gid[split], gid[split]])
         cols = tuple(np.concatenate([c[keep], c_new]) for c, c_new in zip(cols, new))
-    return lo, hi, aux, gid, cols, capped
+    return lo, hi, aux, gid, cols, sums, capped
 
 
 # ---------------------------------------------------------------------------
@@ -309,36 +303,36 @@ def _graded(lo: float, hi: float, marks: list[float]) -> list[float]:
     return left + right[::-1]
 
 
-def _head_factor(w, t, trig):
-    """(w t - sin w t)/w**2 or (1 - cos w t)/w**2 without cancellation.
-
-    With ``x = w t``: ``x - sin x`` is summed from its Taylor series below
-    ``x = 1/4`` (seven terms reach rounding there; above it the direct form
-    loses at most ``6 eps / x**2``); ``1 - cos x`` is ``2 sin(x/2)**2``,
-    and its series where ``x < _SERIES_CUT``.
+def _head_factors(w, t):
+    """(w t - sin w t)/(w**2 t) and (1 - cos w t)/(w**2 t) as ``t (x - sin
+    x)/x**2`` and ``t (1 - cos x)/x**2``, ``x = w t``: no ``t*t`` or ``w*w``
+    to under- or overflow, and no cancellation.  ``x - sin x`` is summed
+    from its Taylor series below ``x = 1/4`` (seven terms reach rounding
+    there; above it the direct form loses at most ``6 eps / x**2``); ``1 -
+    cos x`` is ``2 sin(x/2)**2``, and its series where ``x < _SERIES_CUT``.
     """
     x = w * t
-    if trig == "sin":
-        x2 = x * x
-        series = _SIN_SERIES[0]
-        for c in _SIN_SERIES[1:]:
-            series = series * x2 + c
-        return np.where(x < 0.25, t * t * x * series, (x - np.sin(x)) / (w * w))
+    x2 = x * x
+    series = _SIN_SERIES[0]
+    for c in _SIN_SERIES[1:]:
+        series = series * x2 + c
     half = np.sin(0.5 * x)
-    return np.where(x < _SERIES_CUT, 0.5 * t * t * (1.0 - x * x / 12.0 + x ** 4 / 360.0),
-                    2.0 * half * half / (w * w))
+    return (t * np.where(x < 0.25, x * series, (x - np.sin(x)) / x2),
+            t * np.where(x < _SERIES_CUT, 0.5 * (1.0 - x2 / 12.0 + x2 * x2 / 360.0),
+                         2.0 * half * half / x2))
 
 
 # (x - sin x) / x**3 = sum_k (-1)**k x**(2k) / (2k+3)!, highest power first
 _SIN_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(6, -1, -1))
 
 
-def _smooth_rule(g, times, trig, p0, tail_d):
-    """G10K21 on the non-oscillatory panels: the head ``g * factor``, and
-    the smooth moment ``g/w`` (sin) or ``g/w**2`` (cos) on the mid range and
-    the tail.  Two further columns carry the envelope moment ``g/w**2`` and
-    its error (the smooth moment itself on the cos branch)."""
-    sin_branch = trig == "sin"
+def _smooth_rule(sd, dress, times, p0, tail_d):
+    """G10K21 on the non-oscillatory panels: on the head ``G_0`` and ``G_T =
+    dress(w, G_0)`` times their factors, on the mid range and the tail
+    ``G_0/w`` (``f``), ``G_T/w**2`` (``Gamma``) and, unless ``G_T`` is
+    ``G_0``, ``G_0/w**2``.  Returns the estimates of the first two and each
+    column's value plus error, the envelope bounds."""
+    one_envelope = sd.gt is sd.g0
 
     def rule(lo, hi, aux):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -355,222 +349,210 @@ def _smooth_rule(g, times, trig, p0, tail_d):
             q = p0 * u + d
             w[tail] = q / u
             mult[tail] = d / (u * q)
-        iw = 1.0 / w
-        if not sin_branch:
-            mult *= iw
+        g0 = sd.g0(w)
+        gt = g0 if one_envelope else dress(w, g0)
+        f = np.empty((h.size, 2 if one_envelope else 3, 21))
+        f[:, 0] = g0 * mult
+        mult /= w
+        f[:, 1] = gt * mult
+        if not one_envelope:
+            f[:, 2] = g0 * mult
         head = kind == _HEAD
         if head.any():
-            mult[head] = _head_factor(v[head], times[aux[head, 0]][:, None], trig)
-        f = g(w) * mult
-        if tail.any():
-            f[np.isinf(w)] = 0.0  # no spectral weight at infinite frequency
-        if not sin_branch:
-            val, err = _gk21(f, h)
-            return val, err, val, err
-        val, err = _gk21(np.concatenate([f, f * iw]), np.concatenate([h, h]))
-        m = h.size
-        return val[:m], err[:m], val[m:], err[m:]
+            f_head, g_head = _head_factors(v[head], times[aux[head, 0]][:, None])
+            f[head, 0] = g0[head] * f_head
+            f[head, 1] = gt[head] * g_head
+        if tail.any():  # no spectral weight at infinite frequency
+            f[np.broadcast_to(np.isinf(w)[:, None], f.shape)] = 0.0
+        est = _gk21(f, h)
+        return est[:, :, :2].reshape(-1, 4), est[:, 0] + est[:, 1]
 
     return rule
 
 
-def _oscillatory_rule(g, times, trig):
-    """Integral of ``e(x) trig(x)``, ``e(x) = t g(x/t) / x**2``, over panels
-    in ``x = w t``: G10K21 where the panel's half-width ``theta`` is at most
-    ``_THETA_GK`` radians, Filon-Clenshaw-Curtis beyond.  The phase at a
-    node ``c + h u`` is taken as ``exp(i c) exp(i h u)``, so it stays exact
-    to rounding of the small part wherever the panel sits."""
-    part = np.imag if trig == "sin" else np.real
+def _oscillatory_rule(sd, dress, times):
+    """Integrals of ``e_f(x) sin(x)`` and ``e_Gamma(x) cos(x)``, ``e(x) = t
+    G(x/t) / x**2`` (``G_0``, ``G_T``), over panels in ``x = w t``: G10K21
+    where the panel's half-width ``theta`` is at most ``_THETA_GK`` radians,
+    Filon-Clenshaw-Curtis beyond.  The phase at a node ``c + h u`` is
+    ``exp(i c) exp(i h u)``, exact to rounding wherever the panel sits."""
+    one_envelope = sd.gt is sd.g0
+
+    def envelopes(x, t):  # (envelopes, panels, nodes)
+        w = x / t
+        g0 = sd.g0(w)
+        scale = t / (x * x)
+        return (g0 * scale)[None] if one_envelope else np.stack(
+            [g0 * scale, dress(w, g0) * scale])
 
     def rule(lo, hi, aux):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = times[aux[:, 0], None]
+        est = np.empty((c.size, 4))
         small = h <= _THETA_GK
-        if small.all():
-            return _gk_oscillatory(g, c, h, t, part)
-        if not small.any():
-            return _filon(g, lo, hi, c, h, t, part)
-        val, err = np.empty_like(c), np.empty_like(c)
+        if small.any():
+            est[small] = _gk_oscillatory(envelopes, c[small], h[small], t[small])
         big = ~small
-        val[small], err[small] = _gk_oscillatory(g, c[small], h[small], t[small], part)
-        val[big], err[big] = _filon(g, lo[big], hi[big], c[big], h[big], t[big], part)
-        return val, err
+        if big.any():
+            est[big] = _filon(envelopes, lo[big], hi[big], c[big], h[big], t[big])
+        return (est,)
 
     return rule
 
 
-def _gk_oscillatory(g, c, h, t, part):
-    """G10K21 of ``e(x) trig(x)`` on panels short against the period."""
+def _gk_oscillatory(envelopes, c, h, t):
+    """G10K21 of ``e_f sin`` and ``e_Gamma cos`` on panels short against
+    the period."""
     off = h[:, None] * _GK_X
-    x = c[:, None] + off
-    return _gk21(t * g(x / t) / (x * x) * part(np.exp(1j * c)[:, None] * np.exp(1j * off)), h)
+    e = envelopes(c[:, None] + off, t)
+    phase = np.exp(1j * c)[:, None] * np.exp(1j * off)
+    f = np.empty((h.size, 2, 21))
+    f[:, 0], f[:, 1] = e[0] * phase.imag, e[-1] * phase.real
+    return _gk21(f, h).reshape(-1, 4)
 
 
-def _filon(g, lo, hi, c, h, t, part):
-    """Filon-Clenshaw-Curtis values and error estimates of ``e(x) trig(x)``
-    on panels ``[lo, hi]`` with centres ``c`` and half-widths ``h``; ``t``
-    is each panel's time, a column.  The error estimate bounds the
-    interpolation error of the envelope, ``2 h`` times the sum of its last
-    three Chebyshev coefficients, and ignores the damping by the
-    oscillation."""
-    x = c[:, None] + h[:, None] * _CC_U
-    e = t * g(x / t) / (x * x)
-    res = np.empty(c.size, dtype=complex)  # integral of e exp(i x)
+def _filon(envelopes, lo, hi, c, h, t):
+    """Filon-Clenshaw-Curtis values and error estimates of ``e_f sin`` and
+    ``e_Gamma cos`` on panels ``[lo, hi]`` with centres ``c`` and
+    half-widths ``h``; ``t`` is each panel's time, a column.  Each envelope
+    is integrated against ``exp(i x)`` once, ``f`` read from the imaginary
+    part and ``Gamma`` from the real part.  The error estimate, ``2 h``
+    times the sum of the envelope's last three Chebyshev coefficients,
+    bounds its interpolation error and ignores the oscillation's damping."""
+    e = envelopes(c[:, None] + h[:, None] * _CC_U, t)
+    res = np.empty(e.shape[:2], dtype=complex)  # integral of e exp(i x)
     gl = h <= _THETA_IBP
     if gl.any():
-        sums = np.einsum("nk,qk,nq->n", e[gl], _GL_MAT, np.exp(1j * (h[gl, None] * _GL_X)))
-        res[gl] = h[gl] * np.exp(1j * c[gl]) * sums
+        sums = np.einsum("enk,qk,nq->en", e[:, gl], _GL_MAT,
+                         np.exp(1j * (h[gl, None] * _GL_X)))
+        res[:, gl] = h[gl] * np.exp(1j * c[gl]) * sums
     ibp = ~gl
     if ibp.any():
         # A at u = 1 and B at u = -1: integral = h [A exp(i hi) - B exp(i lo)]
-        d = np.einsum("nk,jk->nj", e[ibp], _IBP_MAT).reshape(-1, 2, 25)
-        ab = np.einsum("nij,nj->ni", d, _IBP_Z * h[ibp, None] ** _IBP_POWERS)
-        res[ibp] = h[ibp] * (ab[:, 0] * np.exp(1j * hi[ibp]) - ab[:, 1] * np.exp(1j * lo[ibp]))
-    tail = np.abs(np.einsum("nk,jk->nj", e, _CHEB_TAIL)).sum(axis=1)
-    return part(res), 2.0 * h * tail
+        d = np.einsum("enk,jk->enj", e[:, ibp], _IBP_MAT).reshape(len(e), -1, 2, 25)
+        ab = np.einsum("enij,nj->eni", d, _IBP_Z * h[ibp, None] ** _IBP_POWERS)
+        res[:, ibp] = h[ibp] * (ab[..., 0] * np.exp(1j * hi[ibp])
+                                - ab[..., 1] * np.exp(1j * lo[ibp]))
+    est = np.empty((h.size, 4))
+    est[:, 0], est[:, 1] = res[0].imag, res[-1].real
+    est[:, 2:] = (2.0 * h * np.abs(np.einsum("enk,jk->enj", e, _CHEB_TAIL)).sum(axis=2))[[0, -1]].T
+    return est
 
 
-def _kernel_integral(sd: SpectralDensity, times: np.ndarray,
-                     trig: str) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of ``g(w) * factor(w, t)`` over ``[0, inf)`` and error bounds.
-
-    ``trig='sin'`` uses ``g = G_0`` with the (w t - sin w t)/w**2 factor and
-    gives ``t*f(t)``; ``trig='cos'`` uses ``g = G_T`` with (1 - cos w t)/w**2
-    and gives ``t*Gamma(t)``.  ``times`` is a 1-D array of valid times; each
-    time's value and bound do not depend on the others in the array.
-    Raises :class:`NumericError` at the first time whose bound misses the
-    contract.
-    """
-    values, budgets = [], []
-    for start in range(0, times.size, _TIME_BLOCK):  # bounds the panels alive at once
-        block = times[start:start + _TIME_BLOCK]
-        value, budget = _integrate_block(sd, block, trig)
-        bad = np.flatnonzero(~(budget <= _CONTRACT_REL * np.abs(value) + 1e-250))
-        if bad.size:
-            i = int(bad[0])
-            raise NumericError(
-                f"kernel quadrature missed its accuracy contract at t={float(block[i])!r} "
-                f"({trig} branch): estimate {float(value[i])!r}, "
-                f"error bound {float(budget[i])!r}",
-                estimate=float(value[i]), error_bound=float(budget[i]))
-        values.append(value)
-        budgets.append(budget)
-    if len(values) == 1:
-        return values[0], budgets[0]
-    return np.concatenate(values), np.concatenate(budgets)
-
-
-def _integrate_block(sd: SpectralDensity, times: np.ndarray, trig: str):
-    """:func:`_integrate` of a block of times.  A block whose panels outgrow
-    ``_MAX_PANELS`` is integrated again in halves, down to single times, so
-    the cap acts on a time as it does when the time is integrated alone."""
+def _kernel_integral(sd: SpectralDensity, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``t*f(t)`` and ``t*Gamma(t)`` (rows) and their error bounds at a 1-D
+    array of valid times, each time's independent of the others; where
+    ``Gamma`` diverges (``G_T(0+)`` infinite) ``f`` is integrated alone and
+    ``t*Gamma`` is ``inf``.  :func:`_rates` holds each kernel to the contract."""
     with np.errstate(all="ignore"):  # overflow to inf and 0/0 are handled where they arise
-        value, budget, capped = _integrate(sd, times, trig)
-    if capped and times.size > 1:
-        half = times.size // 2
-        (v0, b0), (v1, b1) = (_integrate_block(sd, part, trig)
-                              for part in (times[:half], times[half:]))
-        return np.concatenate([v0, v1]), np.concatenate([b0, b1])
-    return value, budget
+        value, budget = (np.concatenate(part) for part in zip(*(
+            _integrate(sd, times[i:i + _TIME_BLOCK])  # bounds the panels alive at once
+            for i in range(0, times.size, _TIME_BLOCK))))
+    if math.isinf(gt_zero_limit(sd)):
+        value[:, 1] = math.inf
+    return value.T, budget.T
 
 
-def _integrate(sd: SpectralDensity, times: np.ndarray, trig: str):
-    """The assembled values and error budgets of :func:`_kernel_integral`,
-    and whether refinement hit ``_MAX_PANELS``."""
-    g = sd.g0 if trig == "sin" else sd.gt
+def _rates(times, value, budget, k):
+    """Kernel ``k`` (``f``, ``Gamma``) at ``times`` from :func:`_kernel_integral`, or
+    :class:`NumericError`, naming it, at the first time its bound misses the contract."""
+    bad = np.flatnonzero(~(budget[k] <= _CONTRACT_REL * np.abs(value[k]) + 1e-250))
+    if bad.size:
+        t, v, b = (float(a[..., bad[0]]) for a in (times, value[k], budget[k]))
+        raise NumericError(f"kernel quadrature missed its accuracy contract at t={t!r} "
+                           f"({('f', 'Gamma')[k]}): estimate {v!r}, error bound {b!r}",
+                           estimate=v, error_bound=b)
+    return value[k] / times
+
+
+def _integrate(sd: SpectralDensity, times: np.ndarray):
+    """The assembled values and error budgets (times, kernels) of
+    :func:`_kernel_integral`.  Times whose panels outgrow ``_MAX_PANELS`` are
+    integrated again in halves, down to single times, so the cap acts on a
+    time as it does when the time is integrated alone."""
+    # where Gamma diverges, G_T has no weight here: f alone steers the quadrature
+    dress = (lambda w, g: np.zeros_like(g)) if math.isinf(gt_zero_limit(sd)) else sd.dress
     feats, support, split, n = sd.features, sd.support, sd.split, times.size
     below = [p for p in feats if p < split]
     p0 = below[-1] if below else 0.0  # tail origin
 
     # -- stage 1: head and smooth moments, G10K21 ----------------------------
-    # groups: 2i the head of time i, 2i+1 its smooth moment (mid and tail);
+    # groups: 2i the head of time i, 2i+1 its smooth moments (mid and tail);
     # panels are graded between consecutive breakpoints (0, the features,
     # pi/t, the split and the support)
     marks = [0.0, *feats]
     p_lo: list[float] = []
     p_hi: list[float] = []
-    p_aux: list[tuple[int, int, int]] = []  # (time, kind, index of a mid panel)
-    mids: list[tuple[int, float, float]] = []  # (time, lo, hi) of the mid panels
+    p_aux: list[tuple[int, int, int]] = []  # (time, kind, index in this first layout)
     tail_d = np.zeros(n)  # scale d of each time's tail, 0 where it has none
     tail_s = np.zeros(n)
     for i, t in enumerate(times.tolist()):
         a = math.pi / t
-        b_head = min(a, support)
-        bounds = [0.0, *(p for p in feats if p < b_head), b_head]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            edges = _graded(lo, hi, marks)
-            p_lo += edges[:-1]
-            p_hi += edges[1:]
-            p_aux += [(i, _HEAD, 0)] * (len(edges) - 1)
-        if support <= a:  # the whole spectrum is in the head
-            continue
-        s = min(max(a, split), support)
-        bounds = [a, *(p for p in feats if a < p < s), s]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            edges = _graded(lo, hi, marks)
-            p_lo += edges[:-1]
-            p_hi += edges[1:]
-            p_aux += [(i, _MID, len(mids) + k) for k in range(len(edges) - 1)]
-            mids += [(i, el, eh) for el, eh in zip(edges[:-1], edges[1:])]
+        b_head, s = min(a, support), min(max(a, split), support)
+        for kind, bounds in ((_HEAD, [0.0, *(p for p in feats if p < b_head), b_head]),
+                             (_MID, [a, *(p for p in feats if a < p < s), s] if a < s else [])):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                edges = _graded(lo, hi, marks)
+                p_aux += [(i, kind, len(p_lo) + k) for k in range(len(edges) - 1)]
+                p_lo += edges[:-1]
+                p_hi += edges[1:]
         if support > s:
             tail_s[i], tail_d[i] = s, s - p0
             p_lo += _TAIL_EDGES[:-1]
             p_hi += _TAIL_EDGES[1:]
             p_aux += [(i, _TAIL, 0)] * (len(_TAIL_EDGES) - 1)
-    pref = times if trig == "sin" else np.ones(n)  # t*f has t times the moment of g/w
+    # value = weight * (head, smooth) sums: the head rows hold their factors
+    # over t, t*f has t times the moment of G_0/w, t*Gamma that of G_T/w**2
+    weight = np.repeat(times, 4).reshape(2 * n, 2)
+    weight[1::2, 1] = 1.0
 
-    def tolerance(sums):  # both stages of a time to _EPSREL of head + pref * smooth
-        scale = np.abs(sums[0::2]) + pref * np.abs(sums[1::2])
-        return np.maximum(_EPSREL * np.stack([scale, scale / pref], axis=1).ravel(), 1e-300)
+    def tolerance(sums):  # both stages of a time to _EPSREL of its value scale
+        scale = (weight * np.abs(sums)).reshape(n, 2, 2).sum(axis=1)
+        return np.maximum(_EPSREL * scale.repeat(2, axis=0) / weight, 1e-300)
 
-    aux = np.array(p_aux, dtype=np.intp).reshape(-1, 3)
-    lo, hi, aux, gid, (val, err, env, env_err), capped = _refine(
-        _smooth_rule(g, times, trig, p0, tail_d), np.array(p_lo), np.array(p_hi), aux,
-        2 * aux[:, 0] + (aux[:, 1] != _HEAD), 2 * n, tolerance)
-    lorentzian = sd.kind is SpectrumKind.LORENTZIAN
-    own = aux[:, 1] != _TAIL if lorentzian else slice(None)  # a line's tail is _qagi_tail's
-    sums = np.bincount(gid[own], val[own], 2 * n).reshape(n, 2)
-    errs = np.bincount(gid[own], err[own], 2 * n).reshape(n, 2)
-    if lorentzian:
+    lo0, hi0 = np.array(p_lo), np.array(p_hi)
+    aux0 = np.array(p_aux, dtype=np.intp).reshape(-1, 3)
+    lo, hi, aux, gid, (est, bound), sums, capped = _refine(
+        _smooth_rule(sd, dress, times, p0, tail_d), lo0, hi0, aux0,
+        2 * aux0[:, 0] + (aux0[:, 1] != _HEAD), 2 * n, tolerance)
+    bound = bound[:, [-1, 1]]  # of the envelope moments of f and Gamma
+    if sd.kind is SpectrumKind.LORENTZIAN:  # a line's tail is _qagi_tail's
+        own = aux[:, 1] != _TAIL
+        sums = _group_sums(gid[own], est[own], 2 * n)
         for i in np.flatnonzero(tail_d).tolist():
-            v, e = _qagi_tail(sd, float(tail_s[i]), trig)
-            sums[i, 1] += v
-            errs[i, 1] += e
-    value = sums[:, 0] + pref * sums[:, 1]
-    budget = errs[:, 0] + pref * errs[:, 1]
+            tail = np.array(_qagi_tail(sd, float(tail_s[i])))  # (kernel, (value, error))
+            sums[2 * i + 1] += tail.T.ravel()
+    total = (np.tile(weight, 2) * sums).reshape(n, 2, 4).sum(axis=1)
+    value, budget = total[:, :2], total[:, 2:]
 
     # -- stage 2: oscillatory remainder in x = w t ---------------------------
-    # integral g(w) trig(w t)/w**2 dw = integral t g(x/t)/x**2 trig(x) dx,
-    # bounded on any range by the envelope moment of g/w**2 there.  A mid
-    # panel (as first laid out) whose envelope moment is below the absolute
-    # floor epsa goes into the budget instead of being integrated; the tail
-    # is cut at the W beyond which its envelope moment (value plus error) is
-    # below epsa, and that bound goes into the budget.
+    # integral g(w) cos(w t)/w**2 dw = integral t g(x/t)/x**2 cos(x) dx (and sin),
+    # bounded on any range by the envelope moment there.  A mid panel (as
+    # first laid out) whose envelope moments are both below their floors
+    # epsa goes into the budgets instead of being integrated; the tail is
+    # cut at the larger W beyond which each is below epsa, and the bounds
+    # beyond go into the budgets.
     epsa = np.maximum(1e-13 * np.abs(value), 1e-280)
     kind = aux[:, 1]
-    bound = env + env_err
     on_mid = kind == _MID
-    mid_bound = np.bincount(aux[on_mid, 2], bound[on_mid], len(mids)).tolist()
-    o_lo: list[float] = []
-    o_hi: list[float] = []
-    o_time: list[int] = []
-    for (i, m_lo, m_hi), b in zip(mids, mid_bound):
-        if b <= epsa[i]:
-            budget[i] += b
-        else:
-            o_lo.append(m_lo * times[i])
-            o_hi.append(m_hi * times[i])
-            o_time.append(i)
+    mid_bound = _group_sums(aux[on_mid, 2], bound[on_mid], lo0.size)
+    mid = np.flatnonzero(aux0[:, 1] == _MID)
+    drop = (mid_bound[mid] <= epsa[aux0[mid, 0]]).all(axis=1)
+    np.add.at(budget, aux0[mid[drop], 0], mid_bound[mid[drop]])
+    mid = mid[~drop]
+    o_time = aux0[mid, 0].tolist()
+    o_lo, o_hi = (lo0[mid] * times[o_time]).tolist(), (hi0[mid] * times[o_time]).tolist()
     on_tail = kind == _TAIL
     if on_tail.any():
         order = np.lexsort((lo[on_tail], aux[on_tail, 0]))  # by time, then outward in w
         owner = aux[on_tail, 0][order]
         u_hi = hi[on_tail][order].tolist()
-        cum_all = bound[on_tail][order]
+        tail_bound = bound[on_tail][order]
         for i in np.flatnonzero(tail_d).tolist():
             b0, b1 = np.searchsorted(owner, [i, i + 1]).tolist()
-            cum = np.cumsum(cum_all[b0:b1]).tolist()
-            m = bisect.bisect_right(cum, epsa[i])  # panels wholly below the floor
+            cum = np.cumsum(tail_bound[b0:b1], axis=0)
+            # panels wholly below both floors: a prefix, as cum only grows
+            m = int(np.count_nonzero((cum <= epsa[i]).all(axis=1)))
             if m == b1 - b0:
                 budget[i] += cum[-1]
                 continue
@@ -587,75 +569,81 @@ def _integrate(sd: SpectralDensity, times: np.ndarray, trig: str):
             o_time += [i] * (len(edges) - 1)
     if o_lo:
         o_aux = np.array(o_time, dtype=np.intp)[:, None]
-        _, _, _, o_gid, (o_val, o_err), o_capped = _refine(
-            _oscillatory_rule(g, times, trig), np.array(o_lo), np.array(o_hi), o_aux,
+        *_, o_sums, o_capped = _refine(
+            _oscillatory_rule(sd, dress, times), np.array(o_lo), np.array(o_hi), o_aux,
             o_aux[:, 0], n, lambda sums: np.maximum(epsa, _EPSREL * np.abs(sums)))
-        value = value - np.bincount(o_gid, o_val, n)
-        budget = budget + np.bincount(o_gid, o_err, n)
+        value = value - o_sums[:, :2]
+        budget = budget + o_sums[:, 2:]
         capped = capped or o_capped
-    return value, budget, capped
+    if capped and n > 1:
+        return tuple(np.concatenate(part) for part in zip(
+            _integrate(sd, times[:n // 2]), _integrate(sd, times[n // 2:])))
+    return value, budget
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _qagi_tail(sd: SpectralDensity, s: float, trig: str) -> tuple[float, float]:
-    """Smooth moment ``g/w`` (sin) or ``g/w**2`` (cos) of a Lorentzian over
-    ``[s, inf)`` and its error, by QUADPACK's QAGI (scipy, imported here).
+def _qagi_tail(sd: SpectralDensity, s: float) -> tuple[tuple[float, float], ...]:
+    """Smooth moments ``G_0/w`` (``f``) and ``G_T/w**2`` (``Gamma``) of a
+    Lorentzian over ``[s, inf)``, with their errors, by QUADPACK's QAGI
+    (scipy, imported here).
 
-    Transitional: the kernels took this value from QAGI before they moved
-    to numpy, and the benchmark's reference values (``perfbench/``) pin
-    it.  On a line much wider than 1, such as the cavity preset's (width
-    1e6 at 1e10), QAGI's map ``w = s + (1 - u)/u`` loses the wing beyond
-    ``s`` and returns about 0 for a moment near 0.6% of the line's, so that
-    ``f`` is that much low.  The numpy tail panels of :func:`_integrate`
-    have the wing; they replace this function when the reference is
-    captured again.
+    Transitional, as the benchmark's reference values (``perfbench/``) pin
+    them: on a line much wider than 1, such as the cavity preset's, QAGI's
+    map ``w = s + (1 - u)/u`` loses the wing beyond ``s`` and ``f`` is 0.6%
+    low; the tail panels of :func:`_integrate` have the wing.
     """
     from scipy import integrate
 
-    g = sd.g0 if trig == "sin" else sd.gt
-    mom = (lambda w: g(w) / w) if trig == "sin" else (lambda w: g(w) / (w * w))
-    res = integrate.quad(mom, s, math.inf, full_output=1,
-                         epsabs=1e-300, epsrel=_EPSREL, limit=200)
-    return float(res[0]), float(res[1])
+    def qagi(mom):
+        res = integrate.quad(mom, s, math.inf, full_output=1,
+                             epsabs=1e-300, epsrel=_EPSREL, limit=200)
+        return float(res[0]), float(res[1])
+
+    return qagi(lambda w: sd.g0(w) / w), qagi(lambda w: sd.gt(w) / (w * w))
 
 
 def _check_time(t: float):
-    """The kernels split their integrals at ``pi/t``, which must be finite:
-    ``t`` below about 1.7e-308 is out of their domain."""
+    """The kernels split their integrals at ``pi/t`` and divide by ``w**2``
+    beyond, so ``pi/t`` and ``t*t`` must be finite: ``t`` below about
+    1.7e-308 or above about 1.34e154 is out of their domain."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     if not math.isfinite(math.pi / float(t)):
         raise DomainError(f"t must be large enough that pi/t is finite, got {t}")
+    if not math.isfinite(float(t) * float(t)):
+        raise DomainError(f"t must be small enough that t*t is finite, got {t}")
+
+
+def _check_gamma(sd: SpectralDensity):  # Gamma has no value where G_T(0+) is infinite
+    if math.isinf(gt_zero_limit(sd)):
+        raise KernelDivergenceError(
+            "Gamma(t) diverges: finite-temperature spectrum has nonzero "
+            "weight at omega=0, so G_T(omega) ~ 1/omega and the dephasing "
+            "integral has no infrared limit")
+
+
+def _kernels_at(sd: SpectralDensity, t: float):
+    """The one integral of both kernels at ``t``, as :func:`_rates` reads it."""
+    _check_time(t)
+    at = np.array([float(t)])
+    return (at, *_kernel_integral(sd, at))
 
 
 def f_of_t(sd: SpectralDensity, t: float) -> float:
-    """Twisting-phase rate ``f(t)``; requires ``t > 0`` with ``pi/t`` finite."""
-    _check_time(t)
-    return float(_f_values(sd, np.array([float(t)]))[0])
+    """Twisting-phase rate ``f(t)``; ``t > 0`` with ``pi/t`` and ``t*t`` finite."""
+    return float(_rates(*_kernels_at(sd, t), 0)[0])
 
 
 def gamma_of_t(sd: SpectralDensity, t: float) -> float:
-    """Dephasing rate ``Gamma(t)``; requires ``t > 0`` with ``pi/t`` finite.
+    """Dephasing rate ``Gamma(t)``; ``t > 0`` with ``pi/t`` and ``t*t`` finite.
 
     Raises :class:`KernelDivergenceError` when the thermally dressed
     spectrum carries weight at zero frequency (``G_T ~ 1/w`` there), which
     makes the integral logarithmically divergent at the infrared end.
     """
     _check_time(t)
-    return float(_gamma_values(sd, np.array([float(t)]))[0])
-
-
-def _f_values(sd: SpectralDensity, t: np.ndarray) -> np.ndarray:
-    return _kernel_integral(sd, t, "sin")[0] / t
-
-
-def _gamma_values(sd: SpectralDensity, t: np.ndarray) -> np.ndarray:
-    if math.isinf(gt_zero_limit(sd)):
-        raise KernelDivergenceError(
-            "Gamma(t) diverges: finite-temperature spectrum has nonzero "
-            "weight at omega=0, so G_T(omega) ~ 1/omega and the dephasing "
-            "integral has no infrared limit")
-    return _kernel_integral(sd, t, "cos")[0] / t
+    _check_gamma(sd)
+    return float(_rates(*_kernels_at(sd, t), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +794,12 @@ def tabulate_kernels(sd: SpectralDensity, grid) -> KernelTable:
         raise DomainError("time grid must be positive and strictly increasing")
     for ti in t.tolist():
         _check_time(ti)
-    f_vals = _f_values(sd, t) if t.size else np.zeros(0)
-    g_vals = _gamma_values(sd, t) if t.size else np.zeros(0)
+    f_vals = g_vals = np.zeros(0)
+    if t.size:
+        integral = (t, *_kernel_integral(sd, t))
+        f_vals = _rates(*integral, 0)
+        _check_gamma(sd)
+        g_vals = _rates(*integral, 1)
     lim = markov_limits(sd)
     for arr in (t, f_vals, g_vals):
         arr.setflags(write=False)
@@ -842,22 +834,23 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     end; a step that passes the Markov sample stops there instead, since its
     ``f`` is already known.  Brent's method polishes the root inside that
     certified bracket, and the returned root satisfies ``|tau f(tau) - pi/2|
-    <= 1e-9 * pi/2``.  ``f`` is kept by time for the whole solve, so no
-    time is integrated twice and ``f(tau)`` is the value Brent computed
-    there.  Raises :class:`NoFormationError` (with ``t*f`` at the horizon)
-    when the phase never reaches the threshold inside the horizon.
-    Memoised per process.
+    <= 1e-9 * pi/2``.  ``(f, Gamma)`` is kept by time for the whole solve,
+    so no time is integrated twice and both kernels at ``tau`` come from
+    Brent's integral there.  Raises :class:`NoFormationError` (with ``t*f``
+    at the horizon) when the phase never reaches the threshold inside the
+    horizon.  Memoised per process.
     """
     markov = markov_limits(sd)
     t_c = markov.t_corr
     horizon = horizon_factor * t_c
     f_m, t_m = markov.f_markov, markov.t_eval
-    known = {t_m: f_m}  # f by time, for this solve
+    known = {t_m: (f_m, None)}  # f and its integral (Gamma too; none for the Markov sample)
 
     def g(t):
         if t not in known:
-            known[t] = f_of_t(sd, t)
-        return t * known[t] - _HALF_PI
+            integral = _kernels_at(sd, t)
+            known[t] = float(_rates(*integral, 0)[0]), integral
+        return t * known[t][0] - _HALF_PI
 
     lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
     glo = ghi = g(hi)
@@ -883,13 +876,14 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
             raise NumericError("failed to bracket the formation time from below")
     # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
     tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
-    f_tau = known[tau]
+    f_tau, integral = known[tau]
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
         raise NumericError(
             f"formation-time residual {residual!r} exceeds tolerance",
             estimate=tau, error_bound=residual)
-    return BathSolution(float(tau), f_tau, gamma_of_t(sd, tau))
+    gamma_tau = gamma_of_t(sd, tau) if integral is None else float(_rates(*integral, 1)[0])
+    return BathSolution(float(tau), f_tau, gamma_tau)
 
 
 def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = _DEFAULT_HORIZON_FACTOR) -> float:

@@ -95,20 +95,20 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
-# time (a time-grid point or a snapshot time) costs two kernel integrals,
-# measured at 2.6 ms (fig1) and 4.5 ms (fig2) per time, and a sweep point
-# costs about 2.0 s at N = 4096.
+# time (a time-grid point or a snapshot time) costs one integral of both
+# kernels, measured at up to 1.7 ms (fig1) and 3.1 ms (fig2) per time and
+# budgeted at 4.5 ms, and a sweep point costs about 2.0 s at N = 4096.
 _WORK_BUDGET_S = 3600.0
 _MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
 _MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800
-# Every knot of a table is a panel edge of every kernel integral, measured at
-# 11-23 us per knot and integral (0.28 s at 16000 knots, at tau); a bath
-# solve takes about ten integrals, and a beta sweep solves once per value,
-# so a table is kept to the 2.0 s per sweep point budgeted above, and its
-# knots times the run's kernel times (two integrals each) to the hour.
-_KNOT_COST_S = 20e-6
-_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (10 * _KNOT_COST_S))  # 10000
-_MAX_KNOT_TIMES = round(_WORK_BUDGET_S / (2 * _KNOT_COST_S))                       # 90000000
+# Every knot of a table is a panel edge of every kernel integral: 17-30 us
+# per knot and integral at tau (T = 0, T > 0), budgeted at 40 us.  A bath
+# solve takes at most nine (1.0-2.2 s at 10000 knots) and a beta sweep solves
+# once per value, so a table is kept near the 2.0 s per sweep point above,
+# and its knots times the run's kernel times to the hour.
+_KNOT_COST_S = 40e-6
+_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (5 * _KNOT_COST_S))  # 10000
+_MAX_KNOT_TIMES = round(_WORK_BUDGET_S / _KNOT_COST_S)                            # 90000000
 # Snapshot text, from a 4 GiB output budget per run: an |rho| grid entry
 # takes about 22 bytes of text (one N = 4096 grid, 4097**2 entries, is about
 # 370 MB), so a run writes at most len(values) * (N+1)**2 entries.
@@ -239,8 +239,8 @@ def _validate_snapshot_times(raw, path: str, n_particles: int) -> dict:
     if not isinstance(values, list) or not values:
         _fail(f"{path}.values", "expected a nonempty list of times")
     if len(values) > _MAX_TIME_GRID_COUNT:
-        _fail(f"{path}.values", f"at most {_MAX_TIME_GRID_COUNT} snapshots (two kernel "
-              f"integrals each, as a time_grid point), got {len(values)}")
+        _fail(f"{path}.values", f"at most {_MAX_TIME_GRID_COUNT} snapshots (one kernel "
+              f"integral each, as a time_grid point), got {len(values)}")
     most = _MAX_SNAPSHOT_ENTRIES // (n_particles + 1) ** 2
     if len(values) > most:
         _fail(f"{path}.values", f"at most {most} snapshots at n_particles={n_particles} "

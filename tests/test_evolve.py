@@ -19,7 +19,8 @@ from spincat.dicke import (
     purity,
     to_x_basis,
 )
-from spincat.errors import NoFormationError, UsageError, WidthUndefinedError
+from spincat.errors import (KernelDivergenceError, NoFormationError, UsageError,
+                            WidthUndefinedError)
 from spincat.evolve import (
     EvolutionParams,
     _dephase,
@@ -150,6 +151,26 @@ def test_small_system_elementwise_against_direct_formula():
                                   * np.exp(-t * g * (m[i] - m[j]) ** 2))
         got = evolve_state(p, t).elements
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_evolve_state_takes_one_kernel_integral(monkeypatch):
+    # f and Gamma at a new time come from one integral there; a spectrum
+    # whose Gamma diverges raises after f, unless Gamma is forced off
+    integrals = []
+    integral = kernels._kernel_integral
+    monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times: (
+        integrals.append(times.tolist()) or integral(sd, times)))
+    rho = evolve_state(equator_params(6), 123.25).elements
+    assert integrals == [[123.25]]
+    assert np.array_equal(rho, _dephase(equator_params(6), 123.25, f_of_t(ohmic(2.5e-5), 123.25),
+                                        gamma_of_t(ohmic(2.5e-5), 123.25)).elements)
+    hot = lorentzian(1.0, 1.0, 3.0, beta=2.0)
+    ini = coherent_state(SectorLabel(6), math.pi / 2.0, 0.0)
+    integrals.clear()
+    with pytest.raises(KernelDivergenceError):
+        evolve_state(EvolutionParams(hot, SectorLabel(6), ini), 1.0)
+    evolve_state(EvolutionParams(hot, SectorLabel(6), ini, force_zero_decoherence=True), 1.0)
+    assert integrals == [[1.0], [1.0]]
 
 
 def test_evolve_rejects_negative_time():
@@ -312,7 +333,7 @@ def _preset_bath(name):
     return params.spectrum, params.solve_horizon_factor
 
 
-# tau of the solve that doubles up from t_corr, frozen to full precision
+# tau of each bath's solve, bracketed from (pi/2)/f_M, frozen to full precision
 _BATHS = {
     "fig1": (lambda: _preset_bath("fig1"), 62833.42385220755),
     "fig2": (lambda: _preset_bath("fig2"), 100.0),
@@ -324,19 +345,24 @@ _BATHS = {
 }
 
 
-def _fresh_solve(monkeypatch, sd, horizon_factor):
+def _fresh_solve(monkeypatch, sd, horizon_factor, roots=None):
     """Solve with every bath memo cleared; return the solution (or the
-    error raised) and the (branch, time) of each kernel integral."""
+    error raised) and the time of each kernel integral (each gives f and
+    Gamma there).  ``roots``, when given, gets the number of integrals made
+    whenever ``brent.root`` returns."""
     for cached in (solve_bath, markov_limits):
         cached.cache_clear()
     integrals = []
-    integral = kernels._kernel_integral
+    integral, root = kernels._kernel_integral, brent.root
 
-    def counted(sd, times, trig):
-        integrals.extend((trig, t) for t in times.tolist())
-        return integral(sd, times, trig)
+    def counted(sd, times):
+        integrals.extend(times.tolist())
+        return integral(sd, times)
 
     monkeypatch.setattr(kernels, "_kernel_integral", counted)
+    if roots is not None:
+        monkeypatch.setattr(brent, "root", lambda *args, **kwargs: (
+            root(*args, **kwargs), roots.append(len(integrals)))[0])
     try:
         return solve_bath(sd, horizon_factor), integrals
     except Exception as exc:  # returned for the test to inspect
@@ -346,10 +372,13 @@ def _fresh_solve(monkeypatch, sd, horizon_factor):
 @pytest.mark.parametrize("name", sorted(_BATHS))
 def test_solve_bath_takes_a_handful_of_kernel_integrals(monkeypatch, name):
     make, tau = _BATHS[name]
-    bath, integrals = _fresh_solve(monkeypatch, *make())
-    # Markov sample, bracket, Brent and Gamma(tau), none at a time seen before
-    assert len(integrals) <= 10
+    roots = []
+    bath, integrals = _fresh_solve(monkeypatch, *make(), roots=roots)
+    # Markov sample, bracket and Brent, none at a time seen before; Gamma(tau)
+    # comes from Brent's integral at tau, so no integral follows the root
+    assert len(integrals) <= 9
     assert len(set(integrals)) == len(integrals)
+    assert roots[-1] == len(integrals)
     assert bath.tau == pytest.approx(tau, rel=1e-14, abs=0.0)
     assert abs(bath.tau * bath.f_tau - HALF_PI) <= 1e-9 * HALF_PI
 
@@ -381,15 +410,16 @@ def test_solve_bath_brackets_from_the_markov_rate(monkeypatch, sd, tau, ends):
 
 
 def test_solve_bath_start_clamped_to_the_horizon(monkeypatch):
-    # (pi/2)/f_M lies far beyond the horizon: one integral there, and the
-    # same error and estimate as the solve that doubles up from t_corr
+    # (pi/2)/f_M lies far beyond the horizon: the start is clamped to it, so
+    # the solve integrates the Markov sample and the horizon only, and
+    # reports t*f at the horizon
     err, integrals = _fresh_solve(monkeypatch, ohmic(1e-12), 1e6)
     assert isinstance(err, NoFormationError)
     assert str(err) == ("accumulated phase t*f(t) reaches only 4.0876466034234227e-07 "
                         "(< pi/2) up to the horizon t = 408766.2310295002")
     assert err.estimate == 4.0876466034234227e-07
     horizon = 1e6 * correlation_time(ohmic(1e-12))
-    assert integrals == [("sin", markov_limits(ohmic(1e-12)).t_eval), ("sin", horizon)]
+    assert integrals == [markov_limits(ohmic(1e-12)).t_eval, horizon]
 
 
 def test_solve_bath_without_a_positive_markov_rate_starts_at_t_corr(monkeypatch):

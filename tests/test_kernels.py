@@ -236,13 +236,18 @@ def test_domain_errors():
         f_of_t(sd, -1.0)
     with pytest.raises(DomainError):
         gamma_of_t(sd, 0.0)
-    # pi/t overflows below about 1.7e-308: out of the kernels' domain
-    for t in (1e-310, 1.7e-308):
+    # pi/t overflows below about 1.7e-308, t*t above about 1.34e154: out of
+    # the kernels' domain
+    for t in (1e-310, 1.7e-308, 1.4e154, 1e300, math.inf):
         with pytest.raises(DomainError):
             f_of_t(ohmic(1e-3), t)
         with pytest.raises(DomainError):
             gamma_of_t(ohmic(1e-3), t)
     assert f_of_t(ohmic(1e-3), 1e-300) == 0.0
+    # the largest accepted time meets the contract
+    assert f_of_t(ohmic(1e-3), 1.3e154) == pytest.approx(_ohmic_f(1e-3, 1.3e154), rel=1e-9)
+    assert gamma_of_t(ohmic(1e-3), 1.3e154) == pytest.approx(
+        _ohmic_gamma(1e-3, 1.3e154), rel=1e-9)
 
 
 def test_infrared_divergent_gamma_raises():
@@ -391,6 +396,43 @@ def test_kernels_follow_the_frequency_scale(family, c, t):
     assert gamma_of_t(scaled, t) == pytest.approx(c * gamma_of_t(unit, c * t), rel=1e-12)
 
 
+# spectrum at inverse temperature beta in a convention, and its frequency
+# scale: with G_0(0) = 0 (ohmic, a table from 0) and with G_0(0) > 0 (a table
+# with weight at 0, fig2's line and the cavity line), whose Gamma diverges at
+# T > 0
+_THERMAL = {
+    "ohmic": (lambda beta, conv: ohmic(2.5e-5, beta=beta, thermal_convention=conv), 1.0),
+    "tabulated": (lambda beta, conv: tabulated(_TABLE, beta=beta, thermal_convention=conv),
+                  1.0),
+    "tabulated-origin": (lambda beta, conv: tabulated(
+        [[0.0, 1e-7], [1.0, 2e-5], [4.0, 2e-5], [8.0, 0.0]], beta=beta,
+        thermal_convention=conv), 1.0),
+    "fig2-line": (lambda beta, conv: lorentzian(0.042987621655032664, 1.0, 10.0, beta=beta,
+                                                thermal_convention=conv), 10.0),
+    "cavity-line": (lambda beta, conv: lorentzian(318309.8861837907, 1e6, 1e10, beta=beta,
+                                                  thermal_convention=conv), 1e10),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_THERMAL))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(beta=st.floats(0.05, 200.0), conv=st.sampled_from(ThermalConvention),
+       t=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
+def test_f_does_not_depend_on_temperature(family, beta, conv, t):
+    # f reads G_0 alone: Gamma's share of the panels and of their refinement,
+    # and a diverging Gamma, leave it as it is at T = 0.  t runs from the
+    # head alone (pi/t beyond the spectrum's structure) into its tail
+    make, scale = _THERMAL[family]
+    hot, cold = make(beta / scale, conv), make(math.inf, conv)
+    t /= scale
+    assert f_of_t(hot, t) == pytest.approx(f_of_t(cold, t), rel=1e-9)
+    if hot.origin[0] > 0.0:
+        with pytest.raises(KernelDivergenceError):
+            gamma_of_t(hot, t)
+        with pytest.raises(KernelDivergenceError):
+            tabulate_kernels(hot, [t])
+
+
 @pytest.mark.parametrize("family", sorted(_SCALED))
 @_FEW
 @given(t=_TIMES, ratio=st.floats(1.01, 10.0))
@@ -439,6 +481,42 @@ def test_tabulated_values_equal_single_time_calls(sd):
         table.f_values[::-3][::-1].tolist())
 
 
+def test_tabulate_kernels_integrates_each_time_once(monkeypatch):
+    # f and Gamma at every grid time come from one integral of the grid, and
+    # the Markov sample from one more
+    from spincat import kernels
+
+    integrals = []
+    integral = kernels._kernel_integral
+    monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times: (
+        integrals.append(times.tolist()) or integral(sd, times)))
+    sd = ohmic(2.5e-5, beta=5.0)
+    markov_limits.cache_clear()
+    grid = np.geomspace(1e-2, 1e6, 25)
+    tabulate_kernels(sd, grid)
+    assert integrals == [grid.tolist(), [markov_limits(sd).t_eval]]
+
+
+def test_each_kernel_is_held_to_its_own_contract(monkeypatch):
+    # one integral gives both kernels, but a reader of f does not fail where
+    # only Gamma's bound misses the contract, and a reader of Gamma does
+    from spincat import kernels
+    from spincat.errors import NumericError
+
+    integral = kernels._kernel_integral
+
+    def gamma_misses(sd, times):
+        value, budget = integral(sd, times)
+        return value, np.stack([budget[0], 1e-6 * np.abs(value[1])])
+
+    monkeypatch.setattr(kernels, "_kernel_integral", gamma_misses)
+    sd = ohmic(2.5e-5)
+    assert f_of_t(sd, 10.0) == pytest.approx(_ohmic_f(2.5e-5, 10.0), rel=1e-9)
+    for read in (lambda: gamma_of_t(sd, 10.0), lambda: tabulate_kernels(sd, [10.0])):
+        with pytest.raises(NumericError, match=r"at t=10\.0 \(Gamma\)"):
+            read()
+
+
 def test_panel_cap_acts_per_time(monkeypatch):
     # the cap bounds the bisection of structure the panel layout does not
     # mark.  A 200-knot table whose features are thinned to 64 knots leaves
@@ -459,16 +537,16 @@ def test_panel_cap_acts_per_time(monkeypatch):
     sizes = []
     integrate = kernels._integrate
     monkeypatch.setattr(kernels, "_integrate",
-                        lambda sd, t, trig: sizes.append(t.size) or integrate(sd, t, trig))
+                        lambda sd, t: sizes.append(t.size) or integrate(sd, t))
     table = tabulate_kernels(sd, grid)
     assert max(sizes) == 8 and min(sizes) < 4  # the batch went over the cap
     assert table.f_values.tolist() == [f_of_t(sd, t) for t in grid.tolist()]
     assert table.gamma_values.tolist() == [gamma_of_t(sd, t) for t in grid.tolist()]
     # below one time's need the cap stops a single call and a batch alike
     monkeypatch.setattr(kernels, "_MAX_PANELS", 500)
-    with pytest.raises(NumericError, match=r"at t=0\.01 \(sin branch\)"):
+    with pytest.raises(NumericError, match=r"at t=0\.01 \(f\)"):
         f_of_t(sd, grid[0])
-    with pytest.raises(NumericError, match=r"at t=0\.01 \(sin branch\)"):
+    with pytest.raises(NumericError, match=r"at t=0\.01 \(f\)"):
         tabulate_kernels(sd, grid)
 
 
