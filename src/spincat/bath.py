@@ -78,11 +78,13 @@ def _tabulated_g0(ws: np.ndarray, gs: np.ndarray, w):
 def _thermal_gt(g0, beta: float, scale: float, zero_limit: float, w, g=None):
     # G_T = G_0 * coth(x), x = beta * w * scale (1 or 1/2 by convention); g = G_0(w) if given
     x = beta * np.asarray(w, dtype=float) * scale
-    g = g0(w) if g is None else g
+    g = np.asarray(g0(w) if g is None else g)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # below the cut, divide by x: 1/x overflows where x is subnormal
-        out = np.where(x < _COTH_SERIES_CUT, g / x + g * (x / 3.0 - x * x * x / 45.0),
-                       g * (1.0 / np.tanh(x)))
+        out = np.asarray(g * (1.0 / np.tanh(x)))
+        small = x < _COTH_SERIES_CUT
+        if small.any():  # the series there, dividing by x: 1/x overflows where x is subnormal
+            xs, gs = x[small], g[small]
+            out[small] = gs / xs + gs * (xs / 3.0 - xs * xs * xs / 45.0)
     # x == 0 where w == 0, or where beta*w underflows: the analytic limit
     return np.where(x == 0.0, zero_limit, out)[()]
 

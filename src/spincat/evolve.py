@@ -39,8 +39,7 @@ from .dicke import (
     to_x_basis,
 )
 from .errors import UsageError
-from .kernels import (_DEFAULT_HORIZON_FACTOR, BathSolution, _check_gamma, _kernels_at, _rates,
-                      solve_bath)
+from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, _kernels_at, _rates, solve_bath
 from .kernels import solve_tau_mqs  # noqa: F401  (callers import it from here too)
 
 __all__ = [
@@ -130,8 +129,6 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
         return _dephase(p, t, 0.0, 0.0)
     integral = _kernels_at(p.spectrum, t)  # one integral gives both kernels
     f = float(_rates(*integral, 0)[0])
-    if not p.force_zero_decoherence:
-        _check_gamma(p.spectrum)
     return _dephase(p, t, f, 0.0 if p.force_zero_decoherence else float(_rates(*integral, 1)[0]))
 
 

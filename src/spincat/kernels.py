@@ -28,20 +28,21 @@ Panels are graded between breakpoints (:func:`_graded`).  The stages:
   time are held to ``1e-11`` of its ``head + smooth`` value;
 * the oscillatory remainders ``integral e sin x dx`` (``f``) and ``integral
   e cos x dx`` (``Gamma``), ``x = w t``, ``e = t G(x/t)/x**2``, held to
-  ``max(epsa, 1e-11 |remainder|)``: each envelope is integrated once against
+  ``max(epsa, 1e-11 |remainder|)``: each mid and tail panel of the first
+  layout is one panel in ``x``, and each envelope is integrated once against
   ``exp(i x)``, ``f`` read from the imaginary part and ``Gamma`` from the
   real part (one envelope serves both at zero temperature), by
-  Filon-Clenshaw-Curtis (:func:`_filon_matrices`), and by G10K21 where the
-  panel's half-width is at most 1 radian.
+  Filon-Clenshaw-Curtis (:func:`_filon_matrices`) at every panel width.
 
-A remainder is bounded by its envelope moment: a mid panel whose bounds are
-both below their floors ``epsa = 1e-13 |value|`` goes into the error budgets
-instead of being integrated, and the tail is cut where both envelope
-moments beyond fall below ``epsa``.  Each kernel must meet ``1e-9`` relative
-(the kernel contract) with its whole budget, or the evaluation raises
-:class:`NumericError` naming it.  No rule sum goes through BLAS (``einsum``
-without ``optimize``), so values do not depend on the batch or the thread
-count.  For a Lorentzian the smooth moments over the tail beyond the split
+A remainder is bounded by its envelope moment: a mid or tail panel whose
+bounds are both below their floors ``epsa = 1e-13 |value|``, and the tail
+panel that reaches ``w = inf``, go into the error budgets instead of being
+integrated.  Each kernel must meet ``1e-9`` relative (the kernel contract)
+with its whole budget, or the evaluation raises :class:`NumericError`
+naming it; ``Gamma`` raises :class:`KernelDivergenceError` where ``G_T(0+)``
+is infinite.  No rule sum goes through BLAS (``einsum`` without
+``optimize``), so values do not depend on the batch or the thread count.
+For a Lorentzian the smooth moments over the tail beyond the split
 are still QUADPACK QAGI's (:func:`_qagi_tail`), which the benchmark's
 reference values pin.
 
@@ -97,10 +98,9 @@ _MAX_ROUNDS = 60
 _MAX_PANELS = 400_000
 _BLOCK = 256
 _TIME_BLOCK = 256
-# Oscillatory panels of half-width theta (radians): Gauss-Kronrod up to
-# _THETA_GK, Filon with moments by Gauss-Legendre (_GL_NODES nodes) up to
-# _THETA_IBP, Filon with the terminating integration-by-parts series beyond.
-_THETA_GK = 1.0
+# Filon moments of an oscillatory panel of half-width theta (radians): by
+# Gauss-Legendre (_GL_NODES nodes) up to _THETA_IBP, by the terminating
+# integration-by-parts series beyond.
 _THETA_IBP = 48.0
 _GL_NODES = 64
 
@@ -352,11 +352,11 @@ def _smooth_rule(sd, dress, times, p0, tail_d):
         g0 = sd.g0(w)
         gt = g0 if one_envelope else dress(w, g0)
         f = np.empty((h.size, 2 if one_envelope else 3, 21))
+        # the moments over w**2 as (G mult)/w: mult/w underflows beyond w ~ 1e154
         f[:, 0] = g0 * mult
-        mult /= w
-        f[:, 1] = gt * mult
+        f[:, 1] = gt * mult / w
         if not one_envelope:
-            f[:, 2] = g0 * mult
+            f[:, 2] = f[:, 0] / w
         head = kind == _HEAD
         if head.any():
             f_head, g_head = _head_factors(v[head], times[aux[head, 0]][:, None])
@@ -372,10 +372,9 @@ def _smooth_rule(sd, dress, times, p0, tail_d):
 
 def _oscillatory_rule(sd, dress, times):
     """Integrals of ``e_f(x) sin(x)`` and ``e_Gamma(x) cos(x)``, ``e(x) = t
-    G(x/t) / x**2`` (``G_0``, ``G_T``), over panels in ``x = w t``: G10K21
-    where the panel's half-width ``theta`` is at most ``_THETA_GK`` radians,
-    Filon-Clenshaw-Curtis beyond.  The phase at a node ``c + h u`` is
-    ``exp(i c) exp(i h u)``, exact to rounding wherever the panel sits."""
+    G(x/t) / x**2`` (``G_0``, ``G_T``), over panels in ``x = w t``, all by
+    Filon-Clenshaw-Curtis (:func:`_filon`), which is exact for the
+    envelope's interpolant at any panel width."""
     one_envelope = sd.gt is sd.g0
 
     def envelopes(x, t):  # (envelopes, panels, nodes)
@@ -386,39 +385,21 @@ def _oscillatory_rule(sd, dress, times):
             [g0 * scale, dress(w, g0) * scale])
 
     def rule(lo, hi, aux):
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = times[aux[:, 0], None]
-        est = np.empty((c.size, 4))
-        small = h <= _THETA_GK
-        if small.any():
-            est[small] = _gk_oscillatory(envelopes, c[small], h[small], t[small])
-        big = ~small
-        if big.any():
-            est[big] = _filon(envelopes, lo[big], hi[big], c[big], h[big], t[big])
-        return (est,)
+        return (_filon(envelopes, lo, hi, times[aux[:, 0], None]),)
 
     return rule
 
 
-def _gk_oscillatory(envelopes, c, h, t):
-    """G10K21 of ``e_f sin`` and ``e_Gamma cos`` on panels short against
-    the period."""
-    off = h[:, None] * _GK_X
-    e = envelopes(c[:, None] + off, t)
-    phase = np.exp(1j * c)[:, None] * np.exp(1j * off)
-    f = np.empty((h.size, 2, 21))
-    f[:, 0], f[:, 1] = e[0] * phase.imag, e[-1] * phase.real
-    return _gk21(f, h).reshape(-1, 4)
-
-
-def _filon(envelopes, lo, hi, c, h, t):
+def _filon(envelopes, lo, hi, t):
     """Filon-Clenshaw-Curtis values and error estimates of ``e_f sin`` and
-    ``e_Gamma cos`` on panels ``[lo, hi]`` with centres ``c`` and
-    half-widths ``h``; ``t`` is each panel's time, a column.  Each envelope
-    is integrated against ``exp(i x)`` once, ``f`` read from the imaginary
-    part and ``Gamma`` from the real part.  The error estimate, ``2 h``
-    times the sum of the envelope's last three Chebyshev coefficients,
-    bounds its interpolation error and ignores the oscillation's damping."""
+    ``e_Gamma cos`` on panels ``[lo, hi]``; ``t`` is each panel's time, a
+    column.  Each envelope is integrated against ``exp(i x)`` once, ``f``
+    read from the imaginary part and ``Gamma`` from the real part.  The
+    phase at a node ``c + h u`` is ``exp(i c) exp(i h u)``, exact to
+    rounding wherever the panel sits.  The error estimate, ``2 h`` times the
+    sum of the envelope's last three Chebyshev coefficients, bounds its
+    interpolation error and ignores the oscillation's damping."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     e = envelopes(c[:, None] + h[:, None] * _CC_U, t)
     res = np.empty(e.shape[:2], dtype=complex)  # integral of e exp(i x)
     gl = h <= _THETA_IBP
@@ -455,7 +436,13 @@ def _kernel_integral(sd: SpectralDensity, times: np.ndarray) -> tuple[np.ndarray
 
 def _rates(times, value, budget, k):
     """Kernel ``k`` (``f``, ``Gamma``) at ``times`` from :func:`_kernel_integral`, or
-    :class:`NumericError`, naming it, at the first time its bound misses the contract."""
+    :class:`NumericError`, naming it, at the first time its bound misses the contract;
+    :class:`KernelDivergenceError` where ``t*Gamma`` is infinite (``G_T(0+)`` is)."""
+    if k == 1 and np.isinf(value[1]).any():
+        raise KernelDivergenceError(
+            "Gamma(t) diverges: finite-temperature spectrum has nonzero "
+            "weight at omega=0, so G_T(omega) ~ 1/omega and the dephasing "
+            "integral has no infrared limit")
     bad = np.flatnonzero(~(budget[k] <= _CONTRACT_REL * np.abs(value[k]) + 1e-250))
     if bad.size:
         t, v, b = (float(a[..., bad[0]]) for a in (times, value[k], budget[k]))
@@ -498,9 +485,9 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
                 p_hi += edges[1:]
         if support > s:
             tail_s[i], tail_d[i] = s, s - p0
+            p_aux += [(i, _TAIL, len(p_lo) + k) for k in range(len(_TAIL_EDGES) - 1)]
             p_lo += _TAIL_EDGES[:-1]
             p_hi += _TAIL_EDGES[1:]
-            p_aux += [(i, _TAIL, 0)] * (len(_TAIL_EDGES) - 1)
     # value = weight * (head, smooth) sums: the head rows hold their factors
     # over t, t*f has t times the moment of G_0/w, t*Gamma that of G_T/w**2
     weight = np.repeat(times, 4).reshape(2 * n, 2)
@@ -512,7 +499,7 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
 
     lo0, hi0 = np.array(p_lo), np.array(p_hi)
     aux0 = np.array(p_aux, dtype=np.intp).reshape(-1, 3)
-    lo, hi, aux, gid, (est, bound), sums, capped = _refine(
+    _, _, aux, gid, (est, bound), sums, capped = _refine(
         _smooth_rule(sd, dress, times, p0, tail_d), lo0, hi0, aux0,
         2 * aux0[:, 0] + (aux0[:, 1] != _HEAD), 2 * n, tolerance)
     bound = bound[:, [-1, 1]]  # of the envelope moments of f and Gamma
@@ -527,51 +514,26 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
 
     # -- stage 2: oscillatory remainder in x = w t ---------------------------
     # integral g(w) cos(w t)/w**2 dw = integral t g(x/t)/x**2 cos(x) dx (and sin),
-    # bounded on any range by the envelope moment there.  A mid panel (as
-    # first laid out) whose envelope moments are both below their floors
-    # epsa goes into the budgets instead of being integrated; the tail is
-    # cut at the larger W beyond which each is below epsa, and the bounds
-    # beyond go into the budgets.
+    # bounded on any range by the envelope moment there.  Each mid or tail
+    # panel of the first layout is one Filon panel in x, unless both its
+    # envelope moments are below their floors epsa or it reaches w = inf (the
+    # tail panel at u = 0): then its bounds go into the budgets instead.
     epsa = np.maximum(1e-13 * np.abs(value), 1e-280)
-    kind = aux[:, 1]
-    on_mid = kind == _MID
-    mid_bound = _group_sums(aux[on_mid, 2], bound[on_mid], lo0.size)
-    mid = np.flatnonzero(aux0[:, 1] == _MID)
-    drop = (mid_bound[mid] <= epsa[aux0[mid, 0]]).all(axis=1)
-    np.add.at(budget, aux0[mid[drop], 0], mid_bound[mid[drop]])
-    mid = mid[~drop]
-    o_time = aux0[mid, 0].tolist()
-    o_lo, o_hi = (lo0[mid] * times[o_time]).tolist(), (hi0[mid] * times[o_time]).tolist()
-    on_tail = kind == _TAIL
-    if on_tail.any():
-        order = np.lexsort((lo[on_tail], aux[on_tail, 0]))  # by time, then outward in w
-        owner = aux[on_tail, 0][order]
-        u_hi = hi[on_tail][order].tolist()
-        tail_bound = bound[on_tail][order]
-        for i in np.flatnonzero(tail_d).tolist():
-            b0, b1 = np.searchsorted(owner, [i, i + 1]).tolist()
-            cum = np.cumsum(tail_bound[b0:b1], axis=0)
-            # panels wholly below both floors: a prefix, as cum only grows
-            m = int(np.count_nonzero((cum <= epsa[i]).all(axis=1)))
-            if m == b1 - b0:
-                budget[i] += cum[-1]
-                continue
-            m = max(m, 1)  # the outermost panel is cut off in any case
-            budget[i] += cum[m - 1]
-            t, s, d = float(times[i]), float(tail_s[i]), float(tail_d[i])
-            cut = p0 + d / u_hi[b0 + m - 1]
-            edges = [s]
-            while p0 + 2.0 * (edges[-1] - p0) < cut:
-                edges.append(p0 + 2.0 * (edges[-1] - p0))
-            edges.append(cut)
-            o_lo += [e * t for e in edges[:-1]]
-            o_hi += [e * t for e in edges[1:]]
-            o_time += [i] * (len(edges) - 1)
-    if o_lo:
-        o_aux = np.array(o_time, dtype=np.intp)[:, None]
+    smooth = aux[:, 1] != _HEAD
+    panel_bound = _group_sums(aux[smooth, 2], bound[smooth], lo0.size)
+    first = np.flatnonzero(aux0[:, 1] != _HEAD)
+    owner = aux0[first, 0]
+    drop = (panel_bound[first] <= epsa[owner]).all(axis=1) | (lo0[first] == 0.0)
+    np.add.at(budget, owner[drop], panel_bound[first[drop]])
+    first, owner = first[~drop], owner[~drop]
+    o_lo, o_hi = lo0[first], hi0[first]
+    in_tail = aux0[first, 1] == _TAIL  # u panels: w = p0 + d/u
+    d = tail_d[owner[in_tail]]
+    o_lo[in_tail], o_hi[in_tail] = p0 + d / o_hi[in_tail], p0 + d / o_lo[in_tail]
+    if first.size:
         *_, o_sums, o_capped = _refine(
-            _oscillatory_rule(sd, dress, times), np.array(o_lo), np.array(o_hi), o_aux,
-            o_aux[:, 0], n, lambda sums: np.maximum(epsa, _EPSREL * np.abs(sums)))
+            _oscillatory_rule(sd, dress, times), o_lo * times[owner], o_hi * times[owner],
+            owner[:, None], owner, n, lambda sums: np.maximum(epsa, _EPSREL * np.abs(sums)))
         value = value - o_sums[:, :2]
         budget = budget + o_sums[:, 2:]
         capped = capped or o_capped
@@ -614,14 +576,6 @@ def _check_time(t: float):
         raise DomainError(f"t must be small enough that t*t is finite, got {t}")
 
 
-def _check_gamma(sd: SpectralDensity):  # Gamma has no value where G_T(0+) is infinite
-    if math.isinf(gt_zero_limit(sd)):
-        raise KernelDivergenceError(
-            "Gamma(t) diverges: finite-temperature spectrum has nonzero "
-            "weight at omega=0, so G_T(omega) ~ 1/omega and the dephasing "
-            "integral has no infrared limit")
-
-
 def _kernels_at(sd: SpectralDensity, t: float):
     """The one integral of both kernels at ``t``, as :func:`_rates` reads it."""
     _check_time(t)
@@ -641,8 +595,6 @@ def gamma_of_t(sd: SpectralDensity, t: float) -> float:
     spectrum carries weight at zero frequency (``G_T ~ 1/w`` there), which
     makes the integral logarithmically divergent at the infrared end.
     """
-    _check_time(t)
-    _check_gamma(sd)
     return float(_rates(*_kernels_at(sd, t), 1)[0])
 
 
@@ -798,7 +750,6 @@ def tabulate_kernels(sd: SpectralDensity, grid) -> KernelTable:
     if t.size:
         integral = (t, *_kernel_integral(sd, t))
         f_vals = _rates(*integral, 0)
-        _check_gamma(sd)
         g_vals = _rates(*integral, 1)
     lim = markov_limits(sd)
     for arr in (t, f_vals, g_vals):

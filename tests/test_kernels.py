@@ -396,6 +396,17 @@ def test_kernels_follow_the_frequency_scale(family, c, t):
     assert gamma_of_t(scaled, t) == pytest.approx(c * gamma_of_t(unit, c * t), rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["ohmic", "ohmic-thermal"])
+@pytest.mark.parametrize("c", [1e160, 1e200])
+def test_ohmic_kernels_follow_a_frequency_scale_beyond_1e154(family, c):
+    # beyond w ~ 1e154 a weight 1/w**2 is subnormal, so the moments over w**2
+    # must divide G by w twice; c t runs from the head alone into the tail
+    scaled, unit = _RESCALED[family](c), _RESCALED[family](1.0)
+    for ct in (1.0, 10.0, 100.0, 1e3, 1e4):
+        assert f_of_t(scaled, ct / c) == pytest.approx(c * f_of_t(unit, ct), rel=1e-12)
+        assert gamma_of_t(scaled, ct / c) == pytest.approx(c * gamma_of_t(unit, ct), rel=1e-12)
+
+
 # spectrum at inverse temperature beta in a convention, and its frequency
 # scale: with G_0(0) = 0 (ohmic, a table from 0) and with G_0(0) > 0 (a table
 # with weight at 0, fig2's line and the cavity line), whose Gamma diverges at
@@ -548,6 +559,30 @@ def test_panel_cap_acts_per_time(monkeypatch):
         f_of_t(sd, grid[0])
     with pytest.raises(NumericError, match=r"at t=0\.01 \(f\)"):
         tabulate_kernels(sd, grid)
+
+
+def test_oscillatory_stage_starts_from_the_first_layout(monkeypatch):
+    # the oscillatory panels are the mid and tail panels of the first layout
+    # in x = w t: they follow each other from pi, the tail's are its u
+    # panels (w - p0 grows fourfold across each), and the tail panel that
+    # reaches w = inf is never integrated
+    from spincat import kernels
+
+    starts = []
+    refine = kernels._refine
+    monkeypatch.setattr(kernels, "_refine", lambda rule, lo, hi, *rest: (
+        starts.append((lo, hi)) or refine(rule, lo, hi, *rest)))
+    sd, t = lorentzian(1.0, 1.0, 10.0), 1.0  # p0 = 11, tail from split = 60
+    assert f_of_t(sd, t) == pytest.approx(_LORENTZIAN_10[1][1] / t, rel=1e-9)
+    lo, hi = starts[1]
+    order = np.argsort(lo)  # the tail's come outermost first, as its u panels
+    lo, hi = lo[order], hi[order]
+    assert lo[0] == pytest.approx(math.pi, rel=1e-15)
+    assert np.allclose(lo[1:], hi[:-1], rtol=1e-15, atol=0.0)
+    assert np.isfinite(hi).all()
+    tail = lo >= sd.split * t * (1.0 - 1e-15)
+    assert 1 < np.count_nonzero(tail) < 15
+    assert np.allclose((hi[tail] / t - 11.0) / (lo[tail] / t - 11.0), 4.0, rtol=1e-14, atol=0.0)
 
 
 def test_long_grid_equals_its_pieces():
