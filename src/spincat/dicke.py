@@ -8,9 +8,11 @@ Throughout the package the component order is ``m = +l, +l-1, ..., -l``
 
 Dense storage is used everywhere: even ``N = 512`` is only a 513x513
 complex matrix.  The Lz-to-Lx rotation is built by a numpy recursion each
-time it is asked for, and nothing holds on to it; the corner coherence of a
-formed state needs only the coherent states along +x and -x (its first and
-last rows).
+time it is asked for, and nothing holds on to it.  Every Lx eigenvector has
+a definite parity under ``m -> -m``, so the recursion runs over half the
+components only, and a density matrix is rotated by parity blocks of half
+size.  The corner coherence of a formed state needs only the coherent states
+along +x and -x (the rotation's first and last rows).
 
 Density matrices are checked once, where they enter the package: the public
 :class:`DickeDensityMatrix` constructor tests hermiticity, unit trace and
@@ -225,26 +227,24 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
 _RESCALE_AT = 1e100
 
 
-def _recurse(vecs: np.ndarray, mu: np.ndarray, off: np.ndarray, ks: range):
+def _recurse(vecs: np.ndarray, mu: np.ndarray, off: np.ndarray, count: int):
     """Run the Lx eigen-equation ``off[k-1] v[k-1] + off[k] v[k+1] = mu v[k]``
-    from index ``ks[0]`` (seeded with +1) along ``ks``, for every row at once,
-    writing component ``k`` of every row into ``vecs[k]``."""
-    first = ks[0]
+    from index 0 (seeded with +1) up to index ``count - 1``, for every row at
+    once, writing component ``k`` of every row into ``vecs[k]``."""
     prev = np.zeros_like(mu)
     cur = np.ones_like(mu)
-    vecs[first] = cur
+    vecs[0] = cur
     c_prev = 0.0
-    for k, nxt in zip(ks, ks[1:]):
-        c_next = off[min(k, nxt)]
-        prev, cur = cur, (mu * cur - c_prev * prev) / c_next
-        c_prev = c_next
-        vecs[nxt] = cur
+    for k in range(count - 1):
+        prev, cur = cur, (mu * cur - c_prev * prev) / off[k]
+        c_prev = off[k]
+        vecs[k + 1] = cur
         big = np.flatnonzero(np.abs(cur) > _RESCALE_AT)
         if big.size:
             factor = 1.0 / np.abs(cur[big])
             prev[big] *= factor
             cur[big] *= factor
-            vecs[min(first, nxt):max(first, nxt) + 1, big] *= factor
+            vecs[:k + 2, big] *= factor
 
 
 def rotation_to_x(sector: SectorLabel) -> np.ndarray:
@@ -255,12 +255,13 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     active rotation by ``-pi/2`` about the y axis.  Built on each call (one
     d x d array, O(d**2) work) and returned read-only.
 
-    The rows solve the three-term Lx eigen-equation by recursion, all at
-    once: forward from ``m' = +l`` and backward from ``m' = -l``.  The
-    amplitudes decay towards both edges, so each half grows as it goes and
-    is stable.  The forward half is matched to the backward one by least
-    squares on the middle two indices, and each row is normalised.  The
-    backward seed is +1, so every row's ``m' = -l`` component is positive --
+    Every row has a definite parity, ``M[r, d-1-k] = (-1)**r M[r, k]``, and
+    holds it exactly.  The rows solve the three-term Lx eigen-equation by
+    recursion, all at once, forward from ``m' = +l`` to the middle index: the
+    amplitudes decay towards the edge, so the recursion grows as it goes and
+    is stable.  The other half is the first one mirrored with the row's
+    parity (the middle component of an odd row is 0), and each row is
+    normalised.  The signs make every row's ``m' = -l`` component positive --
     the signs of ``expm(+i pi/2 J_y)`` -- for every N, even where that
     component underflows.  Entries below the smallest normal float are set
     to 0: they would slow the matrix products of :func:`to_x_basis`.
@@ -274,13 +275,16 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
         # <m|Lx|m-1> = sqrt(l(l+1) - m(m-1))/2 couples index k to k+1
         off = 0.5 * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] - 1.0))
         vecs = np.empty((dim, dim))  # vecs[k, r]: component k of row r
-        j = (dim - 2) // 2  # the halves meet at indices j and j + 1
-        _recurse(vecs, m, off, range(0, j + 2))
-        f0, f1 = vecs[j].copy(), vecs[j + 1].copy()
-        _recurse(vecs, m, off, range(dim - 1, j - 1, -1))
-        vecs[:j] *= (f0 * vecs[j] + f1 * vecs[j + 1]) / (f0 * f0 + f1 * f1)
-        vecs /= np.sqrt(np.einsum("kr,kr->r", vecs, vecs))
-        vecs[np.abs(vecs) < _TINY] = 0.0
+        half, pairs = (dim + 1) // 2, dim // 2
+        first = vecs[:half]
+        _recurse(first, m, off, half)
+        if half > pairs:
+            first[pairs, 1::2] = 0.0  # the middle component of an odd row
+        norm2 = 2.0 * np.einsum("kr,kr->r", first[:pairs], first[:pairs])
+        first /= np.sqrt(norm2 + first[pairs:half].sum(axis=0) ** 2)
+        first[np.abs(first) < _TINY] = 0.0
+        vecs[dim - pairs:] = first[pairs - 1::-1]  # component d-1-k: the seed's sign
+        first[:, 1::2] *= -1.0  # component k: times the row's parity
     vecs.setflags(write=False)
     return vecs.T
 
@@ -293,35 +297,80 @@ def rotate_state_to_x(state: DickeState) -> DickeState:
     return DickeState(state.sector, amp, Basis.LX, bloch=state.bloch)
 
 
+def _parity_parts(part: np.ndarray, pairs: int):
+    """The sums and differences of rows and of columns ``k`` and ``d-1-k``
+    of a real d x d matrix: ``(++, +-, --)``, where ``+`` has ``(d+1)//2``
+    entries (the middle one of an odd ``d`` is taken as it is) and ``-`` has
+    ``d//2``.  Entries below the smallest normal float are set to 0."""
+    d = part.shape[0]
+    mid = slice(pairs, d - pairs)  # the middle index of an odd d, or nothing
+    # the four quadrants, each read from its corner of the matrix
+    a, b = part[:pairs, :pairs], part[:pairs, :d - pairs - 1:-1]
+    c, e = part[:d - pairs - 1:-1, :pairs], part[:d - pairs - 1:-1, :d - pairs - 1:-1]
+    pp = np.empty((d - pairs, d - pairs))
+    pm = np.empty((d - pairs, pairs))
+    left, right = a + c, b + e
+    np.add(left, right, out=pp[:pairs, :pairs])
+    np.subtract(left, right, out=pm[:pairs])
+    np.subtract(a, c, out=left)
+    np.subtract(b, e, out=right)
+    mm = np.subtract(left, right, out=left)
+    del right
+    row, col = part[mid], part[:, mid]
+    np.add(row[:, :pairs], row[:, :d - pairs - 1:-1], out=pp[pairs:, :pairs])
+    np.subtract(row[:, :pairs], row[:, :d - pairs - 1:-1], out=pm[pairs:])
+    np.add(col[:pairs], col[:d - pairs - 1:-1], out=pp[:pairs, pairs:])
+    pp[pairs:, pairs:] = part[mid, mid]
+    for x in (pp, pm, mm):
+        x[np.abs(x) < _TINY] = 0.0
+    return pp, pm, mm
+
+
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     """Re-express an Lz-basis density matrix in the Lx eigenbasis.
 
-    The rotation ``M`` is real, so ``M rho M^T`` is computed as two real
-    products, ``M Re(rho) M^T`` and ``M Im(rho) M^T``, on contiguous copies
-    of the real and imaginary parts.  In those copies, entries below the
+    The rotation ``M`` is real, so ``M rho M^T`` is computed for the real and
+    the imaginary part of ``rho`` separately, by parity blocks: even rows of
+    ``M`` are symmetric under ``k -> d-1-k`` and odd rows antisymmetric, so
+    with ``E = M[0::2, :(d+1)//2]``, ``O = M[1::2, :d//2]`` and a part's
+    row-and-column sums and differences ``A++``, ``A+-``, ``A--`` (O(d**2)
+    work), the even-even block of ``M A M^T`` is ``E A++ E^T``, the
+    even-odd block ``E A+- O^T`` and the odd-odd block ``O A-- O^T``: six
+    real products of half size, ``3 d**3`` flops instead of ``8 d**3``, with
+    (d/2)**2 temporaries.  In the sums and differences, entries below the
     smallest normal float (subnormals, e.g. products of the smallest
     coherent-state amplitudes) are set to 0: together they move a result
     entry by less than ``d * 2.3e-308``, and without this the matrix
     products run several times slower.  ``rho`` itself is not touched.
 
-    The result is exactly Hermitian: each real product ``P`` is written as
-    ``(P + P^T)/2`` for the real part and ``(P - P^T)/2`` for the imaginary
-    part, straight into the result (sums commute in floating point, so the
-    two halves match bit for bit).  Rounding left the products asymmetric
-    by about 1e-16; the symmetrised entries move by no more than that.
+    The result is exactly Hermitian: the real part's even-odd block is
+    mirrored into its odd-even block and each diagonal block ``P`` is written
+    as ``(P + P^T)/2``; the imaginary part's even-odd block is mirrored with
+    a minus sign and each diagonal block written as ``(P - P^T)/2`` (sums
+    commute in floating point, so the two halves match bit for bit).
+    Rounding left the products asymmetric by about 1e-16; the symmetrised
+    entries move by no more than that.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
+    d = rho.sector.dimension
+    pairs = d // 2
     mat = rotation_to_x(rho.sector)
+    even = np.ascontiguousarray(mat[0::2, :(d + 1) // 2])
+    odd = np.ascontiguousarray(mat[1::2, :pairs])
+    del mat  # not held while the products run
     out = np.empty_like(rho.elements)
-    for dst, part, mirror in ((out.real, rho.elements.real, np.add),
-                              (out.imag, rho.elements.imag, np.subtract)):
-        part = part.copy()
-        part[np.abs(part) < _TINY] = 0.0
-        prod = mat @ part @ mat.T
-        mirror(prod, prod.T, out=dst)
-        dst *= 0.5
-        del prod  # not held while the next part is rotated
+    for dst, part, sign, mirror in ((out.real, rho.elements.real, 1.0, np.add),
+                                    (out.imag, rho.elements.imag, -1.0, np.subtract)):
+        pp, pm, mm = _parity_parts(part, pairs)
+        for block, side, middle in ((dst[0::2, 0::2], even, pp), (dst[1::2, 1::2], odd, mm)):
+            prod = side @ middle @ side.T
+            mirror(prod, prod.T, out=block)
+            block *= 0.5
+        prod = even @ pm @ odd.T
+        dst[0::2, 1::2] = prod
+        np.multiply(prod.T, sign, out=dst[1::2, 0::2])
+        del pp, pm, mm, prod  # not held while the next part is rotated
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

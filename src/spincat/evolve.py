@@ -132,19 +132,39 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
     return _dephase(p, t, f, 0.0 if p.force_zero_decoherence else float(_rates(*integral, 1)[0]))
 
 
+# Rows per block of the propagator: a block's exponentials take at most
+# _DEPHASE_ROWS * d complex numbers, 2 MB at N = 4096.
+_DEPHASE_ROWS = 32
+
+
 def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
     """The exact propagator at ``t`` given the kernel values there.
 
     A Schur product of the initial projector with a unitary phase matrix and
     the positive kernel ``exp(-t Gamma (m - m')**2)`` (unit diagonal): the
     result is a density matrix by construction and is not checked again.
+    Every factor of entry ``(m', m)`` is the conjugate of that of ``(m, m')``,
+    so the upper triangle is built in blocks of rows and the lower triangle
+    is its conjugate: half the phase exponentials, ``d`` real ones (the
+    kernel depends on ``|m - m'|`` alone), and no d x d temporary.
     """
-    rho = np.outer(p.initial.amplitudes, p.initial.amplitudes.conj())
+    amps = p.initial.amplitudes
+    d = amps.size
     m = p.sector.m_values()
     m2 = m * m
-    # in place, so that no second d x d product is held at the same time
-    rho *= np.exp(-1j * t * f * (m2[:, None] - m2[None, :]))
-    rho *= np.exp(-t * gamma * (m[:, None] - m[None, :]) ** 2)
+    kernel = np.exp(-t * gamma * np.arange(d, dtype=float) ** 2)
+    # toeplitz[i, j] = kernel[|i - j|], a view
+    toeplitz = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((kernel[:0:-1], kernel)), d)[::-1]
+    conj = amps.conj()
+    rho = np.empty((d, d), dtype=complex)
+    for lo in range(0, d, _DEPHASE_ROWS):
+        hi = min(lo + _DEPHASE_ROWS, d)
+        block = rho[lo:hi, lo:]
+        np.multiply(amps[lo:hi, None], conj[None, lo:], out=block)
+        block *= np.exp(-1j * t * f * (m2[lo:hi, None] - m2[None, lo:]))
+        block *= toeplitz[lo:hi, lo:]
+        np.conjugate(rho[lo:hi, hi:].T, out=rho[hi:, lo:hi])
     return _density_matrix(p.sector, rho, Basis.LZ)
 
 

@@ -14,7 +14,7 @@ which artifacts to write, and where.  The full shape::
         "omega_c": 1.0,
         "omega_0": 10.0,               # lorentzian only: center frequency
         "beta": null,                  # null = zero temperature
-        "table": [[0.0, 0.0], ...]     # tabulated only: <= 10000 [omega, g] knots,
+        "table": [[0.0, 0.0], ...]     # tabulated only: <= 8000 [omega, g] knots,
                                        # knots * kernel times <= 90000000
       },
       "n_particles": 50,               # 1 .. 4096
@@ -84,15 +84,15 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # config fails with a config error instead of exhausting the machine.
 #
 # Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
-# array (d = N + 1) takes 16*d**2 bytes; a run holds about four of them at
-# once (the measured peak, 64 bytes per element, comes from the Lz-to-Lx
-# rotation of an Lx snapshot: rho, the result, the rotation and real d x d
-# temporaries; the rotation is built for that snapshot and freed with it,
+# array (d = N + 1) takes 16*d**2 bytes; a run holds about three of them at
+# once (the measured peak, 48 bytes per entry, comes from the Lz-to-Lx
+# rotation of an Lx snapshot: rho, the result, and half-size parity blocks
+# and products; the rotation is built for that snapshot and freed with it,
 # none is cached, snapshots are computed, written and freed one at a time
-# whatever their count, and snapshot text is streamed row by row; the text
-# writer holds |rho| and at most about d*d/4 strings, measured at 28 bytes
-# per element, below the rotation's 48 on top of rho), so N = 4096 needs
-# 4 * 16 * 4097**2 ~ 1.1e9 bytes, inside the budget.
+# whatever their count, and snapshot text is streamed; the text writer holds
+# |rho| and comma-joined pieces of at most about d*d/4 strings, measured at
+# 17-23 bytes per entry, and a band worker about 21 more at N = 2000), so
+# N = 4096 needs 48 * 4097**2 ~ 0.81e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
 # time (a time-grid point or a snapshot time) costs one integral of both
@@ -101,14 +101,17 @@ _MAX_PARTICLES = 4096
 _WORK_BUDGET_S = 3600.0
 _MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
 _MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800
-# Every knot of a table is a panel edge of every kernel integral: 17-30 us
+# Every knot of a table is a panel edge of every kernel integral: 22-39 us
 # per knot and integral at tau (T = 0, T > 0), budgeted at 40 us.  A bath
-# solve takes at most nine (1.0-2.2 s at 10000 knots) and a beta sweep solves
-# once per value, so a table is kept near the 2.0 s per sweep point above,
-# and its knots times the run's kernel times to the hour.
+# solve at T > 0 costs the most per knot: five to seven integrals, 1.2-1.3 s
+# at 5556 and 8000 knots and 2.0-2.3 s at 10000 (up to 235 us per knot; at
+# T = 0, 1.1 s at 10000), budgeted at 250 us per knot.  A beta sweep solves
+# once per value, so a table is kept to the 2.0 s per sweep point above, and
+# its knots times the run's kernel times to the hour.
 _KNOT_COST_S = 40e-6
-_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / (5 * _KNOT_COST_S))  # 10000
-_MAX_KNOT_TIMES = round(_WORK_BUDGET_S / _KNOT_COST_S)                            # 90000000
+_SOLVE_KNOT_COST_S = 250e-6
+_MAX_TABLE_KNOTS = round(_WORK_BUDGET_S / _MAX_SWEEP_VALUES / _SOLVE_KNOT_COST_S)  # 8000
+_MAX_KNOT_TIMES = round(_WORK_BUDGET_S / _KNOT_COST_S)                           # 90000000
 # Snapshot text, from a 4 GiB output budget per run: an |rho| grid entry
 # takes about 22 bytes of text (one N = 4096 grid, 4097**2 entries, is about
 # 370 MB), so a run writes at most len(values) * (N+1)**2 entries.
@@ -504,6 +507,8 @@ def _write_atomic(path: str, text: str | Iterable[str]):
             os.unlink(tmp)
         except OSError:
             pass
+        if hasattr(text, "close"):  # a generator's clean-up runs now
+            text.close()
         raise
 
 
@@ -513,16 +518,14 @@ def _time_grid_points(grid: dict) -> np.ndarray:
     return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
-def _snapshot_csv(rho, time: float) -> Iterator[str]:
+def _snapshot_csv(rho, time: float, band_dir: str | None = None) -> Iterator[str]:
     # |rho_{mm'}| magnitude grid; rows and columns run m = +l .. -l.  Yields
-    # the header, then one line per row, so the grid text is never held whole.
-    # Only |rho| is kept: the caller's last reference to rho goes when the
-    # header is taken.  |rho| of a Hermitian matrix is symmetric, so row i
-    # formats its entries j >= i and takes the rest from column i: the
-    # strings of (k, i), k < i, kept as rows k were written and freed with
-    # row i (at most about d*d/4 strings at once).  A lower entry that
-    # differs from its mirror is formatted on its own, so every entry reads
-    # repr(|rho_ij|) whatever the matrix.
+    # the header, then the grid text row by row (or a worker's band at a
+    # time), so the text is never held whole.  Only |rho| is kept: the
+    # caller's last reference to rho goes when the header is taken.  Given
+    # ``band_dir``, a directory on the target's file system, the grid is
+    # formatted in _band_count's row bands, each in its own process
+    # (spincat.bands); the text is the same byte for byte.
     header = (f"# basis = {rho.basis_tag.value}\n"
               f"# l = {float(rho.sector.l)!r}\n"
               f"# time = {float(time)!r}\n"
@@ -530,16 +533,87 @@ def _snapshot_csv(rho, time: float) -> Iterator[str]:
     mag = np.abs(rho.elements)
     del rho
     yield header
-    cols = [[] for _ in mag]
-    for i, row in enumerate(mag):
-        upper = list(map(repr, row[i:].tolist()))
-        line, cols[i] = cols[i], None
-        for k in np.flatnonzero(row[:i] != mag[:i, i]).tolist():
-            line[k] = repr(float(row[k]))
-        for col, text in zip(cols[i + 1:], upper[1:]):
-            col.append(text)
-        line += upper
-        yield ",".join(line) + "\n"
+    bands = 1 if band_dir is None else _band_count(len(mag))
+    if bands > 1:
+        from .bands import banded_lines  # imported only where a grid is banded
+
+        yield from banded_lines(mag, band_dir, bands)
+    else:
+        for i, text in enumerate(_band_text(mag, 0, len(mag))):
+            yield _line(mag, i, text)
+
+
+# Snapshot grids are formatted in row bands, one process per usable core
+# and at most one per _BAND_ROWS rows.  An entry's repr costs 1.3-2 us, so n
+# bands save about (1 - 1/n) of the d*d/2 reprs; a second band costs 12-15 ms
+# more (fork and join, the columns' text through a pipe, the band's text
+# copied back), measured on a 2-vCPU x86_64 VM in a process holding an
+# N = 1000 run.  There it breaks even at about d = 190 and saves 17% of the
+# grid's time at d = 256 and 25% at d = 320.  Below 2 * _BAND_ROWS rows, on
+# one core, or without fork, this process formats the grid alone.
+_BAND_ROWS = 128
+# Rows formatted at a time: the strings of a block's entries below the
+# diagonal are joined per column, so a column's text is kept as one piece
+# per block above it.
+_BLOCK_ROWS = 32
+
+
+def _band_count(d: int) -> int:
+    """Processes that format a d x d snapshot grid: one per usable core, at
+    most one per _BAND_ROWS rows, and 1 where fork is not available or this
+    process may not have children."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    bands = min(len(os.sched_getaffinity(0)), d // _BAND_ROWS)
+    if bands < 2:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return bands
+
+
+def _band_text(mag, lo: int, hi: int, later: list | None = None) -> Iterator[str]:
+    # The text of rows lo .. hi-1 of the grid from column lo on, one string
+    # per row.  |rho| of a Hermitian matrix is symmetric, so each entry from
+    # the diagonal on is formatted once and its string is reused for the
+    # mirror entry: row i takes its entries left of the diagonal from
+    # column i, kept as one comma-joined piece per block of rows above it and
+    # freed with row i.  ``later``, if given, gets for every column j >= hi
+    # the list of pieces of (k, j), k = lo .. hi-1.
+    cols = [[] for _ in range(lo, hi)]
+    if later is not None:
+        later.extend([] for _ in range(hi, len(mag)))
+    for i0 in range(lo, hi, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, hi)
+        uppers = [list(map(repr, mag[i, i:].tolist())) for i in range(i0, i1)]
+        # columns[j - i0]: the strings of (k, j), k = i0 .. i1-1 ("" for k > j)
+        columns = list(zip(*[[""] * (i - i0) + upper for i, upper in enumerate(uppers, i0)]))
+        for i, upper in enumerate(uppers, i0):
+            pieces, cols[i - lo] = cols[i - lo], None
+            pieces += columns[i - i0][:i - i0]
+            pieces += upper
+            yield ",".join(pieces)
+        for col, column in zip(cols[i1 - lo:], columns[i1 - i0:]):
+            col.append(",".join(column))
+        if later is not None:
+            for col, column in zip(later, columns[hi - i0:]):
+                col.append(",".join(column))
+
+
+def _line(mag, i: int, text: str) -> str:
+    # Row i's line from its text: an entry left of the diagonal that differs
+    # from its mirror is formatted on its own, so every entry reads
+    # repr(|rho_ij|) whatever the matrix.
+    lone = np.flatnonzero(mag[i, :i] != mag[:i, i]).tolist()
+    if lone:
+        cells = text.split(",")
+        for k in lone:
+            cells[k] = repr(float(mag[i, k]))
+        text = ",".join(cells)
+    return text + "\n"
 
 
 def _report_payload(normalized: dict, report: MqsReport) -> dict:
@@ -627,7 +701,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
-            lines = _snapshot_csv(rho, t)
+            lines = _snapshot_csv(rho, t, out_dir)
             del rho  # the text needs only |rho|: free rho before it is written
             _write_atomic(os.path.join(out_dir, fname), lines)
             files.append(fname)

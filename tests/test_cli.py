@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincat import dicke, evolve, kernels, scenario
+from spincat import bands, dicke, evolve, kernels, scenario
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
@@ -188,14 +189,15 @@ def test_number_validation():
     assert validate_config(small_config(time_grid=grid))["time_grid"]["count"] == 800000
     err = config_error(small_config(time_grid=dict(grid, count=800001)))
     assert str(err) == "time_grid.count: must be <= 800000, got 800001"
-    # a solve takes at most nine integrals at 17-30 us per knot: 10000 knots
-    # keep it near the 2.0 s of a sweep point
+    # a solve at T > 0, at up to 250 us per knot, keeps to the 2.0 s of a
+    # sweep point at 8000 knots
+    assert scenario._MAX_TABLE_KNOTS == 8000
     table = [[0.1 * k, 1e-5] for k in range(scenario._MAX_TABLE_KNOTS)]
     assert validate_config(small_config(spectrum={"kind": "tabulated", "table": table}))
     err = config_error(small_config(spectrum={"kind": "tabulated",
                                               "table": table + [[1e9, 0.0]]}))
     assert err.field == "spectrum.table"
-    assert str(err) == "spectrum.table: at most 10000 knots, got 10001"
+    assert str(err) == "spectrum.table: at most 8000 knots, got 8001"
 
 
 def test_snapshot_grid_entries_are_bounded():
@@ -223,19 +225,19 @@ def test_table_knots_are_bounded_with_the_kernel_times():
     # points and snapshot times, one integral of at most 40 us per knot each)
     # is kept to the hour, 90000000
     assert scenario._MAX_KNOT_TIMES == 90_000_000
-    table = [[0.1 * k, 1e-5] for k in range(10000)]
+    table = [[0.1 * k, 1e-5] for k in range(8000)]
     spectrum = {"kind": "tabulated", "table": table}
-    grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 8999}
+    grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 11249}
     snaps = {"kind": "absolute", "values": [1.0]}
     assert validate_config(small_config(spectrum=spectrum, time_grid=grid,
                                         snapshot_times=snaps))
-    for over in (dict(time_grid=dict(grid, count=9000), snapshot_times=snaps),
+    for over in (dict(time_grid=dict(grid, count=11250), snapshot_times=snaps),
                  dict(time_grid=grid, snapshot_times=dict(snaps, values=[1.0, 2.0]))):
         err = config_error(small_config(spectrum=spectrum, **over))
         assert err.field == "spectrum.table"
-        assert str(err) == ("spectrum.table: at most 9998 knots with 9001 kernel times "
+        assert str(err) == ("spectrum.table: at most 7999 knots with 11251 kernel times "
                             "(knots * (time_grid.count + len(snapshot_times.values)) "
-                            "<= 90000000), got 10000")
+                            "<= 90000000), got 8000")
     # only the grid: 800000 points leave room for 112 knots
     grid = dict(grid, count=800000)
     spectrum = {"kind": "tabulated", "table": table[:112]}
@@ -527,6 +529,98 @@ def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
     assert list(tmp_path.glob(".tmp-*~")) == []
 
 
+def _lx_snapshot(n):
+    # an Lx state with complex entries of every size, exactly Hermitian
+    return to_x_basis(coherent_state(SectorLabel(n), 1.1, 0.3).projector())
+
+
+def _assert_no_band_leftovers(directory, expected):
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(directory)) == sorted(expected)
+
+
+@pytest.mark.parametrize("n, count", [(254, 2), (255, 2), (256, 2), (64, 3), (300, 3),
+                                      (401, 4)])
+def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, n, count):
+    # d = n + 1, odd and even, at the band threshold (2 * _BAND_ROWS rows) and
+    # one either side of it, with two to four bands
+    rho = _lx_snapshot(n)
+    serial, banded = tmp_path / "serial.csv", tmp_path / "banded.csv"
+    scenario._write_atomic(str(serial), scenario._snapshot_csv(rho, 2.5))
+    monkeypatch.setattr(scenario, "_band_count", lambda d: count)
+    scenario._write_atomic(str(banded), scenario._snapshot_csv(rho, 2.5, str(tmp_path)))
+    assert banded.read_bytes() == serial.read_bytes()
+    _assert_no_band_leftovers(tmp_path, ["serial.csv", "banded.csv"])
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_banded_snapshot_text_of_an_asymmetric_grid(tmp_path, monkeypatch, count):
+    # every entry reads repr(|rho_ij|), also where |rho| is not symmetric:
+    # lone entries left of a band, inside a band and on its first row
+    sec = SectorLabel(299)
+    el = _lx_snapshot(299).elements.copy()
+    rng = np.random.default_rng(7)
+    for i, j in [(150, 3), (299, 298), (89, 88), (200, 100), (88, 0), (250, 249)]:
+        el[i, j] *= 1.0 + 1e-15 * rng.integers(1, 9)
+    el[260:, :40] = rng.random((40, 40))
+    rho = dicke._density_matrix(sec, el, Basis.LX)
+    mags = np.abs(el)
+    assert np.count_nonzero(mags != mags.T) > 1600
+    monkeypatch.setattr(scenario, "_band_count", lambda d: count)
+    text = "".join(scenario._snapshot_csv(rho, 1.0, str(tmp_path)))
+    assert text.split("\n", 4)[4] == _grid_text(mags)
+    _assert_no_band_leftovers(tmp_path, [])
+
+
+def test_band_count_follows_the_usable_cores(monkeypatch):
+    rows = scenario._BAND_ROWS
+    for cores, expected in ((1, [1, 1, 1, 1]), (2, [1, 2, 2, 2]), (4, [1, 2, 3, 4])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        d_values = (2 * rows - 1, 2 * rows, 3 * rows, 100 * rows)
+        assert [scenario._band_count(d) for d in d_values] == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert scenario._band_count(100 * rows) == 1
+
+
+def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario, "_band_count", lambda d: 3)
+    lines = scenario._snapshot_csv(_lx_snapshot(300), 1.0, str(tmp_path))
+    for _ in range(40):  # the header and some of the first band's lines
+        next(lines)
+    lines.close()
+    _assert_no_band_leftovers(tmp_path, [])
+
+
+def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch):
+    def broken(conn, lefts):
+        raise RuntimeError("columns lost")
+
+    # only the workers receive columns; a forked worker sees the module as it
+    # was at the fork
+    monkeypatch.setattr(bands, "_recv_columns", broken)
+    monkeypatch.setattr(scenario, "_band_count", lambda d: 2)
+    target = tmp_path / "snapshot_000.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="snapshot band 1 of 2 failed"):
+        scenario._write_atomic(str(target), scenario._snapshot_csv(
+            _lx_snapshot(300), 1.0, str(tmp_path)))
+    assert target.read_text() == "old\n"
+    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
+
+
+def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
+    # d = 300 is formatted in bands wherever there are two usable cores
+    cfg = validate_config(small_config(
+        n_particles=299, outputs=["snapshots"], basis="Lx",
+        snapshot_times={"kind": "absolute", "values": [40.0]}))
+    run_scenario(cfg, output_dir=str(tmp_path))
+    (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LX)
+    assert (tmp_path / "snapshot_000.csv").read_text() == \
+        "".join(scenario._snapshot_csv(rho, 40.0))
+    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv", "snapshots_index.json"])
+
+
 def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
     cfg = validate_config(small_config(
         outputs=["kernels", "snapshots", "report"],
@@ -756,6 +850,14 @@ def test_cli_missing_config_exits_2(capsys):
     assert rc == 2
     assert captured.err.startswith("error:")
     assert "preset" in captured.err
+
+
+def test_cli_table_knots_over_the_cap_exit_2(tmp_path, capsys):
+    table = [[0.1 * k, 1e-5] for k in range(scenario._MAX_TABLE_KNOTS + 1)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(spectrum={"kind": "tabulated", "table": table})))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "spectrum.table: at most 8000 knots, got 8001" in capsys.readouterr().err
 
 
 def test_cli_invalid_json_exits_2(tmp_path, capsys):

@@ -129,6 +129,9 @@ def test_rotation_unitarity():
         M = rotation_to_x(SectorLabel(n))
         dim = M.shape[0]
         assert np.abs(M @ M.T - np.eye(dim)).max() < 1e-12
+        # every row has a definite parity, exactly: M[r, d-1-k] = (-1)**r M[r, k]
+        parity = (-1.0) ** np.arange(dim)
+        assert np.array_equal(M[:, ::-1], parity[:, None] * M)
 
 
 @pytest.mark.parametrize("n", [1000, 4096])
