@@ -19,7 +19,13 @@ constants the kernel quadrature reads (``origin``, ``features``, ``split``,
 ``support``, ``total``).  ``sd.g0`` and ``sd.gt`` are numpy forms that take
 a float or an array of any shape, elementwise and without a domain check;
 :func:`eval_g0` and :func:`eval_gt` add the check and return a float for a
-scalar argument.
+scalar argument.  The family formulas do not switch numpy's error state
+(entering ``np.errstate`` costs more than evaluating a scalar; only the
+thermal factor of a finite-temperature ``sd.gt`` holds its own), so an
+overflow to ``inf`` in ``sd.g0`` or ``sd.gt`` warns unless the caller
+holds ``np.errstate(over="ignore")`` or wider: :func:`eval_g0`,
+:func:`eval_gt` and every entrance of :mod:`spincat.kernels` hold it,
+once per call.
 
 All frequencies are angular frequencies in a single consistent unit (the
 cutoff ``omega_c`` is the natural choice); times are in the inverse unit.
@@ -55,19 +61,17 @@ _COTH_SERIES_CUT = 1e-4
 
 
 # Family formulas, elementwise on a float or an array.  Overflow gives inf
-# (and the spectrum 0) instead of raising.
+# (and the spectrum 0); the caller holds np.errstate (module docstring).
 
 
 def _ohmic_g0(alpha: float, omega_c: float, w):
-    with np.errstate(over="ignore"):
-        return alpha * w * np.exp(-w / omega_c)
+    return alpha * w * np.exp(-w / omega_c)
 
 
 def _lorentzian_g0(alpha: float, omega_0: float, omega_c: float, w):
     # scale-free: omega_c**2 would overflow for omega_c above about 1.3e154
-    with np.errstate(over="ignore"):
-        r = (w - omega_0) / omega_c
-        return alpha / (1.0 + r * r)
+    r = (w - omega_0) / omega_c
+    return alpha / (1.0 + r * r)
 
 
 def _tabulated_g0(ws: np.ndarray, gs: np.ndarray, w):
@@ -273,7 +277,8 @@ def _evaluate(fn, omega):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
         raise DomainError("omega must be >= 0")
-    out = fn(w)
+    with np.errstate(over="ignore"):
+        out = fn(w)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -32,7 +32,10 @@ Panels are graded between breakpoints (:func:`_graded`).  The stages:
   layout is one panel in ``x``, and each envelope is integrated once against
   ``exp(i x)``, ``f`` read from the imaginary part and ``Gamma`` from the
   real part (one envelope serves both at zero temperature), by
-  Filon-Clenshaw-Curtis (:func:`_filon_matrices`) at every panel width.
+  Filon-Clenshaw-Curtis (:func:`_filon_matrices`) at every panel width:
+  up to half-width ``_THETA_IBP`` a Gauss-Legendre sum folded onto its 32
+  positive nodes, two real sums against ``cos`` (real part) and ``sin``
+  (imaginary part), beyond it the integration-by-parts series.
 
 A remainder is bounded by its envelope moment: a mid or tail panel whose
 bounds are both below their floors ``epsa = 1e-13 |value|``, and the tail
@@ -42,6 +45,9 @@ with its whole budget, or the evaluation raises :class:`NumericError`
 naming it; ``Gamma`` raises :class:`KernelDivergenceError` where ``G_T(0+)``
 is infinite.  No rule sum goes through BLAS (``einsum`` without
 ``optimize``), so values do not depend on the batch or the thread count.
+Every entrance that evaluates a spectrum (:func:`_kernel_integral`,
+:func:`correlation_time`) holds ``np.errstate`` once per call: the
+spectrum formulas of :mod:`spincat.bath` do not switch it.
 For a Lorentzian the smooth moments over the tail beyond the split
 are still QUADPACK QAGI's (:func:`_qagi_tail`), which the benchmark's
 reference values pin.
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brent
-from .bath import SpectralDensity, SpectrumKind, eval_gt, gt_zero_limit
+from .bath import SpectralDensity, SpectrumKind, gt_zero_limit
 from .errors import (DomainError, KernelDivergenceError, NoFormationError, NumericError,
                      WidthUndefinedError)
 
@@ -157,7 +163,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - step
         if np.max(np.abs(step)) < 1e-16:
             break
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the mirrored roots converge to mirror values; make them exact mirrors
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _filon_matrices():
@@ -170,9 +178,14 @@ def _filon_matrices():
     ``theta <= _THETA_IBP``), beyond through the integration-by-parts
     series, which terminates for a polynomial:
     ``sum_j (-1)**j [p^(j)(1) e^(i theta) - p^(j)(-1) e^(-i theta)] /
-    (i theta)**(j+1)``.  Returns the nodes, the Gauss-Legendre matrix (its
-    weights folded in), the matrix of ``p^(j)(1)`` and ``p^(j)(-1)``, and
-    the rows giving the last three Chebyshev coefficients of ``p``.
+    (i theta)**(j+1)``.  The Gauss-Legendre nodes come in pairs ``+-x_q``,
+    so the sum folds onto the positive nodes as two real sums: ``sum_q
+    cos(theta x_q) [p(x_q) + p(-x_q)] w_q`` (the real part) and ``sum_q
+    sin(theta x_q) [p(x_q) - p(-x_q)] w_q`` (the imaginary part).  Returns
+    the nodes, the positive Gauss-Legendre nodes, the two folded matrices
+    (sample values to the bracketed sums, the weights folded in), the matrix
+    of ``p^(j)(1)`` and ``p^(j)(-1)``, and the rows giving the last three
+    Chebyshev coefficients of ``p``.
     """
     n = 24
     k = np.arange(n + 1)
@@ -192,10 +205,13 @@ def _filon_matrices():
         der[j] = der[j - 1] * (k * k - (j - 1) ** 2) / (2 * j - 1)
     sign = (-1.0) ** np.add.outer(k, k)
     ibp = np.concatenate([apply(der, cheb), apply(der * sign, cheb)])
-    return np.cos(np.pi * k / n), xq, wq[:, None] * apply(tq, cheb), ibp, cheb[-3:]
+    gl = wq[:, None] * apply(tq, cheb)  # samples to p(x_q) w_q; xq[-1 - q] == -xq[q]
+    m = _GL_NODES // 2
+    return (np.cos(np.pi * k / n), xq[:m], gl[:m] + gl[:m - 1:-1], gl[:m] - gl[:m - 1:-1],
+            ibp, cheb[-3:])
 
 
-_CC_U, _GL_X, _GL_MAT, _IBP_MAT, _CHEB_TAIL = _filon_matrices()
+_CC_U, _GL_X, _GL_COS, _GL_SIN, _IBP_MAT, _CHEB_TAIL = _filon_matrices()
 _IBP_POWERS = -np.arange(1.0, 26.0)
 # (-1)**j / (i theta)**(j+1) = (-i) i**j theta**-(j+1)
 _IBP_Z = -1j * 1j ** np.arange(25)
@@ -396,7 +412,10 @@ def _filon(envelopes, lo, hi, t):
     column.  Each envelope is integrated against ``exp(i x)`` once, ``f``
     read from the imaginary part and ``Gamma`` from the real part.  The
     phase at a node ``c + h u`` is ``exp(i c) exp(i h u)``, exact to
-    rounding wherever the panel sits.  The error estimate, ``2 h`` times the
+    rounding wherever the panel sits; up to ``_THETA_IBP`` the integral of
+    ``e exp(i h u)`` over ``u`` is the folded Gauss-Legendre sum, two real
+    sums of ``e`` against per-panel weights from ``cos(h x_q)`` and ``sin(h
+    x_q)`` at the 32 positive nodes.  The error estimate, ``2 h`` times the
     sum of the envelope's last three Chebyshev coefficients, bounds its
     interpolation error and ignores the oscillation's damping."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -404,9 +423,10 @@ def _filon(envelopes, lo, hi, t):
     res = np.empty(e.shape[:2], dtype=complex)  # integral of e exp(i x)
     gl = h <= _THETA_IBP
     if gl.any():
-        sums = np.einsum("enk,qk,nq->en", e[:, gl], _GL_MAT,
-                         np.exp(1j * (h[gl, None] * _GL_X)))
-        res[:, gl] = h[gl] * np.exp(1j * c[gl]) * sums
+        hx, e_gl = h[gl, None] * _GL_X, e[:, gl]
+        re = np.einsum("enk,nk->en", e_gl, np.einsum("nq,qk->nk", np.cos(hx), _GL_COS))
+        im = np.einsum("enk,nk->en", e_gl, np.einsum("nq,qk->nk", np.sin(hx), _GL_SIN))
+        res[:, gl] = h[gl] * np.exp(1j * c[gl]) * (re + 1j * im)
     ibp = ~gl
     if ibp.any():
         # A at u = 1 and B at u = -1: integral = h [A exp(i hi) - B exp(i lo)]
@@ -547,7 +567,9 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
 def _qagi_tail(sd: SpectralDensity, s: float) -> tuple[tuple[float, float], ...]:
     """Smooth moments ``G_0/w`` (``f``) and ``G_T/w**2`` (``Gamma``) of a
     Lorentzian over ``[s, inf)``, with their errors, by QUADPACK's QAGI
-    (scipy, imported here).
+    (scipy, imported here).  Where ``Gamma`` diverges (any Lorentzian at
+    ``T > 0``) its moment is not integrated and reads ``(0.0, 0.0)``:
+    :func:`_kernel_integral` sets ``t*Gamma`` to ``inf`` there.
 
     Transitional, as the benchmark's reference values (``perfbench/``) pin
     them: on a line much wider than 1, such as the cavity preset's, QAGI's
@@ -561,7 +583,10 @@ def _qagi_tail(sd: SpectralDensity, s: float) -> tuple[tuple[float, float], ...]
                              epsabs=1e-300, epsrel=_EPSREL, limit=200)
         return float(res[0]), float(res[1])
 
-    return qagi(lambda w: sd.g0(w) / w), qagi(lambda w: sd.gt(w) / (w * w))
+    f_tail = qagi(lambda w: sd.g0(w) / w)
+    if math.isinf(gt_zero_limit(sd)):
+        return f_tail, (0.0, 0.0)
+    return f_tail, qagi(lambda w: sd.gt(w) / (w * w))
 
 
 def _check_time(t: float):
@@ -614,11 +639,17 @@ def correlation_time(sd: SpectralDensity) -> float:
     if math.isinf(g_at_0):
         raise WidthUndefinedError(
             "G_T diverges at omega=0; no half-maximum width exists")
+    with np.errstate(over="ignore"):  # for the grid scan and every Brent step
+        return 1.0 / _half_maximum_width(sd, g_at_0)
+
+
+def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
+    """The width of :func:`correlation_time`, with ``g_at_0 = G_T(0+)`` finite."""
     feats = sd.features or (sd.omega_c,)
     lo = min(feats) * 1e-6
     hi = max(sd.split, max(feats)) * 20.0
     w = np.geomspace(lo, hi, 4000)
-    vals = eval_gt(sd, w)
+    vals = sd.gt(w)
 
     i_peak = int(np.argmax(vals))
     x_peak = float(w[i_peak])
@@ -664,7 +695,7 @@ def correlation_time(sd: SpectralDensity) -> float:
         else:
             # profile stays above half down to the sampled floor
             lower = brent.root(gt, 1e-300, px, xtol=1e-300, rtol=1e-14)
-    return 1.0 / (upper - lower)
+    return upper - lower
 
 
 # ---------------------------------------------------------------------------

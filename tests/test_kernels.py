@@ -1,6 +1,9 @@
 """Kernel quadrature against closed forms and frozen high-precision values."""
 
+import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -619,6 +622,148 @@ def test_far_detuned_line_matches_direct_quadrature():
 
             tf = mpmath.quad(integrand, points) + mpmath.quad(integrand, [points[-1], mpmath.inf])
             assert t * f_of_t(sd, t) == pytest.approx(float(tf), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Filon-Clenshaw-Curtis rule against repeated integration by parts
+
+
+def _chebyshev_monomials(n):
+    """Integer monomial coefficients of T_0 .. T_n, from T_(j+1) = 2u T_j - T_(j-1)."""
+    rows = [[1], [0, 1]]
+    while len(rows) <= n:
+        rows.append([2 * a - b for a, b in itertools.zip_longest([0] + rows[-1], rows[-2],
+                                                                 fillvalue=0)])
+    return rows
+
+
+_T24 = _chebyshev_monomials(24)
+
+
+def _filon_closed_form(coefs, lo, hi):
+    """``integral p(x) exp(i x) dx`` over ``[lo, hi]``, ``p(x) = sum_j coefs[j]
+    T_j((x - c)/h)`` with ``c, h`` the panel's centre and half-width, by
+    repeated integration by parts: ``[exp(i x) S(x)]`` from ``lo`` to
+    ``hi``, ``S = sum_m (-1)**m p^(m) / i**(m+1)``, which ends at ``p``'s
+    degree.  ``S`` at each end is an exact rational; the two ends cancel down
+    to the integral, so the phases are taken at 30 digits beyond ``|S|``."""
+    import mpmath
+
+    h = (Fraction(hi) - Fraction(lo)) / 2
+    mono = [sum(Fraction(b) * t[i] for b, t in zip(coefs, _T24) if i < len(t))
+            for i in range(len(coefs))]
+    ends = []
+    for end, u in ((hi, 1), (lo, -1)):
+        part = [Fraction(0), Fraction(0)]  # real, imaginary
+        for m in range(len(mono)):
+            d = sum(a * math.perm(i, m) * u ** (i - m)
+                    for i, a in enumerate(mono) if i >= m) / h ** m
+            # (-1)**m / i**(m+1) = -i**(m+1): -i, 1, i, -1, ...
+            part[(m + 1) % 2] += d * (-1, 1, 1, -1)[m % 4]
+        ends.append((end, part))
+    size = max(abs(p) for _, part in ends for p in part)
+    with mpmath.workdps(30 + max(0, math.ceil(math.log10(size)))):
+        (e_hi, s_hi), (e_lo, s_lo) = ((mpmath.expj(end), mpmath.mpc(
+            *(mpmath.mpf(p.numerator) / p.denominator for p in part))) for end, part in ends)
+        return complex(e_hi * s_hi - e_lo * s_lo)
+
+
+def _chebyshev_samples(coefs):
+    """``sum_j coefs[j] T_j(u_k)`` at the 25 Clenshaw-Curtis points ``u_k =
+    cos(k pi / 24)``, ``T_j(u_k) = cos(j k pi / 24)``, at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return [float(mpmath.fsum(mpmath.mpf(b) * mpmath.cospi(mpmath.mpf(j * k) / 24)
+                                  for j, b in enumerate(coefs))) for k in range(25)]
+
+
+@pytest.mark.parametrize("n_envelopes", [1, 2])
+def test_filon_rule_is_exact_for_polynomial_envelopes(n_envelopes):
+    # the 25-point interpolant reproduces an envelope of degree <= 24, so the
+    # rule must return its integral against exp(i x) to rounding, by
+    # Gauss-Legendre up to half-width _THETA_IBP = 48 and by integration by
+    # parts beyond; f reads the first envelope's imaginary part, Gamma the
+    # last envelope's real part
+    from spincat import kernels
+
+    rng = np.random.default_rng(7)
+    lo, hi, coefs = [], [], []
+    for c in (0.0, 3.0):
+        for h in (0.1, 1.0, 47.9, kernels._THETA_IBP, 48.1, 500.0):
+            for degree in (0, 1, 7, 24):
+                lo.append(c - h)
+                hi.append(c + h)
+                coefs.append(rng.uniform(-1.0, 1.0, degree + 1).tolist())
+                # the rule's centre and half-width span the panel exactly
+                cf, hf = 0.5 * (lo[-1] + hi[-1]), 0.5 * (hi[-1] - lo[-1])
+                assert (Fraction(cf) - Fraction(hf), Fraction(cf) + Fraction(hf)) == (
+                    Fraction(lo[-1]), Fraction(hi[-1]))
+    lo, hi = np.array(lo), np.array(hi)
+    polys = [coefs, coefs[5:] + coefs[:5]][:n_envelopes]
+    samples = np.array([[_chebyshev_samples(b) for b in env] for env in polys])
+    est = kernels._filon(lambda x, t: samples, lo, hi, np.ones((lo.size, 1)))
+    assert np.isfinite(est).all()
+    for i in range(lo.size):
+        first = _filon_closed_form(polys[0][i], lo[i], hi[i])
+        last = _filon_closed_form(polys[-1][i], lo[i], hi[i])
+        assert abs(est[i, 0] - first.imag) <= 1e-13 * abs(first), (lo[i], hi[i], len(polys[0][i]))
+        assert abs(est[i, 1] - last.real) <= 1e-13 * abs(last), (lo[i], hi[i], len(polys[-1][i]))
+
+
+# ---------------------------------------------------------------------------
+# numpy's error state: held once by each entrance, not by the spectra
+
+
+def test_overflow_raises_no_warning_at_the_entrances():
+    # the spectrum formulas overflow to inf (r*r of a far Lorentzian, beta*w
+    # of a thermal factor) without switching numpy's error state; every
+    # entrance that evaluates a spectrum holds it instead
+    from spincat.bath import eval_g0, eval_gt
+
+    w = np.array([0.0, 1.0, 1e200, 1.7e308])
+    cavity = lorentzian(318309.8861837907, 1e6, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sd in (ohmic(1.0), ohmic(1.0, beta=2.0), lorentzian(1.0, 1.0, 10.0),
+                   lorentzian(1.0, 1.0, 10.0, beta=2.0), lorentzian(1.0, 1e200, 1.0)):
+            for evaluate in (eval_g0, eval_gt):
+                assert math.isfinite(evaluate(sd, 1e200))
+                assert evaluate(sd, w).shape == w.shape
+        assert correlation_time(cavity) == pytest.approx(0.5e-6, rel=1e-9)
+        with pytest.raises(WidthUndefinedError):  # narrower than the float spacing there
+            correlation_time(lorentzian(1.0, 1.0, 1e160))
+        for sd, t in ((ohmic(1.0, 1e200), 1e-198), (ohmic(2.5e-5, beta=5.0), 3.0),
+                      (lorentzian(1.0, 1.0, 1e160), 1.0), (cavity, 1e-8),
+                      (tabulated(_TABLE), 3.0), (tabulated(_TABLE, beta=5.0), 3.0)):
+            assert math.isfinite(f_of_t(sd, t))
+            assert math.isfinite(gamma_of_t(sd, t))
+            if sd.omega_0 < 1e160:  # the far line has no t_corr for the table's summary
+                assert tabulate_kernels(sd, [t, 2.0 * t]).f_values.size == 2
+        hot = lorentzian(0.043, 1.0, 10.0, beta=2.0)
+        assert math.isfinite(f_of_t(hot, 1.0))
+        for read in (lambda: gamma_of_t(hot, 1.0), lambda: tabulate_kernels(hot, [1.0])):
+            with pytest.raises(KernelDivergenceError):
+                read()
+
+
+def test_thermal_lorentzian_integrates_only_the_phase_tail(monkeypatch):
+    # at T > 0 a Lorentzian's Gamma diverges (G_0(0) > 0), so of the two
+    # smooth tail moments QAGI integrates f's alone, and f is as before
+    from scipy import integrate
+
+    from spincat import kernels
+
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+    kernels._qagi_tail.cache_clear()
+    hot = lorentzian(0.043, 1.0, 10.0, beta=2.0)
+    assert f_of_t(hot, 0.011) == pytest.approx(2.9281113281872563e-05, rel=1e-14)
+    assert len(calls) == 1
+    cold = lorentzian(0.043, 1.0, 10.0)
+    gamma_of_t(cold, 0.011)
+    assert len(calls) == 3  # at T = 0 both moments
 
 
 def test_tabulate_kernels_grid_validation():
