@@ -15,7 +15,8 @@ is evaluated once per node and ``G_T`` dressed from it (``sd.dress``), every
 panel of every time is one row of the same array, and each (time, stage)
 group bisects its own panels until each kernel's summed error meets that
 kernel's tolerance, so a time's values are the same alone or in a batch.
-Panels are graded between breakpoints (:func:`_graded`).  The stages:
+Panels are graded between breakpoints (:func:`_graded`), those between two
+marks once per spectrum (:func:`_mark_panels`).  The stages:
 
 * the head ``[0, min(pi/t, support)]``: ``G_0`` and ``G_T`` times their
   factors, free of cancellation, on G10K21 panels (Gauss-Kronrod with
@@ -55,13 +56,16 @@ reference values pin.
 The quantities that depend on the bath alone live here, memoised per
 process: :func:`markov_limits` (with ``t_corr``) per spectrum, and the
 formation time :func:`solve_bath` per spectrum and horizon, apart so that
-a run that never reads ``tau`` does not solve for it.
+a run that never reads ``tau`` does not solve for it.  After the Markov
+sample a solve takes 3 kernel integrals for fig1, phonon, cavity and most
+24-knot tables (4 for the rest), 6 for fig2's line.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +95,7 @@ _EPSREL = 1e-11
 _CONTRACT_REL = 1e-9
 # Below this w*t, 1 - cos(w t) in the head is taken from its Taylor series.
 _SERIES_CUT = 1e-4
-_CACHE_SIZE = 64  # entries of each bath-only memo: Markov limits, bath solutions, QAGI tails
+_CACHE_SIZE = 64  # entries of each memo: Markov limits, bath solutions, mark panels, QAGI tails
 _HALF_PI = math.pi / 2.0
 _TAU_RESIDUAL_TOL = 1e-9 * _HALF_PI
 # Default formation-time search horizon, in units of the correlation time.
@@ -297,13 +301,13 @@ _HEAD, _MID, _TAIL = range(3)
 _TAIL_EDGES = [0.0] + [4.0 ** -j for j in range(15, -1, -1)]
 
 
-def _graded(lo: float, hi: float, marks: list[float]) -> list[float]:
-    """Edges splitting ``[lo, hi]`` into panels that double in length away
-    from each end, starting at the distance from that end to the nearest
-    point of ``marks`` (0 and the features, sorted) beyond it: a panel is
-    about as long as its distance to the structure it approaches.  An end
-    at 0 is not graded; the panel where the two sides meet is at most 1.5
-    times the smaller current length."""
+def _graded(lo: float, hi: float, marks: list[float]) -> tuple[list[float], list[float]]:
+    """Panels (``lo`` and ``hi`` edges) splitting ``[lo, hi]`` that double in
+    length away from each end, starting at the distance from that end to the
+    nearest point of ``marks`` (0 and the features, sorted) beyond it: a
+    panel is about as long as its distance to the structure it approaches.
+    An end at 0 is not graded; the panel where the two sides meet is at most
+    1.5 times the smaller current length."""
     k = bisect.bisect_left(marks, lo)
     step_lo = lo - marks[k - 1] if k else math.inf
     k = bisect.bisect_right(marks, hi)
@@ -316,7 +320,52 @@ def _graded(lo: float, hi: float, marks: list[float]) -> list[float]:
         else:
             right.append(right[-1] - step_hi)
             step_hi *= 2.0
-    return left + right[::-1]
+    return left + right[:0:-1], left[1:] + right[::-1]
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _mark_panels(feats: tuple[float, ...]):
+    """The marks ``[0, *feats]`` and :func:`_graded`'s panels between consecutive
+    marks: ``lo`` and ``hi`` edges, and where each interval's panels start."""
+    marks = [0.0, *feats]
+    panels = [_graded(a, b, marks) for a, b in zip(marks[:-1], marks[1:])]
+    return (marks, [x for lo, _ in panels for x in lo], [x for _, hi in panels for x in hi],
+            [0, *itertools.accumulate(len(lo) for lo, _ in panels)])
+
+
+def _first_layout(sd: SpectralDensity, times: np.ndarray):
+    """:func:`_integrate`'s first panels (``lo``, ``hi``, rows ``(time, kind,
+    index)``), time by time its head, mid range and tail, graded between the
+    breakpoints 0, the features, pi/t, the split and the support; then each
+    time's tail scale ``d`` and start ``s`` (0 if none) and the tail origin ``p0``."""
+    feats, support, split, n = sd.features, sd.support, sd.split, times.size
+    marks, m_lo, m_hi, m_at = _mark_panels(feats)
+    p0 = marks[bisect.bisect_left(feats, split)]  # the last feature below the split, or 0
+    p_lo, p_hi, runs = [], [], []  # runs: (time, kind, panels) in layout order
+    tail_d, tail_s = np.zeros(n), np.zeros(n)
+    for i, t in enumerate(times.tolist()):
+        a = math.pi / t
+        b_head, s = min(a, support), min(max(a, split), support)
+        k = bisect.bisect_left(feats, b_head)  # [0, feats < b_head, b_head]
+        chunks = [(_HEAD, m_lo[:m_at[k]], m_hi[:m_at[k]]),
+                  (_HEAD, *_graded(marks[k], b_head, marks))]
+        if a < s:  # [a, a < feats < s, s]
+            j0, j1 = bisect.bisect_right(feats, a), bisect.bisect_left(feats, s)
+            chunks.append((_MID, *_graded(a, feats[j0] if j0 < j1 else s, marks)))
+            if j0 < j1:
+                chunks += [(_MID, m_lo[m_at[j0 + 1]:m_at[j1]], m_hi[m_at[j0 + 1]:m_at[j1]]),
+                           (_MID, *_graded(feats[j1 - 1], s, marks))]
+        if support > s:
+            tail_s[i], tail_d[i] = s, s - p0
+            chunks.append((_TAIL, _TAIL_EDGES[:-1], _TAIL_EDGES[1:]))
+        for kind, lo, hi in chunks:
+            runs.append((i, kind, len(lo)))
+            p_lo += lo
+            p_hi += hi
+    runs = np.array(runs, dtype=np.intp)
+    aux = np.repeat(runs, runs[:, 2], axis=0)
+    aux[:, 2] = np.arange(len(aux))
+    return np.array(p_lo), np.array(p_hi), aux, tail_d, tail_s, p0
 
 
 def _head_factors(w, t):
@@ -354,8 +403,7 @@ def _smooth_rule(sd, dress, times, p0, tail_d):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         v = c[:, None] + h[:, None] * _GK_X
         kind = aux[:, 1]
-        w = v
-        mult = 1.0 / v
+        w, mult = v, 1.0 / v
         tail = kind == _TAIL
         if tail.any():
             # w = p0 + d/u: dw/w = d du/(u q) and dw/w**2 = d du/q**2, q = u w
@@ -379,7 +427,7 @@ def _smooth_rule(sd, dress, times, p0, tail_d):
             f[head, 0] = g0[head] * f_head
             f[head, 1] = gt[head] * g_head
         if tail.any():  # no spectral weight at infinite frequency
-            f[np.broadcast_to(np.isinf(w)[:, None], f.shape)] = 0.0
+            np.copyto(f, 0.0, where=np.isinf(w)[:, None])
         est = _gk21(f, h)
         return est[:, :, :2].reshape(-1, 4), est[:, 0] + est[:, 1]
 
@@ -479,35 +527,11 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
     time as it does when the time is integrated alone."""
     # where Gamma diverges, G_T has no weight here: f alone steers the quadrature
     dress = (lambda w, g: np.zeros_like(g)) if math.isinf(gt_zero_limit(sd)) else sd.dress
-    feats, support, split, n = sd.features, sd.support, sd.split, times.size
-    below = [p for p in feats if p < split]
-    p0 = below[-1] if below else 0.0  # tail origin
+    n = times.size
+    lo0, hi0, aux0, tail_d, tail_s, p0 = _first_layout(sd, times)
 
     # -- stage 1: head and smooth moments, G10K21 ----------------------------
-    # groups: 2i the head of time i, 2i+1 its smooth moments (mid and tail);
-    # panels are graded between consecutive breakpoints (0, the features,
-    # pi/t, the split and the support)
-    marks = [0.0, *feats]
-    p_lo: list[float] = []
-    p_hi: list[float] = []
-    p_aux: list[tuple[int, int, int]] = []  # (time, kind, index in this first layout)
-    tail_d = np.zeros(n)  # scale d of each time's tail, 0 where it has none
-    tail_s = np.zeros(n)
-    for i, t in enumerate(times.tolist()):
-        a = math.pi / t
-        b_head, s = min(a, support), min(max(a, split), support)
-        for kind, bounds in ((_HEAD, [0.0, *(p for p in feats if p < b_head), b_head]),
-                             (_MID, [a, *(p for p in feats if a < p < s), s] if a < s else [])):
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                edges = _graded(lo, hi, marks)
-                p_aux += [(i, kind, len(p_lo) + k) for k in range(len(edges) - 1)]
-                p_lo += edges[:-1]
-                p_hi += edges[1:]
-        if support > s:
-            tail_s[i], tail_d[i] = s, s - p0
-            p_aux += [(i, _TAIL, len(p_lo) + k) for k in range(len(_TAIL_EDGES) - 1)]
-            p_lo += _TAIL_EDGES[:-1]
-            p_hi += _TAIL_EDGES[1:]
+    # groups: 2i the head of time i, 2i+1 its smooth moments (mid and tail)
     # value = weight * (head, smooth) sums: the head rows hold their factors
     # over t, t*f has t times the moment of G_0/w, t*Gamma that of G_T/w**2
     weight = np.repeat(times, 4).reshape(2 * n, 2)
@@ -517,19 +541,16 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
         scale = (weight * np.abs(sums)).reshape(n, 2, 2).sum(axis=1)
         return np.maximum(_EPSREL * scale.repeat(2, axis=0) / weight, 1e-300)
 
-    lo0, hi0 = np.array(p_lo), np.array(p_hi)
-    aux0 = np.array(p_aux, dtype=np.intp).reshape(-1, 3)
     _, _, aux, gid, (est, bound), sums, capped = _refine(
         _smooth_rule(sd, dress, times, p0, tail_d), lo0, hi0, aux0,
         2 * aux0[:, 0] + (aux0[:, 1] != _HEAD), 2 * n, tolerance)
-    bound = bound[:, [-1, 1]]  # of the envelope moments of f and Gamma
     if sd.kind is SpectrumKind.LORENTZIAN:  # a line's tail is _qagi_tail's
         own = aux[:, 1] != _TAIL
         sums = _group_sums(gid[own], est[own], 2 * n)
         for i in np.flatnonzero(tail_d).tolist():
             tail = np.array(_qagi_tail(sd, float(tail_s[i])))  # (kernel, (value, error))
             sums[2 * i + 1] += tail.T.ravel()
-    total = (np.tile(weight, 2) * sums).reshape(n, 2, 4).sum(axis=1)
+    total = (weight[:, None] * sums.reshape(2 * n, 2, 2)).reshape(n, 2, 4).sum(axis=1)
     value, budget = total[:, :2], total[:, 2:]
 
     # -- stage 2: oscillatory remainder in x = w t ---------------------------
@@ -539,18 +560,18 @@ def _integrate(sd: SpectralDensity, times: np.ndarray):
     # envelope moments are below their floors epsa or it reaches w = inf (the
     # tail panel at u = 0): then its bounds go into the budgets instead.
     epsa = np.maximum(1e-13 * np.abs(value), 1e-280)
-    smooth = aux[:, 1] != _HEAD
-    panel_bound = _group_sums(aux[smooth, 2], bound[smooth], lo0.size)
-    first = np.flatnonzero(aux0[:, 1] != _HEAD)
-    owner = aux0[first, 0]
-    drop = (panel_bound[first] <= epsa[owner]).all(axis=1) | (lo0[first] == 0.0)
-    np.add.at(budget, owner[drop], panel_bound[first[drop]])
-    first, owner = first[~drop], owner[~drop]
-    o_lo, o_hi = lo0[first], hi0[first]
-    in_tail = aux0[first, 1] == _TAIL  # u panels: w = p0 + d/u
-    d = tail_d[owner[in_tail]]
-    o_lo[in_tail], o_hi[in_tail] = p0 + d / o_hi[in_tail], p0 + d / o_lo[in_tail]
-    if first.size:
+    # each first panel's bounds of the envelope moments of f and Gamma, summed over its halves
+    panel_bound = _group_sums(aux[:, 2], bound.take((-1, 1), axis=1), lo0.size)
+    owner, kind = aux0[:, 0], aux0[:, 1]
+    keep = kind != _HEAD
+    drop = keep & ((panel_bound <= epsa[owner]).all(axis=1) | (lo0 == 0.0))
+    np.add.at(budget, owner[drop], panel_bound[drop])
+    keep &= ~drop
+    owner, tail = owner[keep], kind[keep] == _TAIL  # u panels: w = p0 + d/u
+    d = tail_d[owner]
+    o_lo = np.where(tail, p0 + d / hi0[keep], lo0[keep])
+    o_hi = np.where(tail, p0 + d / lo0[keep], hi0[keep])
+    if owner.size:
         *_, o_sums, o_capped = _refine(
             _oscillatory_rule(sd, dress, times), o_lo * times[owner], o_hi * times[owner],
             owner[:, None], owner, n, lambda sums: np.maximum(epsa, _EPSREL * np.abs(sums)))
@@ -646,34 +667,32 @@ def correlation_time(sd: SpectralDensity) -> float:
 def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
     """The width of :func:`correlation_time`, with ``g_at_0 = G_T(0+)`` finite."""
     feats = sd.features or (sd.omega_c,)
-    lo = min(feats) * 1e-6
-    hi = max(sd.split, max(feats)) * 20.0
-    w = np.geomspace(lo, hi, 4000)
+    w = np.geomspace(min(feats) * 1e-6, max(sd.split, max(feats)) * 20.0, 4000)
     vals = sd.gt(w)
 
     i_peak = int(np.argmax(vals))
-    x_peak = float(w[i_peak])
-    peak_v = float(vals[i_peak])
+    x_peak, peak_v = float(w[i_peak]), float(vals[i_peak])
     if 0 < i_peak < len(w) - 1:
         # a narrow line can slip between grid points; polish the maximum
         x_min, f_min = brent.minimize(lambda x: -sd.gt(x), w[i_peak - 1], w[i_peak + 1],
                                       xatol=float(w[i_peak]) * 1e-12)
         if -f_min > peak_v:
-            peak_v = -f_min
-            x_peak = x_min
+            x_peak, peak_v = x_min, -f_min
     if g_at_0 >= peak_v:
-        peak_v = g_at_0
-        x_peak = 0.0
+        x_peak, peak_v = 0.0, g_at_0
     if not peak_v > 0.0:
-        raise WidthUndefinedError("spectrum is identically zero; width undefined")
+        at = [x for x in feats if sd.gt(x) > 0.0]  # a line the scan and the polish stepped over
+        raise WidthUndefinedError(
+            f"G_T is positive at omega={at[0]!r} but vanishes beside it: the line's width is "
+            "below float resolution at its centre; width undefined" if at else
+            "spectrum is identically zero; width undefined")
     half = 0.5 * peak_v
 
     gt = lambda x: sd.gt(x) - half
     # upper crossing: first drop below half maximum beyond the peak; the
     # scan is seeded with the polished peak so sub-resolution lines still
     # bracket correctly
-    upper = None
-    px, pv = x_peak, peak_v
+    upper, px, pv = None, x_peak, peak_v
     for i in range(int(np.searchsorted(w, px, side="right")), len(w)):
         if pv >= half > vals[i]:
             upper = brent.root(gt, max(px, 1e-300), w[i], xtol=1e-300, rtol=1e-14)
@@ -807,53 +826,55 @@ class BathSolution:
 def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     """Formation time ``tau`` (root of ``t*f(t) = pi/2``) and the kernels there.
 
-    ``t*f(t)`` is nondecreasing and ``f`` tends to its Markov limit ``f_M``,
-    so the search starts at ``(pi/2)/f_M`` (:func:`markov_limits`, shared
-    with the kernel tables), kept within ``[t_corr, horizon_factor *
-    t_corr]``, or at ``t_corr`` when ``f_M`` is not positive.  From there it
-    doubles up, or halves down, until ``g(lo) < 0 <= g(hi)`` with
-    ``g(t) = t*f(t) - pi/2``, keeping the last point integrated as the other
-    end; a step that passes the Markov sample stops there instead, since its
-    ``f`` is already known.  Brent's method polishes the root inside that
-    certified bracket, and the returned root satisfies ``|tau f(tau) - pi/2|
-    <= 1e-9 * pi/2``.  ``(f, Gamma)`` is kept by time for the whole solve,
-    so no time is integrated twice and both kernels at ``tau`` come from
-    Brent's integral there.  Raises :class:`NoFormationError` (with ``t*f``
-    at the horizon) when the phase never reaches the threshold inside the
-    horizon.  Memoised per process.
+    ``g(t) = t*f(t) - pi/2`` is nondecreasing and ``f`` tends to its Markov
+    limit ``f_M``, so the search starts at ``(pi/2)/f_M`` (:func:`markov_limits`),
+    kept within ``[t_corr, horizon_factor * t_corr]``, or at ``t_corr`` when
+    ``f_M`` is not positive.  The first step goes to the fixed-point step
+    ``(pi/2)/f(t)``, held within ``[t/2, 2t]`` and the horizon, which ends a
+    certified bracket ``g(lo) < 0 <= g(hi)`` wherever ``f`` is nondecreasing;
+    later steps double up or halve down, the last point integrated being the
+    other end, and a step past the Markov sample (whose ``f`` is known) stops
+    there.  Brent's method polishes the root, taking ``|g| <= 2 ulp(pi/2)`` as
+    a root, so no integral goes into steps of an ulp; ``|tau f(tau) - pi/2|
+    <= 1e-9 * pi/2``.  No time is integrated twice, and both kernels at
+    ``tau`` come from Brent's integral there.  Raises :class:`NoFormationError`
+    (with ``t*f`` at the horizon) when the phase never reaches the threshold
+    inside the horizon.  Memoised per process.
     """
     markov = markov_limits(sd)
-    t_c = markov.t_corr
+    f_m, t_m, t_c = markov.f_markov, markov.t_eval, markov.t_corr
     horizon = horizon_factor * t_c
-    f_m, t_m = markov.f_markov, markov.t_eval
     known = {t_m: (f_m, None)}  # f and its integral (Gamma too; none for the Markov sample)
 
     def g(t):
         if t not in known:
             integral = _kernels_at(sd, t)
             known[t] = float(_rates(*integral, 0)[0]), integral
-        return t * known[t][0] - _HALF_PI
+        r = t * known[t][0] - _HALF_PI  # within 2 ulps of 0 it is the root: Brent stops there
+        return 0.0 if abs(r) <= 2.0 * math.ulp(_HALF_PI) else r
 
     lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
     glo = ghi = g(hi)
-    if ghi < 0.0:  # double up; the last point below is the lower end
+    # the first step goes to the fixed-point step (pi/2)/f, each later one doubles or halves
+    step = _HALF_PI / known[hi][0] if known[hi][0] > 0.0 else math.inf
+    if ghi < 0.0:  # step up; the last point below is the lower end
         while ghi < 0.0 and hi < horizon:
             lo, glo = hi, ghi
-            up = min(2.0 * hi, horizon)
+            up = min(step, 2.0 * hi, horizon)
             hi = t_m if hi < t_m < up else up
-            ghi = g(hi)
+            ghi, step = g(hi), math.inf
         if ghi < 0.0:
-            raise NoFormationError(
-                f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
-                f"(< pi/2) up to the horizon t = {horizon!r}",
-                estimate=ghi + _HALF_PI)
-    else:  # halve down; the last point at or above is the upper end
+            raise NoFormationError(f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
+                                   f"(< pi/2) up to the horizon t = {horizon!r}",
+                                   estimate=ghi + _HALF_PI)
+    else:  # step down; the last point at or above is the upper end
         for _ in range(200):
             if glo <= 0.0:
                 break
             hi, ghi = lo, glo
-            lo = t_m if lo / 2.0 < t_m < lo else lo / 2.0
-            glo = g(lo)
+            down = max(step, lo / 2.0)
+            lo = t_m if down < t_m < lo else down
+            glo, step = g(lo), 0.0
         else:
             raise NumericError("failed to bracket the formation time from below")
     # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
@@ -861,9 +882,8 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     f_tau, integral = known[tau]
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
-        raise NumericError(
-            f"formation-time residual {residual!r} exceeds tolerance",
-            estimate=tau, error_bound=residual)
+        raise NumericError(f"formation-time residual {residual!r} exceeds tolerance",
+                           estimate=tau, error_bound=residual)
     gamma_tau = gamma_of_t(sd, tau) if integral is None else float(_rates(*integral, 1)[0])
     return BathSolution(float(tau), f_tau, gamma_tau)
 

@@ -317,7 +317,7 @@ def test_solve_bath_failures_are_not_cached():
 
 
 # ---------------------------------------------------------------------------
-# solve_bath: a bracket seeded from the Markov rate, no time integrated twice
+# solve_bath: a bracket from the fixed-point step, no time integrated twice
 
 
 def _workload_table(amp, width):
@@ -373,40 +373,74 @@ def _fresh_solve(monkeypatch, sd, horizon_factor, roots=None):
 def test_solve_bath_takes_a_handful_of_kernel_integrals(monkeypatch, name):
     make, tau = _BATHS[name]
     roots = []
-    bath, integrals = _fresh_solve(monkeypatch, *make(), roots=roots)
+    sd, horizon_factor = make()
+    bath, integrals = _fresh_solve(monkeypatch, sd, horizon_factor, roots=roots)
     # Markov sample, bracket and Brent, none at a time seen before; Gamma(tau)
     # comes from Brent's integral at tau, so no integral follows the root
-    assert len(integrals) <= 9
+    assert len(integrals) <= 7
     assert len(set(integrals)) == len(integrals)
     assert roots[-1] == len(integrals)
     assert bath.tau == pytest.approx(tau, rel=1e-14, abs=0.0)
     assert abs(bath.tau * bath.f_tau - HALF_PI) <= 1e-9 * HALF_PI
+    # a residual within 2 ulp(pi/2) is the root: Brent takes no step beyond it
+    assert not [t for t in integrals[1:-1]
+                if abs(t * f_of_t(sd, t) - HALF_PI) <= 2.0 * math.ulp(HALF_PI)]
+
+
+def _shelf(alpha):
+    # a flat shelf far below a tall line: t_corr is the line's, f the shelf's,
+    # and f grows faster than t about the Markov sample
+    return tabulated([[0.0, alpha], [0.06, alpha], [0.12, 0.0], [980.0, 0.0],
+                      [990.0, 2.5 * alpha], [1010.0, 2.5 * alpha], [1020.0, 0.0]])
 
 
 @pytest.mark.parametrize("sd, tau, ends", [
-    # f(start) < f_M: double up
-    (lorentzian(0.042987621655032664, 1.0, 10.0), 100.0, ("start", "double")),
-    # G_0(0) > 0 keeps f growing past f_M: halve down
-    (tabulated([[0.0, 1e-7], [1.0, 2e-5], [4.0, 2e-5], [8.0, 0.0]]), 27884.63918053878,
-     ("half", "start")),
-    # the Markov sample lies between the start and its half, or its double,
-    # and closes the bracket at no cost
-    (ohmic(2.6e-3), 605.7215787874289, ("markov", "start")),
-    (ohmic(5.2e-3), 303.64371969664006, ("start", "markov")),
-], ids=["double-up", "halve-down", "markov-below", "markov-above"])
-def test_solve_bath_brackets_from_the_markov_rate(monkeypatch, sd, tau, ends):
+    # f nondecreasing: the fixed-point step (pi/2)/f(start) is the other end,
+    # above the start (fig2's line) or below it
+    (lorentzian(0.042987621655032664, 1.0, 10.0), 100.0, ("start", "fixed")),
+    (ohmic(2.6e-3), 605.7215787874289, ("fixed", "start")),
+    # the step is held to 2t, or to t/2
+    (_shelf(0.17), 22.98540783075044, ("start", "double")),
+    (_shelf(0.028), 50.23554280861539, ("half", "start")),
+    # the Markov sample lies between the start and its step and closes the
+    # bracket at no cost
+    (_shelf(0.045), 40.21514269124584, ("markov", "start")),
+    (_shelf(0.12), 26.521946748276967, ("start", "markov")),
+    # fig2's line coupled 93 times as strongly: f falls beyond the start, so
+    # the step does not change sign, and the search doubles from there
+    (lorentzian(4.0, 1.0, 10.0), 1.213935082216532, ("fixed", "fixed-double")),
+], ids=["fixed-above", "fixed-below", "double-up", "halve-down", "markov-below",
+        "markov-above", "fixed-no-bracket"])
+def test_solve_bath_brackets_from_the_fixed_point_step(monkeypatch, sd, tau, ends):
     brackets = []  # correlation_time finds its crossings first
     root = brent.root
     monkeypatch.setattr(brent, "root",
                         lambda g, a, b, **kw: brackets.append((a, b)) or root(g, a, b, **kw))
     bath, integrals = _fresh_solve(monkeypatch, sd, 1e6)
+    assert len(set(integrals)) == len(integrals)
     markov = markov_limits(sd)
     start = HALF_PI / markov.f_markov
+    fixed = HALF_PI / f_of_t(sd, start)
     named = {"start": start, "double": 2.0 * start, "half": start / 2.0,
-             "markov": markov.t_eval}
+             "markov": markov.t_eval, "fixed": fixed, "fixed-double": 2.0 * fixed}
     assert brackets[-1] == tuple(named[e] for e in ends)
-    assert len(set(integrals)) == len(integrals)
     assert bath.tau == pytest.approx(tau, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(lambda e, omega_c, beta: ohmic(10.0 ** e, omega_c, beta=beta),
+              st.floats(-5.0, -1.0), st.floats(0.1, 10.0),
+              st.sampled_from([math.inf, 0.5, 2.0, 10.0])),
+    st.builds(lambda amp, width, beta: tabulated(_workload_table(amp, width), beta=beta),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.sampled_from([math.inf, 2.0, 5.0]))))
+def test_solve_bath_finds_brents_converged_root(sd):
+    # t*f(t) is nondecreasing, so [tau/2, 2 tau] brackets the root whatever
+    # bracket the solve took; Brent run to convergence there is the oracle
+    tau = solve_bath(sd, 1e6).tau
+    oracle = brent.root(lambda t: t * f_of_t(sd, t) - HALF_PI, tau / 2.0, 2.0 * tau,
+                        xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    assert tau == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 def test_solve_bath_start_clamped_to_the_horizon(monkeypatch):

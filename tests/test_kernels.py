@@ -1,5 +1,6 @@
 """Kernel quadrature against closed forms and frozen high-precision values."""
 
+import bisect
 import itertools
 import math
 import warnings
@@ -284,6 +285,20 @@ def test_correlation_time_errors():
         correlation_time(lorentzian(1.0, 1.0, 3.0, beta=2.0))
     with pytest.raises(WidthUndefinedError):
         correlation_time(tabulated([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_correlation_time_of_a_line_below_float_resolution():
+    # the line at 1e160 is narrower than the float spacing there (about
+    # 2e144): G_T is 1 at its centre and 0 at every other float, so no
+    # width can be measured; that is not a spectrum that is zero everywhere
+    with pytest.raises(WidthUndefinedError) as err:
+        correlation_time(lorentzian(1.0, 1.0, 1e160))
+    assert str(err.value) == ("G_T is positive at omega=1e+160 but vanishes beside it: the "
+                              "line's width is below float resolution at its centre; "
+                              "width undefined")
+    with pytest.raises(WidthUndefinedError) as err:
+        correlation_time(ohmic(0.0))
+    assert str(err.value) == "spectrum is identically zero; width undefined"
 
 
 def test_markov_limits_thermal_ohmic():
@@ -586,6 +601,78 @@ def test_oscillatory_stage_starts_from_the_first_layout(monkeypatch):
     tail = lo >= sd.split * t * (1.0 - 1e-15)
     assert 1 < np.count_nonzero(tail) < 15
     assert np.allclose((hi[tail] / t - 11.0) / (lo[tail] / t - 11.0), 4.0, rtol=1e-14, atol=0.0)
+
+
+def _graded_loop(lo, hi, marks):
+    # the grading of kernels._graded as one list of edges
+    k = bisect.bisect_left(marks, lo)
+    step_lo = lo - marks[k - 1] if k else math.inf
+    k = bisect.bisect_right(marks, hi)
+    step_hi = marks[k] - hi if k < len(marks) else math.inf
+    left, right = [lo], [hi]
+    while right[-1] - left[-1] > 1.5 * min(step_lo, step_hi):
+        if step_lo <= step_hi:
+            left.append(left[-1] + step_lo)
+            step_lo *= 2.0
+        else:
+            right.append(right[-1] - step_hi)
+            step_hi *= 2.0
+    return left + right[::-1]
+
+
+def _layout_loop(feats, support, split, times):
+    # the first layout graded interval by interval, time by time
+    from spincat.kernels import _HEAD, _MID, _TAIL, _TAIL_EDGES
+
+    n = times.size
+    below = [p for p in feats if p < split]
+    p0 = below[-1] if below else 0.0
+    marks = [0.0, *feats]
+    p_lo, p_hi, p_aux = [], [], []
+    tail_d, tail_s = np.zeros(n), np.zeros(n)
+    for i, t in enumerate(times.tolist()):
+        a = math.pi / t
+        b_head, s = min(a, support), min(max(a, split), support)
+        for kind, bounds in ((_HEAD, [0.0, *(p for p in feats if p < b_head), b_head]),
+                             (_MID, [a, *(p for p in feats if a < p < s), s] if a < s else [])):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                edges = _graded_loop(lo, hi, marks)
+                p_aux += [(i, kind, len(p_lo) + k) for k in range(len(edges) - 1)]
+                p_lo += edges[:-1]
+                p_hi += edges[1:]
+        if support > s:
+            tail_s[i], tail_d[i] = s, s - p0
+            p_aux += [(i, _TAIL, len(p_lo) + k) for k in range(len(_TAIL_EDGES) - 1)]
+            p_lo += _TAIL_EDGES[:-1]
+            p_hi += _TAIL_EDGES[1:]
+    return (np.array(p_lo), np.array(p_hi), np.array(p_aux, dtype=np.intp).reshape(-1, 3),
+            tail_d, tail_s, p0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(feats=st.lists(st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e), max_size=30),
+       ends=st.sampled_from(["analytic", "table"]), split=st.floats(-6.0, 13.0),
+       times=st.lists(st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e), min_size=1,
+                      max_size=6))
+def test_first_layout_equals_the_interval_loop(feats, ends, split, times):
+    # the mark-to-mark panels are graded once per spectrum and sliced per
+    # time; every edge, row and tail must be the loop's, bit for bit
+    from types import SimpleNamespace
+
+    from spincat import kernels
+
+    feats = tuple(sorted(set(feats)))
+    if ends == "table" and feats:  # split = support = a knot, features may lie beyond
+        sd = SimpleNamespace(features=feats, split=feats[len(feats) // 2],
+                             support=feats[len(feats) // 2])
+    else:
+        sd = SimpleNamespace(features=feats, split=10.0 ** split, support=math.inf)
+    times = np.array(times)
+    got = kernels._first_layout(sd, times)
+    want = _layout_loop(sd.features, sd.support, sd.split, times)
+    for g, w in zip(got, want):
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.array_equal(g, w)
 
 
 def test_long_grid_equals_its_pieces():
