@@ -40,7 +40,6 @@ from .dicke import (
 )
 from .errors import UsageError
 from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, _kernels_at, _rates, solve_bath
-from .kernels import solve_tau_mqs  # noqa: F401  (callers import it from here too)
 
 __all__ = [
     "MqsConvention",

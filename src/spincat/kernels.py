@@ -678,13 +678,23 @@ def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
                                       xatol=float(w[i_peak]) * 1e-12)
         if -f_min > peak_v:
             x_peak, peak_v = x_min, -f_min
+    # a line narrower than the grid spacing, away from the polish bracket, is
+    # the peak at its feature when a float beside the feature resolves it
+    fx = np.array(feats)
+    fg = sd.gt(fx)
+    beside = np.maximum(sd.gt(np.nextafter(fx, 0.0)), sd.gt(np.nextafter(fx, np.inf)))
+    taller = (((fx < w[max(i_peak - 1, 0)]) | (fx > w[min(i_peak + 1, len(w) - 1)]))
+              & (fg > peak_v) & (beside >= 0.5 * fg))
+    if taller.any():
+        k = int(np.argmax(np.where(taller, fg, -np.inf)))
+        x_peak, peak_v = float(fx[k]), float(fg[k])
     if g_at_0 >= peak_v:
         x_peak, peak_v = 0.0, g_at_0
     if not peak_v > 0.0:
-        at = [x for x in feats if sd.gt(x) > 0.0]  # a line the scan and the polish stepped over
+        at = fx[fg > 0.0]  # a line the scan and the polish stepped over
         raise WidthUndefinedError(
-            f"G_T is positive at omega={at[0]!r} but vanishes beside it: the line's width is "
-            "below float resolution at its centre; width undefined" if at else
+            f"G_T is positive at omega={float(at[0])!r} but vanishes beside it: the line's "
+            "width is below float resolution at its centre; width undefined" if at.size else
             "spectrum is identically zero; width undefined")
     half = 0.5 * peak_v
 

@@ -58,7 +58,7 @@ import json
 import math
 import os
 import secrets
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -68,6 +68,7 @@ from .dicke import Basis, SectorLabel, coherent_state
 from .errors import ConfigError, SpinCatError
 from .evolve import EvolutionParams, MqsConvention, MqsReport, _snapshot, assess_mqs
 from .kernels import _DEFAULT_HORIZON_FACTOR, markov_limits, solve_bath, tabulate_kernels
+from .snapshot_text import snapshot_lines
 
 __all__ = [
     "validate_config",
@@ -518,104 +519,6 @@ def _time_grid_points(grid: dict) -> np.ndarray:
     return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
-def _snapshot_csv(rho, time: float, band_dir: str | None = None) -> Iterator[str]:
-    # |rho_{mm'}| magnitude grid; rows and columns run m = +l .. -l.  Yields
-    # the header, then the grid text row by row (or a worker's band at a
-    # time), so the text is never held whole.  Only |rho| is kept: the
-    # caller's last reference to rho goes when the header is taken.  Given
-    # ``band_dir``, a directory on the target's file system, the grid is
-    # formatted in _band_count's row bands, each in its own process
-    # (spincat.bands); the text is the same byte for byte.
-    header = (f"# basis = {rho.basis_tag.value}\n"
-              f"# l = {float(rho.sector.l)!r}\n"
-              f"# time = {float(time)!r}\n"
-              "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
-    mag = np.abs(rho.elements)
-    del rho
-    yield header
-    bands = 1 if band_dir is None else _band_count(len(mag))
-    if bands > 1:
-        from .bands import banded_lines  # imported only where a grid is banded
-
-        yield from banded_lines(mag, band_dir, bands)
-    else:
-        for i, text in enumerate(_band_text(mag, 0, len(mag))):
-            yield _line(mag, i, text)
-
-
-# Snapshot grids are formatted in row bands, one process per usable core
-# and at most one per _BAND_ROWS rows.  An entry's repr costs 1.3-2 us, so n
-# bands save about (1 - 1/n) of the d*d/2 reprs; a second band costs 12-15 ms
-# more (fork and join, the columns' text through a pipe, the band's text
-# copied back), measured on a 2-vCPU x86_64 VM in a process holding an
-# N = 1000 run.  There it breaks even at about d = 190 and saves 17% of the
-# grid's time at d = 256 and 25% at d = 320.  Below 2 * _BAND_ROWS rows, on
-# one core, or without fork, this process formats the grid alone.
-_BAND_ROWS = 128
-# Rows formatted at a time: the strings of a block's entries below the
-# diagonal are joined per column, so a column's text is kept as one piece
-# per block above it.
-_BLOCK_ROWS = 32
-
-
-def _band_count(d: int) -> int:
-    """Processes that format a d x d snapshot grid: one per usable core, at
-    most one per _BAND_ROWS rows, and 1 where fork is not available or this
-    process may not have children."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    bands = min(len(os.sched_getaffinity(0)), d // _BAND_ROWS)
-    if bands < 2:
-        return 1
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return bands
-
-
-def _band_text(mag, lo: int, hi: int, later: list | None = None) -> Iterator[str]:
-    # The text of rows lo .. hi-1 of the grid from column lo on, one string
-    # per row.  |rho| of a Hermitian matrix is symmetric, so each entry from
-    # the diagonal on is formatted once and its string is reused for the
-    # mirror entry: row i takes its entries left of the diagonal from
-    # column i, kept as one comma-joined piece per block of rows above it and
-    # freed with row i.  ``later``, if given, gets for every column j >= hi
-    # the list of pieces of (k, j), k = lo .. hi-1.
-    cols = [[] for _ in range(lo, hi)]
-    if later is not None:
-        later.extend([] for _ in range(hi, len(mag)))
-    for i0 in range(lo, hi, _BLOCK_ROWS):
-        i1 = min(i0 + _BLOCK_ROWS, hi)
-        uppers = [list(map(repr, mag[i, i:].tolist())) for i in range(i0, i1)]
-        # columns[j - i0]: the strings of (k, j), k = i0 .. i1-1 ("" for k > j)
-        columns = list(zip(*[[""] * (i - i0) + upper for i, upper in enumerate(uppers, i0)]))
-        for i, upper in enumerate(uppers, i0):
-            pieces, cols[i - lo] = cols[i - lo], None
-            pieces += columns[i - i0][:i - i0]
-            pieces += upper
-            yield ",".join(pieces)
-        for col, column in zip(cols[i1 - lo:], columns[i1 - i0:]):
-            col.append(",".join(column))
-        if later is not None:
-            for col, column in zip(later, columns[hi - i0:]):
-                col.append(",".join(column))
-
-
-def _line(mag, i: int, text: str) -> str:
-    # Row i's line from its text: an entry left of the diagonal that differs
-    # from its mirror is formatted on its own, so every entry reads
-    # repr(|rho_ij|) whatever the matrix.
-    lone = np.flatnonzero(mag[i, :i] != mag[:i, i]).tolist()
-    if lone:
-        cells = text.split(",")
-        for k in lone:
-            cells[k] = repr(float(mag[i, k]))
-        text = ",".join(cells)
-    return text + "\n"
-
-
 def _report_payload(normalized: dict, report: MqsReport) -> dict:
     return {
         "schema": 1,
@@ -701,7 +604,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
-            lines = _snapshot_csv(rho, t, out_dir)
+            lines = snapshot_lines(rho, t, out_dir)
             del rho  # the text needs only |rho|: free rho before it is written
             _write_atomic(os.path.join(out_dir, fname), lines)
             files.append(fname)

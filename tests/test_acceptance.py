@@ -16,8 +16,8 @@ from scipy.optimize import brentq
 from spincat.bath import lorentzian, ohmic, tabulated
 from spincat.cli import main
 from spincat.dicke import SectorLabel, coherent_state, rotation_to_x
-from spincat.evolve import EvolutionParams, assess_mqs, evolve_state, solve_tau_mqs
-from spincat.kernels import f_of_t, gamma_of_t, tabulate_kernels
+from spincat.evolve import EvolutionParams, assess_mqs, evolve_state
+from spincat.kernels import f_of_t, gamma_of_t, solve_tau_mqs, tabulate_kernels
 from spincat.scenario import preset_config, run_scenario, validate_config
 
 ALPHA = 2.5e-5  # canonical weak coupling used across the criteria

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spincat import bands, dicke, evolve, kernels, scenario
+from spincat import dicke, evolve, kernels, scenario, snapshot_text
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
@@ -429,13 +429,9 @@ def test_snapshot_text_is_streamed_unchanged(tmp_path):
     assert np.any((mags > 0.0) & (mags < np.finfo(float).tiny)) and np.any(mags == 0.0)
     lx = DickeDensityMatrix(sec, lz.elements, Basis.LX)
     for i, (rho, t) in enumerate([(lz, 0.0), (lx, 3.3e4), (to_x_basis(lz), 1.5)]):
-        header = [f"# basis = {rho.basis_tag.value}", f"# l = {float(rho.sector.l)!r}",
-                  f"# time = {float(t)!r}",
-                  "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l"]
-        rows = [",".join(repr(float(v)) for v in row) for row in np.abs(rho.elements)]
         path = tmp_path / f"snapshot_{i:03d}.csv"
-        scenario._write_atomic(str(path), scenario._snapshot_csv(rho, t))
-        assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
+        scenario._write_atomic(str(path), snapshot_text.snapshot_lines(rho, t, str(tmp_path)))
+        assert path.read_bytes() == _snapshot_text(rho, t).encode()
 
 
 def _grid_text(mags) -> str:
@@ -443,7 +439,15 @@ def _grid_text(mags) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mags)
 
 
-def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
+def _snapshot_text(rho, t) -> str:
+    # a snapshot file's text by the per-element formula
+    return (f"# basis = {rho.basis_tag.value}\n# l = {float(rho.sector.l)!r}\n"
+            f"# time = {float(t)!r}\n"
+            "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n"
+            + _grid_text(np.abs(rho.elements)))
+
+
+def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
     sec = SectorLabel(64)
     d = sec.dimension
     calls = []
@@ -452,7 +456,7 @@ def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
         calls.append(v)
         return repr(v)
 
-    monkeypatch.setattr(scenario, "repr", counted_repr, raising=False)
+    monkeypatch.setattr(snapshot_text, "repr", counted_repr, raising=False)
     exact = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
     assert np.array_equal(np.abs(exact.elements), np.abs(exact.elements).T)
     nudged = exact.elements.copy()
@@ -463,14 +467,15 @@ def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
         mags = np.abs(rho.elements)
         assert np.count_nonzero(mags != mags.T) == 2 * extra
         calls.clear()
-        text = "".join(scenario._snapshot_csv(rho, 2.0))
+        text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
         assert text.split("\n", 4)[4] == _grid_text(mags)
         # one repr per mirror pair and diagonal entry, one per lone entry
         assert len(calls) == d * (d + 1) // 2 + extra
 
 
-def test_snapshot_text_peak_is_below_the_rotation_peak():
-    # the formatter holds |rho| and at most about d*d/4 strings
+def test_snapshot_text_peak_is_below_the_rotation_peak(tmp_path, monkeypatch):
+    # the formatter, in one band, holds |rho| and at most about d*d/4 strings
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 1)
     sec = SectorLabel(400)
     lz = coherent_state(sec, 1.1, 0.3).projector()
     tracemalloc.start()
@@ -480,7 +485,7 @@ def test_snapshot_text_peak_is_below_the_rotation_peak():
         rotation = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        size = sum(map(len, scenario._snapshot_csv(lx, 1.0)))
+        size = sum(map(len, snapshot_text.snapshot_lines(lx, 1.0, str(tmp_path))))
         formatter = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -510,8 +515,7 @@ def test_tau_snapshot_reads_the_bath_solution(tmp_path, monkeypatch):
     params = build_scenario(validate_config(cfg))
     tau = solve_bath(params.spectrum, params.solve_horizon_factor).tau
     (rho,) = evolve.snapshot_series(params, [tau], Basis.LX)
-    assert (tmp_path / "both" / "snapshot_000.csv").read_text() == \
-        "".join(scenario._snapshot_csv(rho, tau))
+    assert (tmp_path / "both" / "snapshot_000.csv").read_text() == _snapshot_text(rho, tau)
 
 
 def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
@@ -539,18 +543,17 @@ def _assert_no_band_leftovers(directory, expected):
     assert sorted(os.listdir(directory)) == sorted(expected)
 
 
-@pytest.mark.parametrize("n, count", [(254, 2), (255, 2), (256, 2), (64, 3), (300, 3),
-                                      (401, 4)])
+@pytest.mark.parametrize("n, count", [(7, 1), (300, 1), (254, 2), (255, 2), (256, 2),
+                                      (64, 3), (300, 3), (401, 4)])
 def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, n, count):
     # d = n + 1, odd and even, at the band threshold (2 * _BAND_ROWS rows) and
-    # one either side of it, with two to four bands
+    # one either side of it, in one to four bands
     rho = _lx_snapshot(n)
-    serial, banded = tmp_path / "serial.csv", tmp_path / "banded.csv"
-    scenario._write_atomic(str(serial), scenario._snapshot_csv(rho, 2.5))
-    monkeypatch.setattr(scenario, "_band_count", lambda d: count)
-    scenario._write_atomic(str(banded), scenario._snapshot_csv(rho, 2.5, str(tmp_path)))
-    assert banded.read_bytes() == serial.read_bytes()
-    _assert_no_band_leftovers(tmp_path, ["serial.csv", "banded.csv"])
+    banded = tmp_path / "banded.csv"
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
+    scenario._write_atomic(str(banded), snapshot_text.snapshot_lines(rho, 2.5, str(tmp_path)))
+    assert banded.read_bytes() == _snapshot_text(rho, 2.5).encode()
+    _assert_no_band_leftovers(tmp_path, ["banded.csv"])
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -566,26 +569,35 @@ def test_banded_snapshot_text_of_an_asymmetric_grid(tmp_path, monkeypatch, count
     rho = dicke._density_matrix(sec, el, Basis.LX)
     mags = np.abs(el)
     assert np.count_nonzero(mags != mags.T) > 1600
-    monkeypatch.setattr(scenario, "_band_count", lambda d: count)
-    text = "".join(scenario._snapshot_csv(rho, 1.0, str(tmp_path)))
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
+    text = "".join(snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)))
     assert text.split("\n", 4)[4] == _grid_text(mags)
     _assert_no_band_leftovers(tmp_path, [])
 
 
 def test_band_count_follows_the_usable_cores(monkeypatch):
-    rows = scenario._BAND_ROWS
+    rows = snapshot_text._BAND_ROWS
     for cores, expected in ((1, [1, 1, 1, 1]), (2, [1, 2, 2, 2]), (4, [1, 2, 3, 4])):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
         d_values = (2 * rows - 1, 2 * rows, 3 * rows, 100 * rows)
-        assert [scenario._band_count(d) for d in d_values] == expected
+        assert [snapshot_text._band_count(d) for d in d_values] == expected
+    # one band where fork is missing, or where this process may not have children
+    mp = snapshot_text.multiprocessing
+    with monkeypatch.context() as m:
+        m.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+        assert snapshot_text._band_count(100 * rows) == 1
+    with monkeypatch.context() as m:
+        m.setattr(mp, "current_process", lambda: mp.Process(daemon=True))
+        assert snapshot_text._band_count(100 * rows) == 1
+    assert snapshot_text._band_count(100 * rows) == 4
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert scenario._band_count(100 * rows) == 1
+    assert snapshot_text._band_count(100 * rows) == 1
 
 
 def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenario, "_band_count", lambda d: 3)
-    lines = scenario._snapshot_csv(_lx_snapshot(300), 1.0, str(tmp_path))
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
+    lines = snapshot_text.snapshot_lines(_lx_snapshot(300), 1.0, str(tmp_path))
     for _ in range(40):  # the header and some of the first band's lines
         next(lines)
     lines.close()
@@ -598,12 +610,12 @@ def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch):
 
     # only the workers receive columns; a forked worker sees the module as it
     # was at the fork
-    monkeypatch.setattr(bands, "_recv_columns", broken)
-    monkeypatch.setattr(scenario, "_band_count", lambda d: 2)
+    monkeypatch.setattr(snapshot_text, "_recv_columns", broken)
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 2)
     target = tmp_path / "snapshot_000.csv"
     target.write_text("old\n")
     with pytest.raises(RuntimeError, match="snapshot band 1 of 2 failed"):
-        scenario._write_atomic(str(target), scenario._snapshot_csv(
+        scenario._write_atomic(str(target), snapshot_text.snapshot_lines(
             _lx_snapshot(300), 1.0, str(tmp_path)))
     assert target.read_text() == "old\n"
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
@@ -616,8 +628,7 @@ def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
         snapshot_times={"kind": "absolute", "values": [40.0]}))
     run_scenario(cfg, output_dir=str(tmp_path))
     (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LX)
-    assert (tmp_path / "snapshot_000.csv").read_text() == \
-        "".join(scenario._snapshot_csv(rho, 40.0))
+    assert (tmp_path / "snapshot_000.csv").read_text() == _snapshot_text(rho, 40.0)
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv", "snapshots_index.json"])
 
 

@@ -30,9 +30,9 @@ from spincat.evolve import (
     mqs_target,
     snapshot_series,
     solve_bath,
-    solve_tau_mqs,
 )
-from spincat.kernels import MarkovLimits, correlation_time, f_of_t, gamma_of_t, markov_limits
+from spincat.kernels import (MarkovLimits, correlation_time, f_of_t, gamma_of_t, markov_limits,
+                             solve_tau_mqs)
 from spincat.scenario import build_scenario, preset_config, validate_config
 
 HALF_PI = math.pi / 2.0

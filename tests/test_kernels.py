@@ -278,6 +278,10 @@ def test_correlation_time_frozen_values():
     # narrow line far from the origin (below grid resolution)
     assert correlation_time(lorentzian(1.0, 1e6, 1e10)) == pytest.approx(
         0.5e-6, rel=1e-6)
+    # a line between the scan's grid points (0.74% apart), ten times higher
+    # than a shelf at the origin: its FWHM of 1.5, not the shelf's, is the width
+    assert correlation_time(tabulated([[0, 1], [3e-3, 1], [6e-3, 0], [999, 0], [999.5, 10],
+                                       [1000.5, 10], [1001, 0]])) == 1 / 1.5
 
 
 def test_correlation_time_errors():
