@@ -843,13 +843,15 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     ``(pi/2)/f(t)``, held within ``[t/2, 2t]`` and the horizon, which ends a
     certified bracket ``g(lo) < 0 <= g(hi)`` wherever ``f`` is nondecreasing;
     later steps double up or halve down, the last point integrated being the
-    other end, and a step past the Markov sample (whose ``f`` is known) stops
-    there.  Brent's method polishes the root, taking ``|g| <= 2 ulp(pi/2)`` as
-    a root, so no integral goes into steps of an ulp; ``|tau f(tau) - pi/2|
-    <= 1e-9 * pi/2``.  No time is integrated twice, and both kernels at
-    ``tau`` come from Brent's integral there.  Raises :class:`NoFormationError`
-    (with ``t*f`` at the horizon) when the phase never reaches the threshold
-    inside the horizon.  Memoised per process.
+    other end.  The Markov sample (whose ``f`` is known) ends a step that
+    passes it, and ends the first step instead when it lies beyond the
+    fixed-point step, within ``(t/2, 2t)``, and closes the bracket.  Brent's
+    method polishes the root, taking ``|g| <= 2 ulp(pi/2)`` as a root, so no
+    integral goes into steps of an ulp;
+    ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  No time is integrated twice, and
+    both kernels at ``tau`` come from Brent's integral there.  Raises
+    :class:`NoFormationError` (with ``t*f`` at the horizon) when the phase
+    never reaches the threshold inside the horizon.  Memoised per process.
     """
     markov = markov_limits(sd)
     f_m, t_m, t_c = markov.f_markov, markov.t_eval, markov.t_corr
@@ -871,7 +873,8 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
         while ghi < 0.0 and hi < horizon:
             lo, glo = hi, ghi
             up = min(step, 2.0 * hi, horizon)
-            hi = t_m if hi < t_m < up else up
+            closes = up < t_m < 2.0 * hi and t_m <= horizon and g(t_m) >= 0.0
+            hi = t_m if hi < t_m < up or closes else up
             ghi, step = g(hi), math.inf
         if ghi < 0.0:
             raise NoFormationError(f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
@@ -883,7 +886,8 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
                 break
             hi, ghi = lo, glo
             down = max(step, lo / 2.0)
-            lo = t_m if down < t_m < lo else down
+            closes = lo / 2.0 < t_m < down and g(t_m) <= 0.0
+            lo = t_m if down < t_m < lo or closes else down
             glo, step = g(lo), 0.0
         else:
             raise NumericError("failed to bracket the formation time from below")

@@ -57,9 +57,7 @@ import io
 import json
 import math
 import os
-import secrets
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -494,7 +492,7 @@ def _write_atomic(path: str, text: str | Iterable[str]):
     # ``text`` is one string or an iterable of strings written in order; the
     # target is replaced only once all of it is written.  The temp file is
     # created 0o666 less the umask, as ``open(path, "w")`` would create it.
-    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}~")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -699,6 +697,8 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     tasks = [(normalized, axis, v) for v in values]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

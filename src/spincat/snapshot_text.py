@@ -4,21 +4,20 @@
 whole.  The grid is formatted in :func:`_band_count` row bands, one process
 per band, and the text is the same byte for byte whatever their count.  Band
 0 is formatted by the calling process, which yields its lines as they are
-made; a single band needs no pipe, temp file or child.  Band ``b > 0`` is a
-worker made with the fork start method, so that it inherits ``|rho|``
-without a copy or a pickle; a worker runs only Python string work and numpy
-comparisons, no BLAS and no lock another thread could hold.  A worker
-formats its rows from the diagonal on (:func:`_band_text`), passes each later
-band only the text of that band's columns through a pipe, then takes the
-text left of its rows from the earlier bands and writes its lines to an
-unnamed temp file in the target's directory, which the caller yields once
-the worker has exited.
+made; a single band needs no pipe, temp file or child, and does not import
+:mod:`multiprocessing`.  Band ``b > 0`` is a worker made with the fork start
+method, so that it inherits ``|rho|`` without a copy or a pickle; a worker
+runs only Python string work and numpy comparisons, no BLAS and no lock
+another thread could hold.  A worker formats its rows from the diagonal on
+(:func:`_band_text`), passes each later band only the text of that band's
+columns through a pipe, then takes the text left of its rows from the
+earlier bands and writes its lines to an unnamed temp file in the target's
+directory, which the caller yields once the worker has exited.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import tempfile
 from collections.abc import Iterator
@@ -60,7 +59,11 @@ def _band_count(d: int) -> int:
     if not hasattr(os, "sched_getaffinity"):
         return 1
     bands = min(len(os.sched_getaffinity(0)), d // _BAND_ROWS)
-    if (bands < 2 or "fork" not in multiprocessing.get_all_start_methods()
+    if bands < 2:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return 1
     return bands
@@ -77,6 +80,8 @@ def banded_lines(mag, band_dir: str, bands: int) -> Iterator[str]:
     least one row).  Every worker is joined and every temp file closed (so
     removed) before this generator returns, raises or is closed; a worker
     that fails raises :class:`RuntimeError` here."""
+    if bands > 1:
+        import multiprocessing
     bounds = _bounds(len(mag), bands)
     pipes = {(a, b): multiprocessing.Pipe(duplex=False)
              for b in range(1, bands) for a in range(b)}

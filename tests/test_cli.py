@@ -1,5 +1,6 @@
 """Config validation, preset handling, artifact runs, sweeps, exit codes."""
 
+import concurrent.futures
 import copy
 import json
 import math
@@ -583,12 +584,12 @@ def test_band_count_follows_the_usable_cores(monkeypatch):
         d_values = (2 * rows - 1, 2 * rows, 3 * rows, 100 * rows)
         assert [snapshot_text._band_count(d) for d in d_values] == expected
     # one band where fork is missing, or where this process may not have children
-    mp = snapshot_text.multiprocessing
     with monkeypatch.context() as m:
-        m.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert snapshot_text._band_count(100 * rows) == 1
     with monkeypatch.context() as m:
-        m.setattr(mp, "current_process", lambda: mp.Process(daemon=True))
+        m.setattr(multiprocessing, "current_process",
+                  lambda: multiprocessing.Process(daemon=True))
         assert snapshot_text._band_count(100 * rows) == 1
     assert snapshot_text._band_count(100 * rows) == 4
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -801,7 +802,7 @@ def test_sweep_pool_is_capped_at_point_count(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(scenario, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scenario.os, "cpu_count", lambda: 64)
     cfg = validate_config(small_config())
     values = [2, 4, 6]
@@ -1049,12 +1050,21 @@ def test_sweep_axes_constant():
     assert SWEEP_AXES == ("N", "beta", "alpha", "omega_0")
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    # runs code in a new interpreter that imports spincat from this checkout
+    import spincat
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_runs_load_no_scipy(tmp_path):
     # only a Lorentzian's smooth tail moment still uses scipy (imported
     # there): neither the import nor a fig1 run and sweep loads any of it
-    import spincat
-
-    code = textwrap.dedent(f"""
+    proc = _fresh_python(f"""
         import sys
         import spincat
         loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -1065,9 +1075,27 @@ def test_runs_load_no_scipy(tmp_path):
                      "--output-dir", {str(tmp_path / "sweep")!r}]) == 0
         print(loaded())
     """)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_runs_load_no_process_machinery(tmp_path):
+    # a report, a one-band snapshot grid (fig1 at N = 50) and a serial sweep
+    # fork nothing, so they load neither multiprocessing nor the process
+    # pool; a parallel sweep then imports the pool in the same process
+    _fresh_python(f"""
+        import sys
+        from spincat.cli import main
+        machinery = ("multiprocessing", "concurrent.futures.process", "secrets")
+        loaded = lambda: sorted(m for m in machinery if m in sys.modules)
+        assert main(["run", "phonon", "--output-dir", {str(tmp_path / "phonon")!r}]) == 0
+        assert main(["run", "fig1", "--output-dir", {str(tmp_path / "fig1")!r}]) == 0
+        assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "1",
+                     "--output-dir", {str(tmp_path / "serial")!r}]) == 0
+        assert loaded() == [], loaded()
+        assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "2",
+                     "--output-dir", {str(tmp_path / "parallel")!r}]) == 0
+    """)
+    assert (tmp_path / "fig1" / "snapshot_000.csv").exists()
+    assert ((tmp_path / "parallel" / "sweep.csv").read_bytes()
+            == (tmp_path / "serial" / "sweep.csv").read_bytes())

@@ -339,6 +339,8 @@ _BATHS = {
     "fig2": (lambda: _preset_bath("fig2"), 100.0),
     "phonon": (lambda: _preset_bath("phonon"), 7.853983204770683e-07),
     "cavity": (lambda: _preset_bath("cavity"), 0.015797073641955265),
+    "ohmic-2.6e-3": (lambda: (ohmic(2.6e-3), 1e6), 605.7215787874289),
+    "ohmic-5.2e-3": (lambda: (ohmic(5.2e-3), 1e6), 303.64371969664006),
     "tabulated": (lambda: (tabulated(_workload_table(1.0, 1.1)), 1e6), 55386.88886411239),
     "tabulated-thermal": (lambda: (tabulated(_workload_table(0.8, 0.9), beta=2.0), 1e6),
                           84618.54902252425),
@@ -398,7 +400,7 @@ def _shelf(alpha):
     # f nondecreasing: the fixed-point step (pi/2)/f(start) is the other end,
     # above the start (fig2's line) or below it
     (lorentzian(0.042987621655032664, 1.0, 10.0), 100.0, ("start", "fixed")),
-    (ohmic(2.6e-3), 605.7215787874289, ("fixed", "start")),
+    (ohmic(1e-3), 1572.3664871377316, ("fixed", "start")),
     # the step is held to 2t, or to t/2
     (_shelf(0.17), 22.98540783075044, ("start", "double")),
     (_shelf(0.028), 50.23554280861539, ("half", "start")),
@@ -406,11 +408,15 @@ def _shelf(alpha):
     # bracket at no cost
     (_shelf(0.045), 40.21514269124584, ("markov", "start")),
     (_shelf(0.12), 26.521946748276967, ("start", "markov")),
+    # the Markov sample lies beyond the step, within a factor 2 of the start,
+    # and closes the bracket at no cost: the step is not integrated
+    (ohmic(2.6e-3), 605.7215787874289, ("markov", "start")),
+    (ohmic(5.2e-3), 303.64371969664006, ("start", "markov")),
     # fig2's line coupled 93 times as strongly: f falls beyond the start, so
     # the step does not change sign, and the search doubles from there
     (lorentzian(4.0, 1.0, 10.0), 1.213935082216532, ("fixed", "fixed-double")),
 ], ids=["fixed-above", "fixed-below", "double-up", "halve-down", "markov-below",
-        "markov-above", "fixed-no-bracket"])
+        "markov-above", "markov-beyond-below", "markov-beyond-above", "fixed-no-bracket"])
 def test_solve_bath_brackets_from_the_fixed_point_step(monkeypatch, sd, tau, ends):
     brackets = []  # correlation_time finds its crossings first
     root = brent.root
