@@ -40,7 +40,6 @@ __all__ = [
     "DickeDensityMatrix",
     "coherent_state",
     "rotation_to_x",
-    "rotate_state_to_x",
     "to_x_basis",
     "fidelity",
     "purity",
@@ -287,14 +286,6 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
         first[:, 1::2] *= -1.0  # component k: times the row's parity
     vecs.setflags(write=False)
     return vecs.T
-
-
-def rotate_state_to_x(state: DickeState) -> DickeState:
-    """Re-express a pure Lz-basis state in the Lx eigenbasis."""
-    if state.basis is not Basis.LZ:
-        raise UsageError(f"state already in basis {state.basis.value}")
-    amp = rotation_to_x(state.sector) @ state.amplitudes
-    return DickeState(state.sector, amp, Basis.LX, bloch=state.bloch)
 
 
 def _parity_parts(part: np.ndarray, pairs: int):

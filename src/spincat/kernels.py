@@ -667,7 +667,9 @@ def correlation_time(sd: SpectralDensity) -> float:
 def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
     """The width of :func:`correlation_time`, with ``g_at_0 = G_T(0+)`` finite."""
     feats = sd.features or (sd.omega_c,)
-    w = np.geomspace(min(feats) * 1e-6, max(sd.split, max(feats)) * 20.0, 4000)
+    # the top is capped where 20x the highest feature overflows
+    top = min(max(sd.split, max(feats)) * 20.0, np.finfo(float).max)
+    w = np.geomspace(min(feats) * 1e-6, top, 4000)
     vals = sd.gt(w)
 
     i_peak = int(np.argmax(vals))
@@ -892,7 +894,9 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
         else:
             raise NumericError("failed to bracket the formation time from below")
     # certified bracket: g(lo) < 0 <= g(hi), or g(lo) == 0 and lo is the root
-    tau = brent.root(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
+    # lo > 0, so the tolerance can be purely relative: an absolute floor would
+    # outweigh it once tau is below about 1e-285 and stop Brent early
+    tau = brent.root(g, lo, hi, xtol=0.0, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
     f_tau, integral = known[tau]
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:

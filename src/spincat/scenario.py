@@ -90,7 +90,7 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # none is cached, snapshots are computed, written and freed one at a time
 # whatever their count, and snapshot text is streamed; the text writer holds
 # |rho| and comma-joined pieces of at most about d*d/4 strings, measured at
-# 17-23 bytes per entry, and a band worker about 21 more at N = 2000), so
+# 17-23 bytes per entry, and a band worker about 4 more at N = 2000), so
 # N = 4096 needs 48 * 4097**2 ~ 0.81e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import stat
 import subprocess
@@ -605,20 +606,49 @@ def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
     _assert_no_band_leftovers(tmp_path, [])
 
 
-def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch):
-    def broken(conn, lefts):
-        raise RuntimeError("columns lost")
+@pytest.mark.parametrize("count, failing", [(2, 1), (3, 2)])
+def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, count, failing):
+    lo_failing = snapshot_text._bounds(301, count)[failing]
+    worker = snapshot_text._worker
 
-    # only the workers receive columns; a forked worker sees the module as it
-    # was at the fork
-    monkeypatch.setattr(snapshot_text, "_recv_columns", broken)
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 2)
+    def broken(mag, lo, hi, fh):
+        if lo == lo_failing:
+            raise RuntimeError("band lost")
+        worker(mag, lo, hi, fh)
+
+    # a forked worker sees the module as it was at the fork
+    monkeypatch.setattr(snapshot_text, "_worker", broken)
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
+    rho = _lx_snapshot(300)
     target = tmp_path / "snapshot_000.csv"
     target.write_text("old\n")
-    with pytest.raises(RuntimeError, match="snapshot band 1 of 2 failed"):
-        scenario._write_atomic(str(target), snapshot_text.snapshot_lines(
-            _lx_snapshot(300), 1.0, str(tmp_path)))
+    yielded = []
+
+    def lines():
+        for text in snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)):
+            yielded.append(text)
+            yield text
+
+    with pytest.raises(RuntimeError, match=f"snapshot band {failing} of {count} failed"):
+        scenario._write_atomic(str(target), lines())
+    # the header and the rows of the bands before the failed one
+    expected = _snapshot_text(rho, 1.0).splitlines(keepends=True)[:4 + lo_failing]
+    assert "".join(yielded) == "".join(expected)
     assert target.read_text() == "old\n"
+    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
+
+
+def test_bands_need_no_pipe(tmp_path, monkeypatch):
+    # each band writes its own temp file, and only the caller reads them
+    def no_pipe(duplex=True):
+        raise OSError("no pipe here")
+
+    monkeypatch.setattr(multiprocessing.connection, "Pipe", no_pipe)
+    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
+    rho = _lx_snapshot(300)
+    target = tmp_path / "snapshot_000.csv"
+    scenario._write_atomic(str(target), snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)))
+    assert target.read_bytes() == _snapshot_text(rho, 1.0).encode()
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
 
 

@@ -18,6 +18,7 @@ from spincat.kernels import (
     f_of_t,
     gamma_of_t,
     markov_limits,
+    solve_bath,
     tabulate_kernels,
 )
 
@@ -427,6 +428,34 @@ def test_ohmic_kernels_follow_a_frequency_scale_beyond_1e154(family, c):
     for ct in (1.0, 10.0, 100.0, 1e3, 1e4):
         assert f_of_t(scaled, ct / c) == pytest.approx(c * f_of_t(unit, ct), rel=1e-12)
         assert gamma_of_t(scaled, ct / c) == pytest.approx(c * gamma_of_t(unit, ct), rel=1e-12)
+
+
+@pytest.mark.parametrize("c, rel, rel_gamma", [(2.0 ** 1000, 0.0, 0.0),
+                                             (1e306, 4.5e-16, 1e-12)])
+def test_bath_solve_follows_a_frequency_scale_near_the_float_limit(c, rel, rel_gamma):
+    # tau is below 1e-297 here, so the tau solve's tolerance must be purely
+    # relative; at 1e306, 20 omega_c (the top of the width scan) overflows.
+    # A power of two scales exactly; at 1e306 tau and f were measured within
+    # 1.4e-16 of the scaled unit values, Gamma within 2.4e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = solve_bath(ohmic(2.5e-5, c), 1e6)
+    unit = solve_bath(ohmic(2.5e-5), 1e6)
+    assert abs(c * scaled.tau - unit.tau) <= rel * unit.tau
+    assert abs(scaled.f_tau / c - unit.f_tau) <= rel * unit.f_tau
+    assert abs(scaled.gamma_tau / c - unit.gamma_tau) <= rel_gamma * unit.gamma_tau
+
+
+@pytest.mark.parametrize("sd, t_corr", [
+    # G_T ~ 2 alpha omega_c exp(-w) / beta: half maximum at w = ln 2
+    (ohmic(2.5e-5, beta=1e-307), 1.0 / math.log(2.0)),
+    (lorentzian(1.0, 1e305, 1e307), 0.5e-305),
+    (tabulated([[0.0, 0.0], [2e306, 1.0], [4e306, 1.0], [1e307, 0.0]]), 1.0 / 6e306),
+], ids=["ohmic-hot", "lorentzian", "tabulated"])
+def test_correlation_time_where_20_times_the_top_feature_overflows(sd, t_corr):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert correlation_time(sd) == pytest.approx(t_corr, rel=1e-11)
 
 
 # spectrum at inverse temperature beta in a convention, and its frequency
