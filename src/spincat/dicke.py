@@ -376,7 +376,13 @@ def fidelity(rho: DickeDensityMatrix, target: DickeState) -> float:
     if rho.basis_tag.value != target.basis.value:
         raise UsageError(
             f"basis mismatch: rho in {rho.basis_tag.value}, target in {target.basis.value}")
-    val = float(np.real(target.amplitudes.conj() @ rho.elements @ target.amplitudes))
+    return _clamped_fidelity(
+        float(np.real(target.amplitudes.conj() @ rho.elements @ target.amplitudes)))
+
+
+def _clamped_fidelity(val: float) -> float:
+    """A computed fidelity clamped to [0, 1]; :class:`NumericError` when it
+    lies outside by more than the norm tolerance."""
     if val < -_NORM_TOL or val > 1.0 + _NORM_TOL:
         raise NumericError(f"fidelity {val!r} outside [0,1] beyond tolerance", estimate=val)
     return min(1.0, max(0.0, val))

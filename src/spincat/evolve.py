@@ -32,10 +32,9 @@ from .dicke import (
     DickeDensityMatrix,
     DickeState,
     SectorLabel,
+    _clamped_fidelity,
     _density_matrix,
     coherent_state,
-    fidelity,
-    purity,
     to_x_basis,
 )
 from .errors import UsageError
@@ -151,7 +150,7 @@ def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensi
     d = amps.size
     m = p.sector.m_values()
     m2 = m * m
-    kernel = np.exp(-t * gamma * np.arange(d, dtype=float) ** 2)
+    kernel = _dephasing_kernel(t, gamma, d)
     # toeplitz[i, j] = kernel[|i - j|], a view
     toeplitz = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((kernel[:0:-1], kernel)), d)[::-1]
@@ -165,6 +164,39 @@ def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensi
         block *= toeplitz[lo:hi, lo:]
         np.conjugate(rho[lo:hi, hi:].T, out=rho[hi:, lo:hi])
     return _density_matrix(p.sector, rho, Basis.LZ)
+
+
+def _dephasing_kernel(t: float, gamma: float, d: int) -> np.ndarray:
+    """``k[n] = exp(-t Gamma n**2)``: the dephasing factor of the entries
+    ``(m, m')`` with ``|m - m'| = n``."""
+    return np.exp(-t * gamma * np.arange(d, dtype=float) ** 2)
+
+
+def _twisted(p: EvolutionParams, theta: float) -> np.ndarray:
+    """``psi_m = c_m exp(-i theta m**2)``: the initial amplitudes after the
+    twisting phase ``theta = t f(t)``.
+
+    One ``exp(-i theta m**2)`` would carry the rounding of ``theta * m**2``,
+    an absolute phase error up to ``ulp(theta l**2)`` (about 1e-9 at
+    N = 4096).  So ``theta`` is split into a 26-bit head, whose product with
+    ``m**2`` is exact (``4 m**2`` is an integer of at most 24 significant
+    bits within the particle cap), and a tail whose product is small."""
+    mant, exp = math.frexp(theta)
+    head = math.ldexp(math.trunc(math.ldexp(mant, 26)), exp - 26)
+    m2 = p.sector.m_values() ** 2
+    return p.initial.amplitudes * np.exp(-1j * (head * m2)) * np.exp(-1j * ((theta - head) * m2))
+
+
+def _toeplitz_form(kernel: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """``sum_ij conj(u_i) kernel[|i - j|] v_j`` in O(d) memory.
+
+    With ``c = correlate(v, u, "full")``, ``c[d-1+n] = sum_i v[i+n] conj(u[i])``
+    sums the entries on the ``n``-th diagonal, so the form is
+    ``sum_n kernel[|n|] c[d-1+n]``.  The correlation is direct (O(d**2) in
+    C), not by FFT, so a tiny form keeps its relative accuracy."""
+    d = kernel.size
+    c = np.correlate(v, u, "full")
+    return kernel[0] * c[d - 1] + kernel[1:] @ (c[d:] + c[d - 2::-1])
 
 
 def mqs_target(sector: SectorLabel, theta: float, phi: float,
@@ -201,11 +233,22 @@ def mqs_target(sector: SectorLabel, theta: float, phi: float,
 def assess_mqs(p: EvolutionParams) -> MqsReport:
     """Evolve to the formation time and score the superposition.
 
-    The fidelity is taken against the convention's target built from the
-    initial state's preparation angles; the corner coherence is the Lx-basis
-    element ``|rho_{+l,-l}|``.  Rows 0 and -1 of the Lz-to-Lx rotation are
-    the spin coherent states along +x and -x (up to sign), so the corner is
-    read as ``|<+x| rho |-x>|`` with O(d) extra memory and no rotation.
+    The formed state is ``rho = (psi psi^+) o K``, the twisted pure state
+    ``psi`` (:func:`_twisted`) times the real Toeplitz dephasing kernel
+    ``K[i, j] = k[|i - j|]``, ``k[n] = exp(-tau Gamma n**2)``.  It is never
+    built: each score is a quadratic form of ``rho`` and so a Toeplitz form
+    of ``K`` (:func:`_toeplitz_form`), O(d**2) work and O(d) memory.
+
+    * The fidelity ``<t| rho |t>`` against the convention's target ``t``,
+      built from the initial state's preparation angles, is ``w^+ K w`` with
+      ``w = conj(psi) t``, clamped to [0, 1] as :func:`~spincat.dicke.fidelity`
+      does.
+    * The purity ``trace(rho**2)`` is ``p^T (K o K) p`` with ``p = |psi|**2``.
+    * The corner coherence is the Lx-basis element ``|rho_{+l,-l}|``.  Rows
+      0 and -1 of the Lz-to-Lx rotation are the spin coherent states along
+      +x and -x (up to sign), so it is ``|<+x| rho |-x>| = |y^+ K z|`` with
+      ``y = conj(psi) (+x)`` and ``z = conj(psi) (-x)``.
+
     ``gamma_bar`` in the survival condition is ``Gamma(tau)`` (already a
     time-averaged rate).
     """
@@ -216,13 +259,17 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     theta, phi = p.initial.bloch
     bath = solve_bath(p.spectrum, p.solve_horizon_factor)
     gamma_bar = 0.0 if p.force_zero_decoherence else bath.gamma_tau
-    rho = _dephase(p, bath.tau, bath.f_tau, gamma_bar)
-    target = mqs_target(p.sector, theta, phi, p.mqs_convention)
-    fid = fidelity(rho, target)
-    pur = purity(rho)
+    kernel = _dephasing_kernel(bath.tau, gamma_bar, p.sector.dimension)
+    conj_psi = _twisted(p, bath.tau * bath.f_tau).conj()
+    target = mqs_target(p.sector, theta, phi, p.mqs_convention).amplitudes
+    w = conj_psi * target
+    fid = _clamped_fidelity(float(_toeplitz_form(kernel, w, w).real))
+    amps = p.initial.amplitudes
+    pops = amps.real ** 2 + amps.imag ** 2
+    pur = float(_toeplitz_form(kernel * kernel, pops, pops))
     plus_x = coherent_state(p.sector, _HALF_PI, 0.0).amplitudes
     minus_x = coherent_state(p.sector, _HALF_PI, math.pi).amplitudes
-    corner = float(abs(plus_x.conj() @ rho.elements @ minus_x))
+    corner = float(abs(_toeplitz_form(kernel, conj_psi * plus_x, conj_psi * minus_x)))
     n = p.sector.n_particles
     product = bath.tau * gamma_bar
     feasible = product * n * n < 1.0

@@ -700,14 +700,19 @@ def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
             "spectrum is identically zero; width undefined")
     half = 0.5 * peak_v
 
-    gt = lambda x: sd.gt(x) - half
+    # G_T - half in units of a power of two near half (exact; at most 2**1023
+    # for a subnormal half), so that Brent's interpolation products neither
+    # underflow nor overflow for a spectrum of any scale; xtol = 0 keeps the
+    # roots' tolerance purely relative
+    scale = math.ldexp(1.0, min(-math.frexp(half)[1], 1023))
+    gt = lambda x: (sd.gt(x) - half) * scale
     # upper crossing: first drop below half maximum beyond the peak; the
     # scan is seeded with the polished peak so sub-resolution lines still
     # bracket correctly
     upper, px, pv = None, x_peak, peak_v
     for i in range(int(np.searchsorted(w, px, side="right")), len(w)):
         if pv >= half > vals[i]:
-            upper = brent.root(gt, max(px, 1e-300), w[i], xtol=1e-300, rtol=1e-14)
+            upper = brent.root(gt, max(px, 1e-300), w[i], xtol=0.0, rtol=1e-14)
             break
         px, pv = float(w[i]), float(vals[i])
     if upper is None:
@@ -720,12 +725,12 @@ def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
         px, pv = x_peak, peak_v
         for i in range(int(np.searchsorted(w, x_peak, side="left")) - 1, -1, -1):
             if pv >= half > vals[i]:
-                lower = brent.root(gt, w[i], px, xtol=1e-300, rtol=1e-14)
+                lower = brent.root(gt, w[i], px, xtol=0.0, rtol=1e-14)
                 break
             px, pv = float(w[i]), float(vals[i])
         else:
             # profile stays above half down to the sampled floor
-            lower = brent.root(gt, 1e-300, px, xtol=1e-300, rtol=1e-14)
+            lower = brent.root(gt, 1e-300, px, xtol=0.0, rtol=1e-14)
     return upper - lower
 
 

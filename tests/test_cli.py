@@ -353,6 +353,21 @@ def test_run_computes_each_bath_quantity_once(tmp_path, monkeypatch):
     assert integrated.count(markov_limits(build_scenario(cfg).spectrum).t_eval) == 1
 
 
+def test_run_builds_the_state_at_tau_once(tmp_path, monkeypatch):
+    # the report scores the formed state without building it; only the
+    # snapshot at tau does
+    times = []
+    dephase = evolve._dephase
+    monkeypatch.setattr(evolve, "_dephase",
+                        lambda p, t, f, gamma: times.append(t) or dephase(p, t, f, gamma))
+    cfg = validate_config(small_config(
+        outputs=["snapshots", "report"],
+        snapshot_times={"kind": "tau-fractions", "values": [1.0]}, basis="Lx"))
+    run_scenario(cfg, output_dir=str(tmp_path))
+    p = build_scenario(cfg)
+    assert times == [solve_bath(p.spectrum, p.solve_horizon_factor).tau]
+
+
 def test_runs_without_tau_do_not_solve(tmp_path):
     grid = {"kind": "log", "start": 0.1, "stop": 1e3, "count": 5}
     kernels = validate_config(small_config(outputs=["kernels"], time_grid=grid))

@@ -1,6 +1,7 @@
 """Exact dephasing propagation, target construction, and formation analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,66 @@ def test_assessment_corner_matches_full_rotation(n):
         rep = assess_mqs(p)
         rho = evolve_state(p, rep.tau_mqs)
         assert abs(rep.corner - coherence_corner(to_x_basis(rho))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 513])
+@pytest.mark.parametrize("convention", list(MqsConvention))
+def test_assessment_scores_match_the_built_state(n, convention):
+    # the Toeplitz forms against the d x d state they stand for; the corner
+    # does not depend on the convention and is checked above
+    sec = SectorLabel(n)
+    tilted = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.0),
+                             convention)
+    for p in (equator_params(n, mqs_convention=convention),
+              equator_params(n, mqs_convention=convention, force_zero_decoherence=True),
+              tilted):
+        rep = assess_mqs(p)
+        rho = evolve_state(p, rep.tau_mqs)
+        target = mqs_target(sec, *p.initial.bloch, convention)
+        assert abs(rep.fidelity - fidelity(rho, target)) <= 1e-14
+        assert abs(rep.purity - purity(rho)) <= 1e-14
+
+
+def _long_double_form(kernel, u, v):
+    d = kernel.size
+    c = np.correlate(v, u, "full")
+    return kernel[0] * c[d - 1] + np.sum(kernel[1:] * (c[d:] + c[d - 2::-1]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double on this platform")
+@pytest.mark.parametrize("n", [4095, 4096])
+def test_assessment_phases_hold_at_the_particle_cap(n):
+    # theta m**2 reaches 6.6e6 here: one rounded product would move the
+    # phases by up to 1e-9 and the fidelity by about 1e-11.  The reference
+    # takes the phases, kernel and forms in long double
+    sec = SectorLabel(n)
+    p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.0),
+                        MqsConvention.ANTIPODAL)
+    rep = assess_mqs(p)
+    ld, cld = np.longdouble, np.clongdouble
+    m2 = sec.m_values().astype(ld) ** 2
+    amps = p.initial.amplitudes.astype(cld)
+    psi = amps * np.exp(cld(-1j) * (ld(rep.tau_mqs * rep.f_at_tau) * m2))
+    kernel = np.exp(-ld(rep.tau_mqs * rep.gamma_at_tau) * np.arange(sec.dimension, dtype=ld) ** 2)
+    w = psi.conj() * mqs_target(sec, math.pi / 4, 0.0, MqsConvention.ANTIPODAL).amplitudes
+    pops = (amps * amps.conj()).real
+    assert abs(rep.fidelity - _long_double_form(kernel, w, w).real) <= 1e-13
+    assert abs(rep.purity - _long_double_form(kernel * kernel, pops, pops)) <= 1e-13
+
+
+def test_assessment_builds_no_density_matrix():
+    # the parent's d x d complex state was 64 MB at N = 2000
+    sec = SectorLabel(2000)
+    p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.0))
+    solve_bath(p.spectrum, p.solve_horizon_factor)  # the bath's quadrature is not measured
+    tracemalloc.start()
+    try:
+        assess_mqs(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_assessment_fidelity_decreases_with_decoherence():

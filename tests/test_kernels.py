@@ -446,6 +446,17 @@ def test_bath_solve_follows_a_frequency_scale_near_the_float_limit(c, rel, rel_g
     assert abs(scaled.gamma_tau / c - unit.gamma_tau) <= rel_gamma * unit.gamma_tau
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-155, 1e-160, 1e-200, 1e-250, 1e-300])
+def test_correlation_time_follows_a_small_frequency_scale(c):
+    # G_T - half is near 1e-165 .. 1e-305 here: the width roots scale it by a
+    # power of two, or Brent's interpolation products underflow (no
+    # convergence in 100 steps), and keep their tolerance purely relative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = correlation_time(ohmic(2.5e-5, c))
+    assert c * scaled == pytest.approx(correlation_time(ohmic(2.5e-5)), rel=1e-15)
+
+
 @pytest.mark.parametrize("sd, t_corr", [
     # G_T ~ 2 alpha omega_c exp(-w) / beta: half maximum at w = ln 2
     (ohmic(2.5e-5, beta=1e-307), 1.0 / math.log(2.0)),
