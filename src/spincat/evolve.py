@@ -1,10 +1,10 @@
 """Exact reduced dynamics and superposition-formation analysis.
 
 The collective coupling dephases the ensemble in the ``L_z`` eigenbasis
-without moving populations; the exact propagator acts elementwise::
+without moving populations.  The exact state at ``t`` (:func:`_formed`) is
+the twisted amplitudes ``psi_m = c_m exp(-i t f(t) m**2)`` dephased::
 
-    rho_{mm'}(t) = rho_{mm'}(0) * exp(-i t f(t) (m**2 - m'**2))
-                               * exp(-t Gamma(t) (m - m')**2)
+    rho_{mm'}(t) = psi_m conj(psi_m') * exp(-t Gamma(t) (m - m')**2)
 
 The ``m**2`` phase is one-axis twisting: at accumulated phase
 ``t*f(t) = pi/2`` a spin coherent state is reshaped into an equal
@@ -126,50 +126,51 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
     if t == 0.0:
         return _dephase(p, t, 0.0, 0.0)
     integral = _kernels_at(p.spectrum, t)  # one integral gives both kernels
-    f = float(_rates(*integral, 0)[0])
-    return _dephase(p, t, f, 0.0 if p.force_zero_decoherence else float(_rates(*integral, 1)[0]))
+    return _dephase(p, t, float(_rates(*integral, 0)[0]), lambda: float(_rates(*integral, 1)[0]))
 
 
-# Rows per block of the propagator: a block's exponentials take at most
-# _DEPHASE_ROWS * d complex numbers, 2 MB at N = 4096.
+def _formed(p: EvolutionParams, t: float, f: float, gamma):
+    """``rho(t) = (psi psi^+) o K``, ``K[i, j] = k[|i - j|]``: returns ``psi``
+    (:func:`_twisted` by ``t f``), ``k[n] = exp(-t Gamma n**2)`` and the
+    ``Gamma`` used, ``gamma`` (a value or a function giving it) or, under
+    ``force_zero_decoherence``, 0 without reading ``gamma``."""
+    gamma = 0.0 if p.force_zero_decoherence else gamma() if callable(gamma) else gamma
+    kernel = np.exp(-t * gamma * np.arange(p.sector.dimension, dtype=float) ** 2)
+    return _twisted(p, t * f), kernel, gamma
+
+
+# Rows per block of the propagator, written in place: a block's only temporaries
+# are the real kernel's cast buffer (8192 entries) and its diagonal square's conjugate.
 _DEPHASE_ROWS = 32
 
 
-def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
-    """The exact propagator at ``t`` given the kernel values there.
+def _dephase(p: EvolutionParams, t: float, f: float, gamma) -> DickeDensityMatrix:
+    """The state at ``t`` (:func:`_formed`) given the kernel values there.
 
-    A Schur product of the initial projector with a unitary phase matrix and
-    the positive kernel ``exp(-t Gamma (m - m')**2)`` (unit diagonal): the
-    result is a density matrix by construction and is not checked again.
-    Every factor of entry ``(m', m)`` is the conjugate of that of ``(m, m')``,
-    so the upper triangle is built in blocks of rows and the lower triangle
-    is its conjugate: half the phase exponentials, ``d`` real ones (the
-    kernel depends on ``|m - m'|`` alone), and no d x d temporary.
+    A pure projector times a positive kernel of unit diagonal: a density
+    matrix by construction, not checked again.  The upper triangle is built
+    in blocks of rows, ``psi_i conj(psi_j) k[j - i]``, every entry below the
+    diagonal is the exact conjugate of its mirror and the diagonal is
+    ``amps * amps.conj()``: Hermitian bit for bit, with no d x d temporary.
     """
     amps = p.initial.amplitudes
-    d = amps.size
-    m = p.sector.m_values()
-    m2 = m * m
-    kernel = _dephasing_kernel(t, gamma, d)
+    psi, kernel, _ = _formed(p, t, f, gamma)
+    d = psi.size
     # toeplitz[i, j] = kernel[|i - j|], a view
     toeplitz = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((kernel[:0:-1], kernel)), d)[::-1]
-    conj = amps.conj()
+    conj = psi.conj()
     rho = np.empty((d, d), dtype=complex)
     for lo in range(0, d, _DEPHASE_ROWS):
         hi = min(lo + _DEPHASE_ROWS, d)
         block = rho[lo:hi, lo:]
-        np.multiply(amps[lo:hi, None], conj[None, lo:], out=block)
-        block *= np.exp(-1j * t * f * (m2[lo:hi, None] - m2[None, lo:]))
+        np.multiply(psi[lo:hi, None], conj[None, lo:], out=block)
         block *= toeplitz[lo:hi, lo:]
         np.conjugate(rho[lo:hi, hi:].T, out=rho[hi:, lo:hi])
+        square = rho[lo:hi, lo:hi]
+        np.copyto(square, square.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
+    np.fill_diagonal(rho, amps * amps.conj())
     return _density_matrix(p.sector, rho, Basis.LZ)
-
-
-def _dephasing_kernel(t: float, gamma: float, d: int) -> np.ndarray:
-    """``k[n] = exp(-t Gamma n**2)``: the dephasing factor of the entries
-    ``(m, m')`` with ``|m - m'| = n``."""
-    return np.exp(-t * gamma * np.arange(d, dtype=float) ** 2)
 
 
 def _twisted(p: EvolutionParams, theta: float) -> np.ndarray:
@@ -233,11 +234,10 @@ def mqs_target(sector: SectorLabel, theta: float, phi: float,
 def assess_mqs(p: EvolutionParams) -> MqsReport:
     """Evolve to the formation time and score the superposition.
 
-    The formed state is ``rho = (psi psi^+) o K``, the twisted pure state
-    ``psi`` (:func:`_twisted`) times the real Toeplitz dephasing kernel
-    ``K[i, j] = k[|i - j|]``, ``k[n] = exp(-tau Gamma n**2)``.  It is never
-    built: each score is a quadratic form of ``rho`` and so a Toeplitz form
-    of ``K`` (:func:`_toeplitz_form`), O(d**2) work and O(d) memory.
+    The formed state ``rho = (psi psi^+) o K`` (:func:`_formed` at ``tau``)
+    is never built: each score is a quadratic form of ``rho`` and so a
+    Toeplitz form of ``K`` (:func:`_toeplitz_form`), O(d**2) work and O(d)
+    memory.
 
     * The fidelity ``<t| rho |t>`` against the convention's target ``t``,
       built from the initial state's preparation angles, is ``w^+ K w`` with
@@ -258,9 +258,8 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
             "are required to construct the target)")
     theta, phi = p.initial.bloch
     bath = solve_bath(p.spectrum, p.solve_horizon_factor)
-    gamma_bar = 0.0 if p.force_zero_decoherence else bath.gamma_tau
-    kernel = _dephasing_kernel(bath.tau, gamma_bar, p.sector.dimension)
-    conj_psi = _twisted(p, bath.tau * bath.f_tau).conj()
+    psi, kernel, gamma_bar = _formed(p, bath.tau, bath.f_tau, bath.gamma_tau)
+    conj_psi = psi.conj()
     target = mqs_target(p.sector, theta, phi, p.mqs_convention).amplitudes
     w = conj_psi * target
     fid = _clamped_fidelity(float(_toeplitz_form(kernel, w, w).real))
@@ -294,9 +293,6 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis,
               bath: BathSolution | None = None) -> DickeDensityMatrix:
     """The state at ``t`` in ``basis``; at ``t == bath.tau`` the kernel
     values are read from ``bath`` instead of being integrated again."""
-    if bath is not None and t == bath.tau:
-        rho = _dephase(p, t, bath.f_tau,
-                       0.0 if p.force_zero_decoherence else bath.gamma_tau)
-    else:
-        rho = evolve_state(p, t)
+    rho = (_dephase(p, t, bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
+           else evolve_state(p, t))
     return to_x_basis(rho) if basis is Basis.LX else rho

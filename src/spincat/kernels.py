@@ -669,6 +669,9 @@ def _half_maximum_width(sd: SpectralDensity, g_at_0: float) -> float:
     feats = sd.features or (sd.omega_c,)
     # the top is capped where 20x the highest feature overflows
     top = min(max(sd.split, max(feats)) * 20.0, np.finfo(float).max)
+    if min(feats) * 1e-6 == 0.0:
+        raise WidthUndefinedError(f"the scan floor min(features)*1e-6 underflows to 0 for the "
+                                  f"lowest feature {min(feats)!r}; width undefined")
     w = np.geomspace(min(feats) * 1e-6, top, 4000)
     vals = sd.gt(w)
 

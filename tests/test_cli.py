@@ -1031,6 +1031,21 @@ def test_cli_numeric_failure_exits_3(tmp_path, capsys):
         "numeric error in formation-time solve: accumulated phase")
 
 
+def test_cli_subnormal_scale_exits_3(tmp_path, capsys):
+    # the width scan starts a millionth below the lowest feature, which
+    # underflows to 0 for a subnormal cutoff: a numeric failure, not a crash
+    cfg = preset_config("fig1")
+    cfg["spectrum"]["omega_c"] = 1e-320
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == (
+        "numeric error in kernel tabulation: the scan floor min(features)*1e-6 underflows "
+        "to 0 for the lowest feature 1e-320; width undefined\n")
+
+
 def test_cli_presets_verb(capsys):
     rc = main(["presets"])
     captured = capsys.readouterr()

@@ -75,6 +75,30 @@ def test_propagator_conserves_populations_exactly(n, theta, phi, t, f, gamma):
     assert np.array_equal(np.diag(rho.elements), ini.amplitudes * ini.amplitudes.conj())
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 70), theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi),
+       t=st.floats(0.0, 1e6), f=st.floats(-1e3, 1e3), gamma=st.floats(0.0, 1e3))
+def test_propagator_is_hermitian_off_the_diagonal_bit_for_bit(n, theta, phi, t, f, gamma):
+    sec = SectorLabel(n)
+    rho = _dephase(EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, theta, phi)),
+                   t, f, gamma).elements
+    off = ~np.eye(sec.dimension, dtype=bool)
+    assert np.array_equal(rho[off], rho.conj().T[off])
+
+
+def test_complex_amplitudes_give_exact_mirror_pairs():
+    # with phi != 0 a product and its mirror's conjugate can differ in the
+    # last bit; each entry below the diagonal, inside the row blocks as well,
+    # is written as the conjugate of its mirror, so |rho| is symmetric and
+    # the snapshot text formats each pair once
+    sec = SectorLabel(300)
+    p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, math.pi / 4, 0.3))
+    rho = evolve_state(p, 0.4 * solve_tau_mqs(p.spectrum)).elements
+    off = ~np.eye(sec.dimension, dtype=bool)
+    assert np.array_equal(rho[off], rho.conj().T[off])
+    assert np.array_equal(np.abs(rho), np.abs(rho).T)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 255])
 def test_built_density_matrices_are_physical_and_read_only(n):
     # the package builds these without the constructor's checks; check here
@@ -152,6 +176,31 @@ def test_small_system_elementwise_against_direct_formula():
                                   * np.exp(-t * g * (m[i] - m[j]) ** 2))
         got = evolve_state(p, t).elements
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_propagator_entries_match_mpmath_at_the_particle_cap():
+    # theta m**2 reaches 6.6e6 at N = 4096: a phase formed as one rounded
+    # product theta (m_i**2 - m_j**2) is off by up to 1e-9.  Each reference
+    # entry takes the same floats (theta = fl(tau f), tau, Gamma and the
+    # amplitudes) to 40 digits
+    import mpmath
+
+    sd, horizon_factor = _preset_bath("fig1")
+    bath = solve_bath(sd, horizon_factor)
+    sec = SectorLabel(4096)
+    p = EvolutionParams(sd, sec, coherent_state(sec, math.pi / 4, 0.3))
+    rho = _dephase(p, bath.tau, bath.f_tau, bath.gamma_tau).elements
+    c, m = p.initial.amplitudes, sec.m_values()
+    bulk = np.flatnonzero(np.abs(c) >= 1e-3 * np.abs(c).max())
+    pairs = np.random.default_rng(21).choice(bulk, (40, 2))
+    with mpmath.workdps(40):
+        theta, rate = mpmath.mpf(bath.tau * bath.f_tau), mpmath.mpf(bath.tau) * bath.gamma_tau
+        amp = [mpmath.mpc(z.real, z.imag) for z in c]
+        for i, j in pairs:
+            exact = (amp[i] * mpmath.conj(amp[j])
+                     * mpmath.expj(-theta * (mpmath.mpf(m[i]) ** 2 - mpmath.mpf(m[j]) ** 2))
+                     * mpmath.exp(-rate * (int(i) - int(j)) ** 2))
+            assert abs(rho[i, j] - exact) <= 1e-14 * abs(c[i] * c[j]), (i, j)
 
 
 def test_evolve_state_takes_one_kernel_integral(monkeypatch):
