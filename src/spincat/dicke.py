@@ -20,7 +20,8 @@ positive semidefiniteness of a matrix a caller supplies.  The package's own
 results skip those tests, because the maps that build them keep a matrix
 physical: the projector of a normalised state, the exact dephasing
 propagator of :mod:`spincat.evolve` (a Schur product with a unit-diagonal
-positive kernel), and the orthogonal Lz-to-Lx rotation.
+positive kernel), and the orthogonal Lz-to-Lx rotation, whose rounding
+floor moves an entry only within the bound on its rounding.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TINY = np.finfo(float).tiny  # smallest normal float64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class Basis(str, enum.Enum):
@@ -317,6 +319,19 @@ def _parity_parts(part: np.ndarray, pairs: int):
     return pp, pm, mm
 
 
+# Rows or columns of a d x d matrix taken at a time while the rounding floor
+# of to_x_basis is found and applied
+_FLOOR_ROWS = 32
+
+
+def x_floor_gain(d: int) -> float:
+    """The gain ``g`` of the rounding floor of :func:`to_x_basis` at
+    dimension ``d``: ``sqrt(2) * gamma_2n = 2 sqrt(2) n u / (1 - 2 n u)``,
+    ``n = d + 6``, ``u`` the unit roundoff.  :func:`to_x_basis` derives it."""
+    two_n_u = 2.0 * (d + 6) * _UNIT_ROUNDOFF
+    return math.sqrt(2.0) * two_n_u / (1.0 - two_n_u)
+
+
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     """Re-express an Lz-basis density matrix in the Lx eigenbasis.
 
@@ -341,12 +356,51 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     commute in floating point, so the two halves match bit for bit).
     Rounding left the products asymmetric by about 1e-16; the symmetrised
     entries move by no more than that.
+
+    Entries within rounding of zero are set to exactly 0: every result
+    entry with ``|x_rc| <= g * (b_r * b_c)``, where ``b = |M| s``,
+    ``s_k = sqrt(rho_kk)`` and ``g = x_floor_gain(d)``.  The threshold is
+    formed as ``g * (b_r * b_c)``, so the mask is symmetric and the result
+    stays exactly Hermitian.  ``g b_r b_c`` bounds the rounding error of the
+    computed ``|x_rc|`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sections 3.1 and 3.5, with
+    ``gamma_n = n u / (1 - n u)``), taking ``M`` as given:
+
+    - a parity sum or difference of a part ``P`` rounds twice, so it is off
+      by at most ``gamma_2`` times the sum of its terms' magnitudes;
+    - ``side @ middle @ side.T`` is two products of inner length
+      ``h <= (d+1)/2``, off by at most ``gamma_2h`` of
+      ``|side| |middle| |side|^T``; since ``|M[r, k]| = |M[r, d-1-k]|``,
+      the folded magnitudes make that ``|M| |P| |M|^T``, so a block entry
+      is off by at most ``gamma_(d+3)`` of it;
+    - the symmetrisation rounds once more: ``gamma_(d+4)``;
+    - the real and the imaginary part are each off by that much of
+      ``|M| |rho| |M|^T``, their modulus by ``sqrt(2)`` times it, and
+      ``np.abs`` (``hypot``, under 1 ulp) adds two roundings: in all
+      ``sqrt(2) gamma_(d+6) (|M| |rho| |M|^T)_rc``.
+
+    A positive semidefinite ``rho`` has ``|rho_kj| <= s_k s_j`` (the
+    package's states meet it to a few ``u``), so ``|M| |rho| |M|^T <= b b^T``:
+    a rank-one bound held as one d-vector, with O(d**2) work.  ``g`` is
+    ``sqrt(2) gamma_2(d+6)``, at least twice ``sqrt(2) gamma_(d+6)``; the
+    factor of two covers the rounding of ``s``, ``b`` and the threshold
+    (relative error below ``gamma_(2d+4)``, far below 1/2).  So an entry
+    that is 0 exactly is always set to 0, and a zeroed entry was at most
+    ``2 g b_r b_c`` from its exact value.  The subnormal flushes above and
+    in :func:`rotation_to_x`, each below ``d * 2.3e-308``, are outside the
+    bound.  ``b`` is found from blocks of columns of ``M`` before the
+    products and the mask applied to blocks of rows after them, so no d x d
+    temporary is added.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
     d = rho.sector.dimension
     pairs = d // 2
     mat = rotation_to_x(rho.sector)
+    s = np.sqrt(np.maximum(rho.elements.real.diagonal(), 0.0))
+    b = np.zeros(d)
+    for k in range(0, d, _FLOOR_ROWS):  # columns k.. of M: contiguous rows of M^T
+        b += s[k:k + _FLOOR_ROWS] @ np.abs(mat.T[k:k + _FLOOR_ROWS])
     even = np.ascontiguousarray(mat[0::2, :(d + 1) // 2])
     odd = np.ascontiguousarray(mat[1::2, :pairs])
     del mat  # not held while the products run
@@ -362,6 +416,12 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
         dst[0::2, 1::2] = prod
         np.multiply(prod.T, sign, out=dst[1::2, 0::2])
         del pp, pm, mm, prod  # not held while the next part is rotated
+    gain = x_floor_gain(d)
+    for r in range(0, d, _FLOOR_ROWS):
+        rows = out[r:r + _FLOOR_ROWS]
+        floor = b[r:r + _FLOOR_ROWS, None] * b
+        floor *= gain
+        np.copyto(rows, 0.0, where=np.abs(rows) <= floor)
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

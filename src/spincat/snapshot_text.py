@@ -24,13 +24,18 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# At most one band per _BAND_ROWS rows.  An entry's repr costs 1.3-2 us, so n
-# bands save about (1 - 1/n) of the d*d/2 reprs; a second band costs about
-# 13-20 ms more (fork and join, the band's text through its temp file, and
-# the caller's joins of its rows), measured on a 2-vCPU x86_64 VM in a
-# process holding an N = 1000 run (medians of 25 runs).  There it breaks even
-# at about d = 160-190 and saves 17-29% of the grid's time at d = 256 and
-# 17-33% at d = 320.
+from .dicke import Basis, x_floor_gain
+
+# At most one band per _BAND_ROWS rows.  n bands save about (1 - 1/n) of the
+# time to format the d*d/2 entries from the diagonal on; a second band costs
+# about 13-20 ms more (fork and join, the band's text through its temp file,
+# and the caller's joins of its rows).  An entry costs 1.2-2.3 us in an Lz
+# grid, and 0.4-0.9 us in an Lx grid at tau, where the rotation's rounding
+# floor leaves 65-82% of the entries 0.0.  So two bands break even at about
+# d = 160-230 for an Lz grid and d = 250-400 for an Lx grid; at d = 256 they
+# saved 9-28% of an Lz grid's time and -6 to +3% of an Lx grid's (2-vCPU
+# x86_64 VM, in a process holding an N = 1000 run, medians of 21-41 runs).
+# A larger constant would give up the Lz saving for a few percent of Lx.
 _BAND_ROWS = 128
 # Rows formatted at a time: the strings of a block's entries below the
 # diagonal are joined per column, so a column's text is kept as one piece
@@ -47,6 +52,9 @@ def snapshot_lines(rho, time: float, band_dir: str) -> Iterator[str]:
               f"# l = {float(rho.sector.l)!r}\n"
               f"# time = {float(time)!r}\n"
               "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
+    if rho.basis_tag is Basis.LX:
+        header += ("# zeroed = |rho_rc| <= g*b_r*b_c written as 0.0, within rounding of zero;"
+                   f" b = |M| sqrt(diag rho_Lz), g = {x_floor_gain(rho.sector.dimension)!r}\n")
     mag = np.abs(rho.elements)
     del rho
     yield header

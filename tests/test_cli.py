@@ -457,11 +457,20 @@ def _grid_text(mags) -> str:
 
 
 def _snapshot_text(rho, t) -> str:
-    # a snapshot file's text by the per-element formula
+    # a snapshot file's text by the per-element formula; an Lx file states
+    # the rounding floor of the rotation
+    zeroed = ("# zeroed = |rho_rc| <= g*b_r*b_c written as 0.0, within rounding of zero; "
+              f"b = |M| sqrt(diag rho_Lz), g = {dicke.x_floor_gain(rho.sector.dimension)!r}\n"
+              if rho.basis_tag is Basis.LX else "")
     return (f"# basis = {rho.basis_tag.value}\n# l = {float(rho.sector.l)!r}\n"
             f"# time = {float(t)!r}\n"
             "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n"
-            + _grid_text(np.abs(rho.elements)))
+            + zeroed + _grid_text(np.abs(rho.elements)))
+
+
+def _grid_of(text: str) -> str:
+    # a snapshot file's text without its header
+    return "".join(line for line in text.splitlines(True) if not line.startswith("#"))
 
 
 def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
@@ -477,7 +486,12 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
     exact = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
     assert np.array_equal(np.abs(exact.elements), np.abs(exact.elements).T)
     nudged = exact.elements.copy()
-    for i, j in [(5, 2), (40, 0), (64, 63), (30, 29)]:  # a few lower entries some ulps off their mirrors
+    # a few lower entries some ulps off their mirrors, each one the rotation
+    # left nonzero: from the diagonal to the last nonzero row's first column
+    lower = [(5, 2), (39, 0), (25, 22), (12, 11)]
+    assert np.all(exact.elements[tuple(zip(*lower))] != 0.0)
+    assert not np.any(exact.elements[40:])
+    for i, j in lower:
         nudged[i, j] *= 1.0 + 1e-15
     nudged[50, 10] = 0.25
     for rho, extra in ((exact, 0), (dicke._density_matrix(sec, nudged, Basis.LX), 5)):
@@ -485,16 +499,18 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         assert np.count_nonzero(mags != mags.T) == 2 * extra
         calls.clear()
         text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
-        assert text.split("\n", 4)[4] == _grid_text(mags)
+        assert _grid_of(text) == _grid_text(mags)
         # one repr per mirror pair and diagonal entry, one per lone entry
         assert len(calls) == d * (d + 1) // 2 + extra
 
 
 def test_snapshot_text_peak_is_below_the_rotation_peak(tmp_path, monkeypatch):
-    # the formatter, in one band, holds |rho| and at most about d*d/4 strings
+    # the formatter, in one band, holds |rho| and at most about d*d/4 strings;
+    # the pole state's Lx grid is the binomial outer product, with no entry
+    # within rounding of zero, so nearly every entry is a long string
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 1)
     sec = SectorLabel(400)
-    lz = coherent_state(sec, 1.1, 0.3).projector()
+    lz = coherent_state(sec, 0.0, 0.0).projector()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -588,7 +604,7 @@ def test_banded_snapshot_text_of_an_asymmetric_grid(tmp_path, monkeypatch, count
     assert np.count_nonzero(mags != mags.T) > 1600
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
     text = "".join(snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)))
-    assert text.split("\n", 4)[4] == _grid_text(mags)
+    assert _grid_of(text) == _grid_text(mags)
     _assert_no_band_leftovers(tmp_path, [])
 
 
@@ -646,8 +662,9 @@ def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, coun
 
     with pytest.raises(RuntimeError, match=f"snapshot band {failing} of {count} failed"):
         scenario._write_atomic(str(target), lines())
-    # the header and the rows of the bands before the failed one
-    expected = _snapshot_text(rho, 1.0).splitlines(keepends=True)[:4 + lo_failing]
+    # the five header lines of an Lx file and the rows of the bands before
+    # the failed one
+    expected = _snapshot_text(rho, 1.0).splitlines(keepends=True)[:5 + lo_failing]
     assert "".join(yielded) == "".join(expected)
     assert target.read_text() == "old\n"
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
@@ -1110,11 +1127,13 @@ def test_sweep_axes_constant():
     assert SWEEP_AXES == ("N", "beta", "alpha", "omega_0")
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    # runs code in a new interpreter that imports spincat from this checkout
+def _fresh_python(code: str, **env: str) -> subprocess.CompletedProcess:
+    # runs code in a new interpreter that imports spincat from this checkout,
+    # with env added to this process's environment
     import spincat
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)),
+               **env)
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1159,3 +1178,38 @@ def test_runs_load_no_process_machinery(tmp_path):
     assert (tmp_path / "fig1" / "snapshot_000.csv").exists()
     assert ((tmp_path / "parallel" / "sweep.csv").read_bytes()
             == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+
+def test_lx_grids_from_one_and_two_blas_threads_differ_within_the_floor(tmp_path):
+    # the rotation's last bits follow the BLAS thread count; two grids of one
+    # config differ by at most 2 g b_r b_c, each being within g b_r b_c of
+    # the exact entry when kept and within twice that when zeroed
+    cfg = validate_config(small_config(
+        n_particles=299, outputs=["snapshots"], basis="Lx",
+        snapshot_times={"kind": "absolute", "values": [40.0]}))
+    (tmp_path / "lx299.json").write_text(json.dumps(cfg))
+    grids = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _fresh_python(f"""
+            from spincat.cli import main
+            assert main(["run", {str(tmp_path / "lx299.json")!r},
+                         "--output-dir", {str(out)!r}]) == 0
+        """, OPENBLAS_NUM_THREADS=threads)
+        grids.append(np.loadtxt(out / "snapshot_000.csv", delimiter=","))
+    (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LZ)
+    b = np.abs(dicke.rotation_to_x(rho.sector)) @ np.sqrt(rho.elements.real.diagonal())
+    floor = dicke.x_floor_gain(300) * (b[:, None] * b)
+    assert grids[0].shape == (300, 300)
+    assert np.all(np.abs(grids[0] - grids[1]) <= 2.0 * floor * (1.0 + 1e-12))
+
+
+def test_fig2_lx_grid_zeroes_what_parity_makes_zero():
+    # fig2 starts at theta = pi/2, phi = 0, so its state is symmetric under
+    # m -> -m and every exact Lx entry with r - c odd is 0; at t = 100 the
+    # floor zeroes exactly those (each was at most 4e-16 before)
+    params = build_scenario(validate_config(preset_config("fig2")))
+    (rho,) = evolve.snapshot_series(params, [100.0], Basis.LX)
+    r, c = np.indices(rho.elements.shape)
+    assert np.array_equal(rho.elements == 0.0, (r - c) % 2 == 1)
+    assert np.count_nonzero(rho.elements == 0.0) == 1300

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+from spincat import dicke
 from spincat.dicke import (
     Basis,
     DickeDensityMatrix,
@@ -21,6 +23,7 @@ from spincat.dicke import (
     purity,
     rotation_to_x,
     to_x_basis,
+    x_floor_gain,
 )
 from spincat.errors import DomainError, UsageError
 
@@ -206,22 +209,123 @@ def test_to_x_basis_preserves_trace_and_purity(n, rank, data):
     assert np.array_equal(rho_x.elements, rho_x.elements.conj().T)
 
 
+def _twisted_dephased(n, theta, phi, twist=0.37):
+    # a coherent state, twisted and dephased as the propagator does it
+    sec = SectorLabel(n)
+    amps = coherent_state(sec, theta, phi).amplitudes
+    m = sec.m_values()
+    kernel = np.exp(-1j * twist * (m[:, None] ** 2 - m[None, :] ** 2)
+                    - 1e-3 * (m[:, None] - m[None, :]) ** 2)
+    return _density_matrix(sec, np.outer(amps, amps.conj()) * kernel, Basis.LZ)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 150, 1000])
 def test_to_x_basis_is_exactly_hermitian(n):
     # a coherent state off the axes, twisted and dephased: complex entries
     # of every size, so the two rotated parts round asymmetrically
     sec = SectorLabel(n)
-    amps = coherent_state(sec, 1.1, 0.4).amplitudes
-    m = sec.m_values()
-    kernel = np.exp(-0.37j * (m[:, None] ** 2 - m[None, :] ** 2)
-                    - 1e-3 * (m[:, None] - m[None, :]) ** 2)
-    rho = _density_matrix(sec, np.outer(amps, amps.conj()) * kernel, Basis.LZ)
+    rho = _twisted_dephased(n, 1.1, 0.4)
     x = to_x_basis(rho).elements
     assert np.array_equal(x, x.conj().T)
     assert np.all(x.imag.diagonal() == 0.0)
     # the symmetrised result is the complex product to rounding
     mat = rotation_to_x(sec).astype(complex)
     assert np.max(np.abs(x - mat @ rho.elements @ mat.T)) <= 1e-15
+
+
+def _floor(rho):
+    # g * b_r * b_c, with b = |M| sqrt(diag rho) from the dense |M|
+    b = np.abs(rotation_to_x(rho.sector)) @ np.sqrt(rho.elements.real.diagonal())
+    return x_floor_gain(rho.sector.dimension) * (b[:, None] * b)
+
+
+@pytest.mark.parametrize("n, theta, phi, twist", [(20, 1.1, 0.4, 0.0), (150, 1.1, 0.4, 2e-3),
+                                                  (299, math.pi / 2, 0.0, 0.37),
+                                                  (400, 0.6, 2.0, 1e-3)])
+def test_to_x_basis_zeroes_the_entries_within_their_floor(monkeypatch, n, theta, phi, twist):
+    # every zeroed entry is at or below its floor, every kept one above it
+    # and untouched; b here comes from one dense product, so its last bit
+    # may differ from the blockwise one
+    rho = _twisted_dephased(n, theta, phi, twist)
+    x = to_x_basis(rho).elements
+    with monkeypatch.context() as m:
+        m.setattr(dicke, "x_floor_gain", lambda d: 0.0)
+        raw = to_x_basis(rho).elements
+    floor, mag = _floor(rho), np.abs(raw)
+    kept = x != 0.0
+    assert np.all(mag[~kept] <= floor[~kept] * (1.0 + 1e-12))
+    assert np.all(mag[kept] > floor[kept] * (1.0 - 1e-12))
+    assert np.array_equal(x[kept], raw[kept])
+    assert np.count_nonzero(~kept & (raw != 0.0)) > n
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+def test_to_x_basis_is_within_the_floor_of_the_exact_product():
+    # against M rho M^T in extended precision, M as the rotation gives it: a
+    # kept entry is within its floor of it, a zeroed one within twice its floor
+    rho = _twisted_dephased(150, 1.1, 0.4, 2e-3)
+    x = to_x_basis(rho).elements
+    mat = rotation_to_x(rho.sector).astype(np.longdouble)
+    exact = [mat @ part.astype(np.longdouble) @ mat.T
+             for part in (rho.elements.real, rho.elements.imag)]
+    err = np.hypot(x.real - exact[0], x.imag - exact[1]).astype(float)
+    floor = _floor(rho)
+    kept = x != 0.0
+    assert np.all(err[kept] <= floor[kept])
+    assert np.all(err[~kept] <= 2.0 * floor[~kept])
+    assert 0 < np.count_nonzero(kept) < x.size
+
+
+@pytest.mark.parametrize("n", [50, 51, 400])
+def test_the_floor_zeroes_every_entry_parity_makes_zero(n):
+    # at theta = pi/2, phi = 0 the state, twisted and dephased, is symmetric
+    # under m -> -m, so every exact Lx entry with r - c odd is 0; the rounded
+    # ones are not, and each lies within its floor
+    x = to_x_basis(_twisted_dephased(n, math.pi / 2, 0.0)).elements
+    r, c = np.indices(x.shape)
+    assert not np.any(x[(r - c) % 2 == 1])
+
+
+def _rotation_entry(two_l: int, r: int, k: int) -> float:
+    # M[r, k] = d^l_{m m'}(pi/2), m = l - k, m' = l - r (Wigner's small d):
+    # 2**-l sqrt(C(2l, l+m') / C(2l, l+m)) sum_s (-1)**(s+m-m') C(l+m', s) C(l-m', l-m-s),
+    # the sum formed exactly in integers, so only the root needs mpmath
+    p, q, c, e = two_l - r, r, two_l - k, k  # l+m', l-m', l+m, l-m
+    lo, hi = max(0, p - c), min(p, e)
+    a, b = math.comb(p, lo), math.comb(q, e - lo)
+    total = 0
+    for s in range(lo, hi + 1):
+        total += -a * b if (s + c - p) % 2 else a * b
+        a = a * (p - s) // (s + 1)
+        if s < e:
+            b = b * (e - s) // (q - e + s + 1)
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(total) * mpmath.sqrt(mpmath.mpf(math.comb(two_l, p))
+                                                     / math.comb(two_l, c))
+                     / mpmath.mpf(2) ** (mpmath.mpf(two_l) / 2))
+
+
+def test_rotation_entry_oracle_matches_exponential():
+    # the closed form's index and sign mapping, against expm(+i pi/2 J_y)
+    for n in (19, 20):
+        l, m = n / 2.0, SectorLabel(n).m_values()
+        jy = np.zeros((n + 1, n + 1), dtype=complex)
+        for k in range(n):
+            jy[k, k + 1] = math.sqrt(l * (l + 1) - m[k + 1] * (m[k + 1] + 1)) / 2j
+            jy[k + 1, k] = -jy[k, k + 1]
+        oracle = [[_rotation_entry(n, r, k) for k in range(n + 1)] for r in range(n + 1)]
+        assert np.abs(expm(1j * (math.pi / 2) * jy) - oracle).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4096, 4095])
+def test_rotation_interior_entries_at_the_particle_cap(n):
+    # 40 entries of unit rows, edge and middle ones, in and beyond the
+    # amplitude bulk; the middle entries of the two outer rows on each side
+    # are the least accurate (6.1-12.9 u), the others are within 1 u
+    mat = rotation_to_x(SectorLabel(n))
+    for r in (0, 1, 700, n // 2, n // 2 + 1, 3400, n - 1, n):
+        for k in (0, 1300, n // 2, 2300, 3000):
+            assert abs(mat[r, k] - _rotation_entry(n, r, k)) <= 16 * 2.0 ** -53, (r, k)
 
 
 def test_density_matrix_validation():
