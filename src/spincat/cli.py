@@ -26,6 +26,8 @@ from .errors import ConfigError, DomainError, NumericError, UsageError
 from .evolve import MqsConvention
 from .scenario import (
     SWEEP_AXES,
+    _json_dumps,
+    _write_atomic,
     preset_config,
     preset_names,
     run_scenario,
@@ -140,9 +142,7 @@ def main(argv=None) -> int:
             cfg = preset_config(args.name)
             os.makedirs(args.output_dir, exist_ok=True)
             path = os.path.join(args.output_dir, f"{args.name}.json")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                json.dump(cfg, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_atomic(path, _json_dumps(cfg))
             _print_summary({"preset": args.name, "path": path})
     except (ConfigError, DomainError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,21 +4,21 @@
 whole.  The grid is formatted in :func:`_band_count` row bands, one process
 per band, and the text is the same byte for byte whatever their count.  Band
 0 is formatted by the calling process; a single band needs no temp file or
-child, and does not import :mod:`multiprocessing`.  Band ``b > 0`` is a
-worker made with the fork start method, so that it inherits ``|rho|``
-without a copy or a pickle; a worker runs only Python string work, no BLAS
-and no lock another thread could hold, and talks to no other process.  Each
-band formats its rows from the diagonal on, then the text of its rows in
-every later column (:func:`_band_text`); a worker writes that to an unnamed
-temp file in the target's directory.  The caller reads the bands in order
-and makes each row's line from the earlier bands' text in its column and
-the row's own text.
+child.  Band ``b > 0`` is a child made by :func:`os.fork`, so that it
+inherits ``|rho|`` without a copy or a pickle; a child runs only Python
+string work, no BLAS and no lock another thread could hold, talks to no other
+process, and leaves by :func:`os._exit`.  Each band formats its rows from the
+diagonal on, then the text of its rows in every later column
+(:func:`_band_text`); a child writes that to an unnamed temp file in the
+target's directory.  The caller reads the bands in order and makes each
+row's line from the earlier bands' text in its column and the row's own text.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from collections.abc import Iterator
 
@@ -28,14 +28,13 @@ from .dicke import Basis, x_floor_gain
 
 # At most one band per _BAND_ROWS rows.  n bands save about (1 - 1/n) of the
 # time to format the d*d/2 entries from the diagonal on; a second band costs
-# about 13-20 ms more (fork and join, the band's text through its temp file,
-# and the caller's joins of its rows).  An entry costs 1.2-2.3 us in an Lz
-# grid, and 0.4-0.9 us in an Lx grid at tau, where the rotation's rounding
-# floor leaves 65-82% of the entries 0.0.  So two bands break even at about
-# d = 160-230 for an Lz grid and d = 250-400 for an Lx grid; at d = 256 they
-# saved 9-28% of an Lz grid's time and -6 to +3% of an Lx grid's (2-vCPU
-# x86_64 VM, in a process holding an N = 1000 run, medians of 21-41 runs).
-# A larger constant would give up the Lz saving for a few percent of Lx.
+# about 3 ms to fork and reap, plus its text through its temp file and the
+# caller's joins of its rows.  An entry costs 1.3-1.7 us in an Lz grid, and
+# 0.35-0.5 us in an Lx grid at tau, where the rotation's rounding floor leaves
+# 61-82% of the entries 0.0.  At d = 256-521 two bands saved 24-46% of an Lz
+# grid's time and 2-7% of an Lx grid's (20% at d = 521, whose floor zeroes
+# less; 2-vCPU x86_64 VM, in a process holding an N = 1000 run, medians of
+# 21-41 runs).  A larger constant would give up the Lz saving for nothing.
 _BAND_ROWS = 128
 # Rows formatted at a time: the strings of a block's entries below the
 # diagonal are joined per column, so a column's text is kept as one piece
@@ -45,7 +44,9 @@ _BLOCK_ROWS = 32
 
 def snapshot_lines(rho, time: float, band_dir: str) -> Iterator[str]:
     """The header and the ``|rho_{mm'}|`` grid of a snapshot file, rows and
-    columns running m = +l .. -l.  Only ``|rho|`` is kept: the caller's last
+    columns running m = +l .. -l.  ``|rho|`` must be exactly symmetric, as
+    every matrix from ``evolve._dephase`` and ``dicke.to_x_basis`` is: each
+    mirror pair is formatted once.  Only ``|rho|`` is kept: the caller's last
     reference to rho goes when the header is taken.  ``band_dir`` is a
     directory on the target's file system, for the later bands' temp files."""
     header = (f"# basis = {rho.basis_tag.value}\n"
@@ -63,19 +64,10 @@ def snapshot_lines(rho, time: float, band_dir: str) -> Iterator[str]:
 
 def _band_count(d: int) -> int:
     """Processes that format a d x d snapshot grid: one per usable core, at
-    most one per _BAND_ROWS rows, and 1 where fork is not available or this
-    process may not have children."""
-    if not hasattr(os, "sched_getaffinity"):
+    most one per _BAND_ROWS rows, and 1 where fork is not available."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
-    bands = min(len(os.sched_getaffinity(0)), d // _BAND_ROWS)
-    if bands < 2:
-        return 1
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return bands
+    return max(1, min(len(os.sched_getaffinity(0)), d // _BAND_ROWS))
 
 
 def _bounds(d: int, bands: int) -> list[int]:
@@ -86,42 +78,52 @@ def _bounds(d: int, bands: int) -> list[int]:
 
 def banded_lines(mag, band_dir: str, bands: int) -> Iterator[str]:
     """The lines of the grid of ``mag`` in ``bands`` row bands (each band at
-    least one row).  Every worker is joined and every temp file closed (so
-    removed) before this generator returns, raises or is closed; a worker
+    least one row).  Every child is reaped and every temp file closed (so
+    removed) before this generator returns, raises or is closed; a child
     that fails raises :class:`RuntimeError` here."""
     if bands > 1:
-        import multiprocessing
+        import signal
     bounds = _bounds(len(mag), bands)
-    files, workers = [], []
+    files, pids = [], []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
                                                 dir=band_dir))
-            worker = multiprocessing.get_context("fork").Process(
-                target=_worker, daemon=True, args=(mag, lo, hi, files[-1]))
-            worker.start()
-            workers.append(worker)
+            pid = os.fork()
+            if pid == 0:
+                # the child leaves by os._exit, so it never returns into the
+                # caller's generators nor flushes buffers copied at the fork
+                code = 1
+                try:
+                    _worker(mag, lo, hi, files[-1])
+                    code = 0
+                except BaseException:
+                    import traceback
+
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            pids.append(pid)
         earlier: list[Iterator[str]] = []  # each yields its band's text in the next column
         for b in range(bands):
             if b == 0:
                 own = _band_text(mag, 0, bounds[1])
             else:
-                worker, fh = workers[b - 1], files[b - 1]
-                worker.join()
-                if worker.exitcode:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if code:
                     raise RuntimeError(f"snapshot band {b} of {bands} failed "
-                                       f"(worker exit code {worker.exitcode})")
-                fh.seek(0)
-                own = (text[:-1] for text in fh)
+                                       f"(worker exit code {code})")
+                files[b - 1].seek(0)
+                own = (text[:-1] for text in files[b - 1])
             for i in range(bounds[b], bounds[b + 1]):
-                yield _line(mag, i, ",".join([next(s) for s in earlier] + [next(own)]))
+                yield ",".join([next(s) for s in earlier] + [next(own)]) + "\n"
             earlier.append(own)
     finally:
-        for worker in workers:
-            if worker.exitcode is None:
-                worker.kill()
-            worker.join()
-            worker.close()
+        for pid in pids:  # the children not yet reaped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for fh in files:
             fh.close()
 
@@ -152,22 +154,9 @@ def _band_text(mag, lo: int, hi: int) -> Iterator[str]:
         yield ",".join(pieces)
 
 
-def _line(mag, i: int, text: str) -> str:
-    # Row i's line from its text: an entry left of the diagonal that differs
-    # from its mirror is formatted on its own, so every entry reads
-    # repr(|rho_ij|) whatever the matrix.
-    lone = np.flatnonzero(mag[i, :i] != mag[:i, i]).tolist()
-    if lone:
-        cells = text.split(",")
-        for k in lone:
-            cells[k] = repr(float(mag[i, k]))
-        text = ",".join(cells)
-    return text + "\n"
-
-
 def _worker(mag, lo: int, hi: int, fh):
-    # Rows lo .. hi-1, in a worker forked by banded_lines: writes the
-    # strings of _band_text to fh, one per line
+    # Rows lo .. hi-1, in a child forked by banded_lines: writes the strings
+    # of _band_text to fh, one per line
     for text in _band_text(mag, lo, hi):
         fh.write(text + "\n")
     fh.flush()
