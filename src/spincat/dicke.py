@@ -27,6 +27,7 @@ floor moves an entry only within the bound on its rounding.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,6 +176,16 @@ def _density_matrix(sector: SectorLabel, elements: np.ndarray,
 # state construction
 
 
+@functools.lru_cache(maxsize=16)
+def _half_log_binomials(two_l: int) -> np.ndarray:
+    # ln sqrt(C(2l, k)), k = 0 .. 2l, read-only: one table per sector size,
+    # shared by the coherent states of a run
+    lg = np.array([math.lgamma(i + 1.0) for i in range(two_l + 1)])  # ln(i!)
+    table = 0.5 * (lg[two_l] - lg - lg[::-1])
+    table.flags.writeable = False
+    return table
+
+
 def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     """Spin coherent state: every particle points along ``(theta, phi)``.
 
@@ -197,8 +208,7 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     two_l = int(round(2 * l))
     k = np.round(l - m).astype(int)  # 0 .. 2l
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    lg = np.array([math.lgamma(i + 1.0) for i in range(two_l + 1)])  # ln(i!)
-    log_binom = 0.5 * (lg[two_l] - lg - lg[::-1])
+    log_binom = _half_log_binomials(two_l)
 
     # magnitude in log space, exact zeros handled by masks so that
     # 0**0 = 1 and 0**positive = 0 without log-of-zero noise

@@ -1,22 +1,21 @@
 """The text of one snapshot file: a header, then the |rho| grid in row bands.
 
 :func:`snapshot_lines` yields the text a piece at a time, so it is never held
-whole.  The grid is formatted in :func:`_band_count` row bands, one process
-per band, and the text is the same byte for byte whatever their count.  Band
-0 is formatted by the calling process; a single band needs no temp file or
-child.  Band ``b > 0`` is a child made by :func:`os.fork`, so that it
-inherits ``|rho|`` without a copy or a pickle; a child runs only Python
-string work, no BLAS and no lock another thread could hold, talks to no other
-process, and leaves by :func:`os._exit`.  Each band formats its rows from the
-diagonal on, then the text of its rows in every later column
-(:func:`_band_text`); a child writes that to an unnamed temp file in the
-target's directory.  The caller reads the bands in order and makes each
-row's line from the earlier bands' text in its column and the row's own text.
+whole.  Each entry from the diagonal on is formatted once, and a 0.0 without
+``repr``.  The grid is formatted in :func:`_band_count` row bands of about
+equal cost (:func:`_row_costs`), one process per band, and the text is the
+same byte for byte whatever their count.  Band 0 is formatted by the calling
+process, and a single band needs no temp file or child.  Band ``b > 0`` is a
+child made by :func:`os.fork`, so that it inherits ``|rho|`` without a copy
+or a pickle; a child runs only Python string work, no BLAS and no lock
+another thread could hold, talks to no other process, writes its band's text
+(:func:`_band_text`) to an unnamed temp file in the target's directory, and
+leaves by :func:`os._exit`.  The caller reads the bands in order and joins
+each row's line from their text.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import tempfile
@@ -26,20 +25,19 @@ import numpy as np
 
 from .dicke import Basis, x_floor_gain
 
-# At most one band per _BAND_ROWS rows.  n bands save about (1 - 1/n) of the
-# time to format the d*d/2 entries from the diagonal on; a second band costs
-# about 3 ms to fork and reap, plus its text through its temp file and the
-# caller's joins of its rows.  An entry costs 1.3-1.7 us in an Lz grid, and
-# 0.35-0.5 us in an Lx grid at tau, where the rotation's rounding floor leaves
-# 61-82% of the entries 0.0.  At d = 256-521 two bands saved 24-46% of an Lz
-# grid's time and 2-7% of an Lx grid's (20% at d = 521, whose floor zeroes
-# less; 2-vCPU x86_64 VM, in a process holding an N = 1000 run, medians of
-# 21-41 runs).  A larger constant would give up the Lz saving for nothing.
+# At most one band per _BAND_ROWS rows.  A second band costs about 3 ms to
+# fork and reap, plus the caller's reads and joins of its text.  At d = 256-448
+# two bands saved 24-46% of an Lz grid's time and 3-22% of an Lx grid's at tau
+# (2-vCPU x86_64 VM, beside an N = 1000 grid, pairwise medians of 21-41 runs).
 _BAND_ROWS = 128
 # Rows formatted at a time: the strings of a block's entries below the
 # diagonal are joined per column, so a column's text is kept as one piece
 # per block above it.
 _BLOCK_ROWS = 32
+# An entry's cost in units of a nonzero entry's repr: joining and writing an
+# entry and its mirror take about 0.08 us, a repr about 1.0 us for the values
+# of an Lx grid at tau (one-band writes of d = 1000 grids, same VM).
+_ENTRY_COST = 0.075
 
 
 def snapshot_lines(rho, time: float, band_dir: str) -> Iterator[str]:
@@ -70,10 +68,22 @@ def _band_count(d: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), d // _BAND_ROWS))
 
 
-def _bounds(d: int, bands: int) -> list[int]:
-    """First rows of the bands, and d: row i formats d - i entries, so band
-    b starts where the rows before it have formatted b/bands of them all."""
-    return [round(d * (1.0 - math.sqrt(1.0 - b / bands))) for b in range(bands + 1)]
+def _row_costs(mag):
+    # The cost of formatting each row from the diagonal on: its nonzero
+    # entries, plus _ENTRY_COST per entry
+    nonzero = [np.count_nonzero(mag[i, i:]) for i in range(len(mag))]
+    return np.add(nonzero, _ENTRY_COST * np.arange(len(mag), 0, -1))
+
+
+def _bounds(cost, bands: int) -> list[int]:
+    """First rows of the bands, and d: band b starts at the first row whose
+    midpoint in the running ``cost`` reaches b/bands of the total, moved as
+    little as keeps each band at least one row (d >= bands)."""
+    cost = np.asarray(cost, dtype=float)
+    b = np.arange(1, bands)
+    u = np.searchsorted(np.cumsum(cost) - 0.5 * cost, cost.sum() * b / bands) - b
+    u = np.clip(np.maximum.accumulate(u), 0, len(cost) - bands)  # starts - b, nondecreasing
+    return [0, *(u + b).tolist(), len(cost)]
 
 
 def banded_lines(mag, band_dir: str, bands: int) -> Iterator[str]:
@@ -83,7 +93,7 @@ def banded_lines(mag, band_dir: str, bands: int) -> Iterator[str]:
     that fails raises :class:`RuntimeError` here."""
     if bands > 1:
         import signal
-    bounds = _bounds(len(mag), bands)
+    bounds = _bounds(_row_costs(mag), bands) if bands > 1 else [0, len(mag)]
     files, pids = [], []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -139,7 +149,7 @@ def _band_text(mag, lo: int, hi: int) -> Iterator[str]:
     cols = [[] for _ in range(lo, len(mag))]
     for i0 in range(lo, hi, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, hi)
-        uppers = [list(map(repr, mag[i, i:].tolist())) for i in range(i0, i1)]
+        uppers = [_texts(mag[i, i:]) for i in range(i0, i1)]
         # columns[j - i0]: the strings of (k, j), k = i0 .. i1-1 ("" for k > j)
         columns = list(zip(*[[""] * (i - i0) + upper for i, upper in enumerate(uppers, i0)]))
         for i, upper in enumerate(uppers, i0):
@@ -152,6 +162,19 @@ def _band_text(mag, lo: int, hi: int) -> Iterator[str]:
     for j in range(hi - lo, len(cols)):
         pieces, cols[j] = cols[j], None
         yield ",".join(pieces)
+
+
+def _texts(row) -> list[str]:
+    # repr of each entry of row: each 0.0 is the one string "0.0", and only
+    # the nonzero entries are formatted.  A row without zeros takes one map,
+    # 10% faster than filling it in entry by entry.
+    nonzero = np.flatnonzero(row)
+    if len(nonzero) == len(row):
+        return list(map(repr, row.tolist()))
+    texts = ["0.0"] * len(row)
+    for k, text in zip(nonzero.tolist(), map(repr, row[nonzero].tolist())):
+        texts[k] = text
+    return texts
 
 
 def _worker(mag, lo: int, hi: int, fh):

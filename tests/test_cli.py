@@ -8,11 +8,14 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from spincat import dicke, evolve, kernels, scenario, snapshot_text
 from spincat.cli import main
@@ -481,12 +484,21 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         return repr(v)
 
     monkeypatch.setattr(snapshot_text, "repr", counted_repr, raising=False)
-    rho = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
-    mags = np.abs(rho.elements)
-    assert np.array_equal(mags, mags.T)
-    text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
-    assert _grid_of(text) == _grid_text(mags)
-    # one repr per mirror pair and diagonal entry
+    # this Lx grid has entries within the rotation's rounding floor, written
+    # as 0.0; the pole state's Lx grid, the binomial outer product, has none
+    lx = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
+    pole = to_x_basis(coherent_state(sec, 0.0, 0.0).projector())
+    for rho, zeros in ((lx, True), (pole, False)):
+        calls.clear()
+        mags = np.abs(rho.elements)
+        assert np.array_equal(mags, mags.T)
+        text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
+        assert _grid_of(text) == _grid_text(mags)
+        # one repr per nonzero mirror pair and diagonal entry, none for 0.0
+        upper = mags[np.triu_indices(d)]
+        assert np.any(upper == 0.0) == zeros
+        assert 0.0 not in calls
+        assert sorted(calls) == sorted(upper[upper != 0.0].tolist())
     assert len(calls) == d * (d + 1) // 2
 
 
@@ -588,6 +600,83 @@ def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, b
     _assert_no_band_leftovers(tmp_path, ["banded.csv"])
 
 
+def _symmetric_grid(d, kind, seed):
+    # a symmetric nonnegative grid with entries of every size, subnormal too:
+    # "runs" has zero runs in every row and some rows zero from the diagonal
+    # on, "corner" is zero but for a block at the last rows (so a first band
+    # is all zero), "single" has one nonzero mirror pair, "dense" no zero,
+    # "zero" no other
+    rng = np.random.default_rng(seed)
+    grid = np.abs(rng.standard_normal((d, d))) * 10.0 ** rng.integers(-320, 10, (d, d))
+    i, j = np.indices((d, d))
+    if kind == "runs":
+        period = rng.integers(2, 40)
+        grid[(j + rng.integers(0, period, (d, 1))) % period < rng.integers(1, period)] = 0.0
+        grid[rng.random(d) < 0.2] = 0.0
+    elif kind == "corner":
+        grid[np.minimum(i, j) < d - rng.integers(1, 8)] = 0.0
+    elif kind == "single":
+        r, c = sorted(rng.integers(0, d, 2))
+        grid[(i != r) | (j != c)] = 0.0
+    elif kind == "zero":
+        grid[:] = 0.0
+    return np.where(i <= j, grid, grid.T)
+
+
+# the grid is drawn from a seed, which shrinking cannot simplify: a failure is
+# reported as found
+@settings(max_examples=30, derandomize=True, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(d=st.integers(1, 300), bands=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["runs", "corner", "single", "dense", "zero"]))
+@example(d=300, bands=2, seed=1, kind="corner")
+@example(d=300, bands=4, seed=2, kind="runs")
+@example(d=257, bands=3, seed=3, kind="zero")
+@example(d=1, bands=1, seed=4, kind="single")
+def test_banded_text_equals_one_band_text(d, bands, seed, kind):
+    grid = _symmetric_grid(d, kind, seed)
+    bands = min(bands, d)
+    with tempfile.TemporaryDirectory() as band_dir:
+        text = "".join(snapshot_text.banded_lines(grid, band_dir, bands))
+        one_band = "".join(snapshot_text.banded_lines(grid, band_dir, 1))
+        assert os.listdir(band_dir) == []
+    # one flag, so that a failure is not explained by a diff of megabytes
+    same = text == one_band == _grid_text(grid)
+    assert same, "banded, one-band and per-element texts differ"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cost=st.lists(st.sampled_from([0.0, 1e-300, 0.075, 1.0, 3.0, 1e300]), min_size=1,
+                     max_size=300) | st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300),
+       bands=st.integers(1, 4))
+def test_bounds_rise_strictly_from_0_to_d(cost, bands):
+    bands = min(bands, len(cost))
+    for c in (cost, [0.0] * len(cost)):
+        bounds = snapshot_text._bounds(np.array(c), bands)
+        assert len(bounds) == bands + 1 and bounds[0] == 0 and bounds[-1] == len(c)
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+
+def test_bounds_split_the_cost_evenly():
+    bounds, row_costs = snapshot_text._bounds, snapshot_text._row_costs
+    assert bounds(np.ones(12), 3) == [0, 4, 8, 12]
+    # the all-zero grid by its entries from the diagonal on: 42 and 36
+    assert bounds(row_costs(np.zeros((12, 12))), 2) == [0, 4, 12]
+    # nonzero entries only in the first 100 rows and columns: their reprs
+    # outweigh the rest, so band 0 takes far fewer than the 88 of 300 rows
+    # that hold half the entries
+    grid = np.zeros((300, 300))
+    grid[:100, :100] = 0.5
+    costs = row_costs(grid)
+    assert bounds(costs, 2)[1] < 50
+    for bands in (2, 3, 4):
+        edges = bounds(costs, bands)
+        for lo, hi in zip(edges, edges[1:]):
+            assert abs(costs[lo:hi].sum() - costs.sum() / bands) <= costs.max()
+
+
 def test_band_count_follows_the_usable_cores(monkeypatch):
     rows = snapshot_text._BAND_ROWS
     for cores, expected in ((1, [1, 1, 1, 1]), (2, [1, 2, 2, 2]), (4, [1, 2, 3, 4])):
@@ -616,7 +705,9 @@ def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
 @pytest.mark.parametrize("count, failing", [(2, 1), (3, 2)])
 def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, capfd, count,
                                                     failing):
-    lo_failing = snapshot_text._bounds(301, count)[failing]
+    rho = _lx_snapshot(300)
+    costs = snapshot_text._row_costs(np.abs(rho.elements))
+    lo_failing = snapshot_text._bounds(costs, count)[failing]
     worker = snapshot_text._worker
 
     def broken(mag, lo, hi, fh):
@@ -627,7 +718,6 @@ def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, capf
     # a forked worker sees the module as it was at the fork
     monkeypatch.setattr(snapshot_text, "_worker", broken)
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
-    rho = _lx_snapshot(300)
     target = tmp_path / "snapshot_000.csv"
     target.write_text("old\n")
     yielded = []

@@ -89,6 +89,23 @@ def test_coherent_state_angle_identities():
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_coherent_states_share_one_log_binomial_table_per_sector_size():
+    dicke._half_log_binomials.cache_clear()
+    states = [coherent_state(SectorLabel(100), theta, 0.2) for theta in (0.3, 1.1, 2.0)]
+    info = dicke._half_log_binomials.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    table = dicke._half_log_binomials(100)
+    assert not table.flags.writeable
+    lg = [math.lgamma(i + 1.0) for i in range(101)]
+    assert table.tolist() == [0.5 * (lg[100] - lg[k] - lg[100 - k]) for k in range(101)]
+    # the cached table gives the bits a fresh one gives
+    dicke._half_log_binomials.cache_clear()
+    for state, theta in zip(states, (0.3, 1.1, 2.0)):
+        fresh = coherent_state(SectorLabel(100), theta, 0.2)
+        dicke._half_log_binomials.cache_clear()
+        assert np.array_equal(state.amplitudes, fresh.amplitudes)
+
+
 def test_coherent_state_requires_symmetric_sector():
     with pytest.raises(UsageError):
         coherent_state(SectorLabel(4, l=1.0), 0.3, 0.0)
