@@ -210,8 +210,8 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     log_binom = _half_log_binomials(two_l)
 
-    # magnitude in log space, exact zeros handled by masks so that
-    # 0**0 = 1 and 0**positive = 0 without log-of-zero noise
+    # magnitude in log space; a zero half-angle factor gives 0**0 = 1 and,
+    # as -inf, 0**positive = exp(-inf) = 0, without log-of-zero noise
     pc, ps = two_l - k, k  # exponents of cos and sin halves
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = log_binom \
@@ -220,10 +220,6 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     mag = np.exp(log_mag)
     sign = np.where(pc % 2 == 1, math.copysign(1.0, c), 1.0) \
         * np.where(ps % 2 == 1, math.copysign(1.0, s), 1.0)
-    if c == 0.0:
-        mag = np.where(pc > 0, 0.0, mag)
-    if s == 0.0:
-        mag = np.where(ps > 0, 0.0, mag)
     amp = sign * mag * np.exp(1j * k * phi)
     amp = amp / np.linalg.norm(amp)
     return DickeState(sector, amp, Basis.LZ, bloch=(float(theta), float(phi)))
@@ -278,24 +274,21 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     to 0: they would slow the matrix products of :func:`to_x_basis`.
     """
     dim = sector.dimension
-    if dim == 1:
-        vecs = np.ones((1, 1))
-    else:
-        m = sector.m_values()
-        l = sector.l
-        # <m|Lx|m-1> = sqrt(l(l+1) - m(m-1))/2 couples index k to k+1
-        off = 0.5 * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] - 1.0))
-        vecs = np.empty((dim, dim))  # vecs[k, r]: component k of row r
-        half, pairs = (dim + 1) // 2, dim // 2
-        first = vecs[:half]
-        _recurse(first, m, off, half)
-        if half > pairs:
-            first[pairs, 1::2] = 0.0  # the middle component of an odd row
-        norm2 = 2.0 * np.einsum("kr,kr->r", first[:pairs], first[:pairs])
-        first /= np.sqrt(norm2 + first[pairs:half].sum(axis=0) ** 2)
-        first[np.abs(first) < _TINY] = 0.0
-        vecs[dim - pairs:] = first[pairs - 1::-1]  # component d-1-k: the seed's sign
-        first[:, 1::2] *= -1.0  # component k: times the row's parity
+    m = sector.m_values()
+    l = sector.l
+    # <m|Lx|m-1> = sqrt(l(l+1) - m(m-1))/2 couples index k to k+1
+    off = 0.5 * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] - 1.0))
+    vecs = np.empty((dim, dim))  # vecs[k, r]: component k of row r
+    half, pairs = (dim + 1) // 2, dim // 2
+    first = vecs[:half]
+    _recurse(first, m, off, half)
+    if half > pairs:
+        first[pairs, 1::2] = 0.0  # the middle component of an odd row
+    norm2 = 2.0 * np.einsum("kr,kr->r", first[:pairs], first[:pairs])
+    first /= np.sqrt(norm2 + first[pairs:half].sum(axis=0) ** 2)
+    first[np.abs(first) < _TINY] = 0.0
+    vecs[dim - pairs:] = first[:pairs][::-1]  # component d-1-k: the seed's sign
+    first[:, 1::2] *= -1.0  # component k: times the row's parity
     vecs.setflags(write=False)
     return vecs.T
 
@@ -303,27 +296,21 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
 def _parity_parts(part: np.ndarray, pairs: int):
     """The sums and differences of rows and of columns ``k`` and ``d-1-k``
     of a real d x d matrix: ``(++, +-, --)``, where ``+`` has ``(d+1)//2``
-    entries (the middle one of an odd ``d`` is taken as it is) and ``-`` has
-    ``d//2``.  Entries below the smallest normal float are set to 0."""
-    d = part.shape[0]
-    mid = slice(pairs, d - pairs)  # the middle index of an odd d, or nothing
-    # the four quadrants, each read from its corner of the matrix
-    a, b = part[:pairs, :pairs], part[:pairs, :d - pairs - 1:-1]
-    c, e = part[:d - pairs - 1:-1, :pairs], part[:d - pairs - 1:-1, :d - pairs - 1:-1]
-    pp = np.empty((d - pairs, d - pairs))
-    pm = np.empty((d - pairs, pairs))
-    left, right = a + c, b + e
-    np.add(left, right, out=pp[:pairs, :pairs])
-    np.subtract(left, right, out=pm[:pairs])
-    np.subtract(a, c, out=left)
-    np.subtract(b, e, out=right)
-    mm = np.subtract(left, right, out=left)
-    del right
-    row, col = part[mid], part[:, mid]
-    np.add(row[:, :pairs], row[:, :d - pairs - 1:-1], out=pp[pairs:, :pairs])
-    np.subtract(row[:, :pairs], row[:, :d - pairs - 1:-1], out=pm[pairs:])
-    np.add(col[:pairs], col[:d - pairs - 1:-1], out=pp[:pairs, pairs:])
-    pp[pairs:, pairs:] = part[mid, mid]
+    entries and ``-`` has ``d//2``.  Rows are folded first, row ``k`` plus
+    or minus row ``d-1-k``, then the columns of the folded rows the same
+    way; the middle row and column of an odd ``d`` fold onto nothing and are
+    taken once, as they are.  Entries below the smallest normal float are
+    set to 0."""
+    h = part.shape[0] - pairs
+    sums = part[:h].copy()
+    sums[:pairs] += part[:h - 1:-1]
+    pp = sums[:, :h].copy()
+    pp[:, :pairs] += sums[:, :h - 1:-1]
+    pm = sums[:, :pairs] - sums[:, :h - 1:-1]
+    del sums  # each fold is let go before the next is made
+    diffs = part[:pairs] - part[:h - 1:-1]
+    mm = diffs[:, :pairs] - diffs[:, :h - 1:-1]
+    del diffs
     for x in (pp, pm, mm):
         x[np.abs(x) < _TINY] = 0.0
     return pp, pm, mm
@@ -425,7 +412,7 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
         prod = even @ pm @ odd.T
         dst[0::2, 1::2] = prod
         np.multiply(prod.T, sign, out=dst[1::2, 0::2])
-        del pp, pm, mm, prod  # not held while the next part is rotated
+        del pp, pm, mm, middle, prod  # not held while the next part is rotated
     gain = x_floor_gain(d)
     for r in range(0, d, _FLOOR_ROWS):
         rows = out[r:r + _FLOOR_ROWS]

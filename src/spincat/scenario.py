@@ -15,7 +15,7 @@ which artifacts to write, and where.  The full shape::
         "omega_0": 10.0,               # lorentzian only: center frequency
         "beta": null,                  # null = zero temperature
         "table": [[0.0, 0.0], ...]     # tabulated only: <= 8000 [omega, g] knots,
-                                       # knots * kernel times <= 90000000
+                                       # omega rising, knots * kernel times <= 90000000
       },
       "n_particles": 50,               # 1 .. 4096
       "theta": 0.785398,               # preparation polar angle
@@ -198,6 +198,9 @@ def _validate_spectrum(raw, path: str) -> dict:
             if not isinstance(row, list) or len(row) != 2:
                 _fail(f"{path}.table[{i}]", "expected an [omega, g] pair")
             w = _number(row[0], f"{path}.table[{i}][0]", nonnegative=True)
+            if pairs and not w > pairs[-1][0]:
+                _fail(f"{path}.table[{i}][0]", f"must exceed the previous omega "
+                      f"{pairs[-1][0]!r}, got {w!r}")
             g = _number(row[1], f"{path}.table[{i}][1]", nonnegative=True)
             pairs.append([w, g])
         out["table"] = pairs

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import itertools
 import json
 import math
 import os
@@ -449,7 +450,21 @@ def test_snapshot_text_is_streamed_unchanged(tmp_path):
     for i, (rho, t) in enumerate([(lz, 0.0), (lx, 3.3e4), (to_x_basis(lz), 1.5)]):
         path = tmp_path / f"snapshot_{i:03d}.csv"
         scenario._write_atomic(str(path), snapshot_text.snapshot_lines(rho, t, str(tmp_path)))
-        assert path.read_bytes() == _snapshot_text(rho, t).encode()
+        _assert_same_text(path.read_bytes(), _snapshot_text(rho, t).encode())
+
+
+def _assert_same_text(got, want):
+    # exact equality of two texts (str or bytes); a mismatch is reported by
+    # its first differing line and column, not by a diff of megabytes
+    if got == want:
+        return
+    lines = itertools.zip_longest(got.splitlines(True), want.splitlines(True),
+                                  fillvalue=got[:0])
+    line, (a, b) = next((i, p) for i, p in enumerate(lines, 1) if p[0] != p[1])
+    col = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(col - 100, 0)
+    pytest.fail(f"texts differ at line {line}, column {col + 1}: "
+                f"got {a[lo:col + 100]!r}, want {b[lo:col + 100]!r}")
 
 
 def _grid_text(mags) -> str:
@@ -493,7 +508,7 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         mags = np.abs(rho.elements)
         assert np.array_equal(mags, mags.T)
         text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
-        assert _grid_of(text) == _grid_text(mags)
+        _assert_same_text(_grid_of(text), _grid_text(mags))
         # one repr per nonzero mirror pair and diagonal entry, none for 0.0
         upper = mags[np.triu_indices(d)]
         assert np.any(upper == 0.0) == zeros
@@ -546,7 +561,8 @@ def test_tau_snapshot_reads_the_bath_solution(tmp_path, monkeypatch):
     params = build_scenario(validate_config(cfg))
     tau = solve_bath(params.spectrum, params.solve_horizon_factor).tau
     (rho,) = evolve.snapshot_series(params, [tau], Basis.LX)
-    assert (tmp_path / "both" / "snapshot_000.csv").read_text() == _snapshot_text(rho, tau)
+    _assert_same_text((tmp_path / "both" / "snapshot_000.csv").read_text(),
+                      _snapshot_text(rho, tau))
 
 
 def test_write_atomic_keeps_target_when_the_text_fails(tmp_path):
@@ -596,7 +612,7 @@ def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, b
     banded = tmp_path / "banded.csv"
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
     scenario._write_atomic(str(banded), snapshot_text.snapshot_lines(rho, 2.5, str(tmp_path)))
-    assert banded.read_bytes() == _snapshot_text(rho, 2.5).encode()
+    _assert_same_text(banded.read_bytes(), _snapshot_text(rho, 2.5).encode())
     _assert_no_band_leftovers(tmp_path, ["banded.csv"])
 
 
@@ -640,9 +656,8 @@ def test_banded_text_equals_one_band_text(d, bands, seed, kind):
         text = "".join(snapshot_text.banded_lines(grid, band_dir, bands))
         one_band = "".join(snapshot_text.banded_lines(grid, band_dir, 1))
         assert os.listdir(band_dir) == []
-    # one flag, so that a failure is not explained by a diff of megabytes
-    same = text == one_band == _grid_text(grid)
-    assert same, "banded, one-band and per-element texts differ"
+    _assert_same_text(text, one_band)
+    _assert_same_text(one_band, _grid_text(grid))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -732,7 +747,7 @@ def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, capf
     # the five header lines of an Lx file and the rows of the bands before
     # the failed one
     expected = _snapshot_text(rho, 1.0).splitlines(keepends=True)[:5 + lo_failing]
-    assert "".join(yielded) == "".join(expected)
+    _assert_same_text("".join(yielded), "".join(expected))
     assert target.read_text() == "old\n"
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
     # the failed child printed its traceback
@@ -749,7 +764,7 @@ def test_bands_need_no_pipe(tmp_path, monkeypatch):
     rho = _lx_snapshot(300)
     target = tmp_path / "snapshot_000.csv"
     scenario._write_atomic(str(target), snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)))
-    assert target.read_bytes() == _snapshot_text(rho, 1.0).encode()
+    _assert_same_text(target.read_bytes(), _snapshot_text(rho, 1.0).encode())
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
 
 
@@ -760,7 +775,7 @@ def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
         snapshot_times={"kind": "absolute", "values": [40.0]}))
     run_scenario(cfg, output_dir=str(tmp_path))
     (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LX)
-    assert (tmp_path / "snapshot_000.csv").read_text() == _snapshot_text(rho, 40.0)
+    _assert_same_text((tmp_path / "snapshot_000.csv").read_text(), _snapshot_text(rho, 40.0))
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv", "snapshots_index.json"])
 
 
@@ -1002,6 +1017,18 @@ def test_cli_table_knots_over_the_cap_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(small_config(spectrum={"kind": "tabulated", "table": table})))
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "spectrum.table: at most 8000 knots, got 8001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])  # a reversed knot, a repeated knot
+def test_cli_table_knots_that_do_not_rise_exit_2(tmp_path, capsys, omega):
+    table = [[0.0, 0.0], [2.0, 1e-5], [omega, 2e-5], [3.0, 0.0]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(spectrum={"kind": "tabulated", "table": table})))
+    for verb in (["run", str(path)], ["sweep", str(path), "--axis", "beta", "--values", "1,2"]):
+        out = tmp_path / verb[0]
+        assert main([*verb, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: spectrum.table[2][0]: must exceed ")
+        assert not out.exists()
 
 
 def test_cli_invalid_json_exits_2(tmp_path, capsys):

@@ -72,6 +72,14 @@ def test_coherent_state_poles():
     assert np.allclose(bottom.amplitudes, amp, atol=1e-15)
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.0])
+def test_coherent_state_at_a_zero_angle_has_exact_zeros(theta):
+    # sin(theta/2) is 0 (or -0): every amplitude with a power of it is 0
+    amps = coherent_state(SectorLabel(6), theta, 0.3).amplitudes
+    assert amps[0] == 1.0
+    assert np.all(amps[1:] == 0.0)
+
+
 def test_coherent_state_angle_identities():
     sec = SectorLabel(5)
     rng = np.random.default_rng(3)
@@ -141,6 +149,49 @@ def test_rotation_small_sector_known_matrices():
     # spin-1/2: entries all +-1/sqrt(2)
     half = rotation_to_x(SectorLabel(1))
     assert np.allclose(np.abs(half), s, atol=1e-14)
+
+
+def test_rotation_of_a_one_dimensional_sector_is_one():
+    sec = SectorLabel(2, 0)
+    mat = rotation_to_x(sec)
+    assert mat.tobytes() == np.ones((1, 1)).tobytes()
+    rho = DickeDensityMatrix(sec, np.ones((1, 1), dtype=complex))
+    rho_x = to_x_basis(rho)
+    assert rho_x.basis_tag is Basis.LX
+    assert rho_x.elements.tobytes() == rho.elements.tobytes()
+
+
+def _parity_parts_reference(part, pairs):
+    # the docstring of dicke._parity_parts entry by entry: rows k and d-1-k
+    # folded (a middle row taken once), then the columns of the folded rows,
+    # and every entry below the smallest normal float set to 0
+    d = len(part)
+    tiny = np.finfo(float).tiny
+
+    def fold(rows, sign, width):  # entries j and d-1-j of each row
+        return [[r[j] + sign * r[d - 1 - j] if j < pairs else r[j] for j in range(width)]
+                for r in rows]
+
+    cols = list(zip(*part.tolist()))
+    sums, diffs = (list(zip(*fold(cols, sign, width)))
+                   for sign, width in ((1.0, d - pairs), (-1.0, pairs)))
+    return [np.array([[0.0 if abs(x) < tiny else x for x in r] for r in fold(rows, sign, width)])
+            .reshape(len(rows), width)
+            for rows, sign, width in ((sums, 1.0, d - pairs), (sums, -1.0, pairs),
+                                      (diffs, -1.0, pairs))]
+
+
+@pytest.mark.parametrize("d", [*range(1, 10), 50, 51, 400, 401])
+def test_parity_parts_match_the_per_entry_folds(d):
+    # magnitudes from 1e-320 (subnormal) to 1e10, either sign, some exact 0
+    rng = np.random.default_rng(d)
+    grid = rng.choice([-1.0, 1.0], (d, d)) * 10.0 ** rng.uniform(-320.0, 10.0, (d, d))
+    grid[rng.random((d, d)) < 0.1] = 0.0
+    part = grid.astype(complex).real  # a strided view, as to_x_basis passes
+    want = _parity_parts_reference(grid, d // 2)
+    for got, ref in zip(dicke._parity_parts(part, d // 2), want, strict=True):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_rotation_unitarity():
