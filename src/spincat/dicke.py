@@ -213,10 +213,9 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     # magnitude in log space; a zero half-angle factor gives 0**0 = 1 and,
     # as -inf, 0**positive = exp(-inf) = 0, without log-of-zero noise
     pc, ps = two_l - k, k  # exponents of cos and sin halves
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = log_binom \
-            + np.where(pc > 0, pc * np.log(abs(c)) if c != 0.0 else -np.inf, 0.0) \
-            + np.where(ps > 0, ps * np.log(abs(s)) if s != 0.0 else -np.inf, 0.0)
+    log_mag = log_binom \
+        + np.where(pc > 0, pc * np.log(abs(c)) if c != 0.0 else -np.inf, 0.0) \
+        + np.where(ps > 0, ps * np.log(abs(s)) if s != 0.0 else -np.inf, 0.0)
     mag = np.exp(log_mag)
     sign = np.where(pc % 2 == 1, math.copysign(1.0, c), 1.0) \
         * np.where(ps % 2 == 1, math.copysign(1.0, s), 1.0)
@@ -329,11 +328,50 @@ def x_floor_gain(d: int) -> float:
     return math.sqrt(2.0) * two_n_u / (1.0 - two_n_u)
 
 
+def _x_halves(sector: SectorLabel, s: np.ndarray):
+    """``b = |M| s`` and the halves ``E``, ``O`` of the rotation ``M``; ``M``
+    is freed here."""
+    d = sector.dimension
+    mat = rotation_to_x(sector)
+    b = np.zeros(d)
+    for k in range(0, d, _FLOOR_ROWS):  # columns k.. of M: contiguous rows of M^T
+        b += s[k:k + _FLOOR_ROWS] @ np.abs(mat.T[k:k + _FLOOR_ROWS])
+    return (b, np.ascontiguousarray(mat[0::2, :(d + 1) // 2]),
+            np.ascontiguousarray(mat[1::2, :d // 2]))
+
+
+def _x_blocks(parts, even, odd, mirror):
+    """Yields ``(r, c, X)`` for (0, 0), (0, 1) and (1, 1): ``X``, a fresh
+    array, is the block of rows ``r::2`` and columns ``c::2`` of ``M P M^T``
+    for the part ``P`` whose :func:`_parity_parts` are ``parts``, a diagonal
+    block written ``mirror(X, X^T) * 0.5``.  Each part is freed once used."""
+    parts, sides = list(parts), (even, odd)
+    for r, c in ((0, 0), (0, 1), (1, 1)):
+        block = sides[r] @ parts.pop(0) @ sides[c].T
+        if r == c:
+            block = mirror(block, block.T)
+            block *= 0.5
+        yield r, c, block
+
+
+def _x_floor(x: np.ndarray, b: np.ndarray):
+    """Sets each entry of ``x``, an Lx matrix or its ``|rho|`` grid, with
+    ``|x_rc| <= g * (b_r * b_c)`` to 0, a block of rows at a time."""
+    gain = x_floor_gain(len(b))
+    for r in range(0, len(b), _FLOOR_ROWS):
+        rows = x[r:r + _FLOOR_ROWS]
+        floor = b[r:r + _FLOOR_ROWS, None] * b
+        floor *= gain
+        np.copyto(rows, 0.0, where=np.abs(rows) <= floor)
+
+
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     """Re-express an Lz-basis density matrix in the Lx eigenbasis.
 
     The rotation ``M`` is real, so ``M rho M^T`` is computed for the real and
-    the imaginary part of ``rho`` separately, by parity blocks: even rows of
+    the imaginary part of ``rho`` separately, by parity blocks
+    (:func:`_x_blocks`, shared with the ``|rho|`` grid of an Lx snapshot,
+    ``evolve._snapshot``, as the floor :func:`_x_floor` is): even rows of
     ``M`` are symmetric under ``k -> d-1-k`` and odd rows antisymmetric, so
     with ``E = M[0::2, :(d+1)//2]``, ``O = M[1::2, :d//2]`` and a part's
     row-and-column sums and differences ``A++``, ``A+-``, ``A--`` (O(d**2)
@@ -346,13 +384,11 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     entry by less than ``d * 2.3e-308``, and without this the matrix
     products run several times slower.  ``rho`` itself is not touched.
 
-    The result is exactly Hermitian: the real part's even-odd block is
-    mirrored into its odd-even block and each diagonal block ``P`` is written
-    as ``(P + P^T)/2``; the imaginary part's even-odd block is mirrored with
-    a minus sign and each diagonal block written as ``(P - P^T)/2`` (sums
-    commute in floating point, so the two halves match bit for bit).
-    Rounding left the products asymmetric by about 1e-16; the symmetrised
-    entries move by no more than that.
+    The result is exactly Hermitian: each part's even-odd block is mirrored
+    into its odd-even block, with a minus sign for the imaginary part, and
+    each diagonal block ``P`` is written as ``(P + P^T)/2`` or ``(P - P^T)/2``
+    (sums commute in floating point, so the two halves match bit for bit).
+    The symmetrised entries move by the products' rounding, about 1e-16.
 
     Entries within rounding of zero are set to exactly 0: every result
     entry with ``|x_rc| <= g * (b_r * b_c)``, where ``b = |M| s``,
@@ -387,38 +423,19 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     in :func:`rotation_to_x`, each below ``d * 2.3e-308``, are outside the
     bound.  ``b`` is found from blocks of columns of ``M`` before the
     products and the mask applied to blocks of rows after them, so no d x d
-    temporary is added.
+    temporary is added.  Beyond ``rho``, the traced peak is 30 bytes per entry.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
-    d = rho.sector.dimension
-    pairs = d // 2
-    mat = rotation_to_x(rho.sector)
-    s = np.sqrt(np.maximum(rho.elements.real.diagonal(), 0.0))
-    b = np.zeros(d)
-    for k in range(0, d, _FLOOR_ROWS):  # columns k.. of M: contiguous rows of M^T
-        b += s[k:k + _FLOOR_ROWS] @ np.abs(mat.T[k:k + _FLOOR_ROWS])
-    even = np.ascontiguousarray(mat[0::2, :(d + 1) // 2])
-    odd = np.ascontiguousarray(mat[1::2, :pairs])
-    del mat  # not held while the products run
+    b, even, odd = _x_halves(rho.sector, np.sqrt(np.maximum(rho.elements.real.diagonal(), 0.0)))
     out = np.empty_like(rho.elements)
     for dst, part, sign, mirror in ((out.real, rho.elements.real, 1.0, np.add),
                                     (out.imag, rho.elements.imag, -1.0, np.subtract)):
-        pp, pm, mm = _parity_parts(part, pairs)
-        for block, side, middle in ((dst[0::2, 0::2], even, pp), (dst[1::2, 1::2], odd, mm)):
-            prod = side @ middle @ side.T
-            mirror(prod, prod.T, out=block)
-            block *= 0.5
-        prod = even @ pm @ odd.T
-        dst[0::2, 1::2] = prod
-        np.multiply(prod.T, sign, out=dst[1::2, 0::2])
-        del pp, pm, mm, middle, prod  # not held while the next part is rotated
-    gain = x_floor_gain(d)
-    for r in range(0, d, _FLOOR_ROWS):
-        rows = out[r:r + _FLOOR_ROWS]
-        floor = b[r:r + _FLOOR_ROWS, None] * b
-        floor *= gain
-        np.copyto(rows, 0.0, where=np.abs(rows) <= floor)
+        for r, c, block in _x_blocks(_parity_parts(part, len(odd)), even, odd, mirror):
+            dst[r::2, c::2] = block
+        del block  # not held while the next part is rotated
+        np.multiply(dst[0::2, 1::2].T, sign, out=dst[1::2, 0::2])
+    _x_floor(out, b)
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

@@ -27,16 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import SpectralDensity
-from .dicke import (
-    Basis,
-    DickeDensityMatrix,
-    DickeState,
-    SectorLabel,
-    _clamped_fidelity,
-    _density_matrix,
-    coherent_state,
-    to_x_basis,
-)
+from .dicke import (Basis, DickeDensityMatrix, DickeState, SectorLabel, _clamped_fidelity,
+                    _density_matrix, _parity_parts, _x_blocks, _x_floor, _x_halves,
+                    coherent_state, to_x_basis)
 from .errors import UsageError
 from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, _kernels_at, _rates, solve_bath
 
@@ -285,14 +278,32 @@ def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[
     Kernel values are computed independently per time point; evaluation
     order does not affect the results.
     """
-    basis = Basis(basis)
-    return [_snapshot(p, float(t), basis) for t in np.asarray(times, dtype=float)]
+    rotate = to_x_basis if Basis(basis) is Basis.LX else (lambda rho: rho)
+    return [rotate(evolve_state(p, float(t))) for t in np.asarray(times, dtype=float)]
 
 
 def _snapshot(p: EvolutionParams, t: float, basis: Basis,
-              bath: BathSolution | None = None) -> DickeDensityMatrix:
-    """The state at ``t`` in ``basis``; at ``t == bath.tau`` the kernel
-    values are read from ``bath`` instead of being integrated again."""
+              bath: BathSolution | None = None) -> np.ndarray:
+    """``|rho|`` at ``t`` in ``basis``, with the kernel values at ``bath.tau``
+    read from ``bath``.  An Lx grid is ``|to_x_basis(rho)|`` bit for bit (``s``
+    is the diagonal :func:`_dephase` writes), but no complex d x d matrix is
+    held while the products run: rho goes once the parity parts of its real
+    and imaginary parts are made, and each imaginary block turns the grid's
+    block of real parts into ``np.abs`` of the complex entries."""
+    if basis is Basis.LX:
+        amps = p.initial.amplitudes
+        b, even, odd = _x_halves(p.sector, np.sqrt((amps * amps.conj()).real))
     rho = (_dephase(p, t, bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
-           else evolve_state(p, t))
-    return to_x_basis(rho) if basis is Basis.LX else rho
+           else evolve_state(p, t)).elements
+    if basis is Basis.LZ:
+        return np.abs(rho)
+    parts = [_parity_parts(x, len(odd)) for x in (rho.real, rho.imag)]
+    del rho  # not held while the products run
+    grid = np.empty((len(b), len(b)))
+    for r, c, block in _x_blocks(parts.pop(0), even, odd, np.add):
+        grid[r::2, c::2] = block
+    for r, c, block in _x_blocks(parts.pop(0), even, odd, np.subtract):
+        np.abs(grid[r::2, c::2] + 1j * block, out=grid[r::2, c::2])
+    grid[1::2, 0::2] = grid[0::2, 1::2].T
+    _x_floor(grid, b)
+    return grid

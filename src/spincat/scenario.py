@@ -83,15 +83,15 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # config fails with a config error instead of exhausting the machine.
 #
 # Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
-# array (d = N + 1) takes 16*d**2 bytes; a run holds about three of them at
-# once (the measured peak, 48 bytes per entry, comes from the Lz-to-Lx
-# rotation of an Lx snapshot: rho, the result, and half-size parity blocks
-# and products; the rotation is built for that snapshot and freed with it,
-# none is cached, snapshots are computed, written and freed one at a time
-# whatever their count, and snapshot text is streamed; the text writer holds
-# |rho| and comma-joined pieces of at most about d*d/4 strings, measured at
-# 17-23 bytes per entry, and a band worker about 4 more at N = 2000), so
-# N = 4096 needs 48 * 4097**2 ~ 0.81e9 bytes, inside the budget.
+# array (d = N + 1) takes 16*d**2 bytes; the measured peak of a run, 36 bytes
+# per entry (traced at N = 400-2000), comes from an Lx snapshot: rho with the
+# half-size parity parts of its real and imaginary parts, before rho is freed
+# and the real |rho| grid is rotated from them.  The rotation is made for that
+# snapshot and freed with it, snapshots are computed, written and freed one at
+# a time, and their text is streamed; the text writer holds the grid and
+# comma-joined pieces of at most about d*d/4 strings, measured at 17-23 bytes
+# per entry, and a band worker about 4 more at N = 2000.  So N = 4096 needs
+# 36 * 4097**2 ~ 0.60e9 bytes, inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
 # time (a time-grid point or a snapshot time) costs one integral of both
@@ -601,12 +601,12 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
         index = []
         for i, t in enumerate(times):
             try:
-                rho = _snapshot(params, t, basis, bath)
+                mag = _snapshot(params, t, basis, bath)
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
-            lines = snapshot_lines(rho, t, out_dir)
-            del rho  # the text needs only |rho|: free rho before it is written
+            lines = snapshot_lines(mag, params.sector, basis, t, out_dir)
+            del mag  # held by the text alone, and freed with it
             _write_atomic(os.path.join(out_dir, fname), lines)
             files.append(fname)
             index.append({

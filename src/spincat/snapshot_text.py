@@ -6,7 +6,7 @@ whole.  Each entry from the diagonal on is formatted once, and a 0.0 without
 equal cost (:func:`_row_costs`), one process per band, and the text is the
 same byte for byte whatever their count.  Band 0 is formatted by the calling
 process, and a single band needs no temp file or child.  Band ``b > 0`` is a
-child made by :func:`os.fork`, so that it inherits ``|rho|`` without a copy
+child made by :func:`os.fork`, so that it inherits the grid without a copy
 or a pickle; a child runs only Python string work, no BLAS and no lock
 another thread could hold, talks to no other process, writes its band's text
 (:func:`_band_text`) to an unnamed temp file in the target's directory, and
@@ -40,22 +40,19 @@ _BLOCK_ROWS = 32
 _ENTRY_COST = 0.075
 
 
-def snapshot_lines(rho, time: float, band_dir: str) -> Iterator[str]:
-    """The header and the ``|rho_{mm'}|`` grid of a snapshot file, rows and
-    columns running m = +l .. -l.  ``|rho|`` must be exactly symmetric, as
-    every matrix from ``evolve._dephase`` and ``dicke.to_x_basis`` is: each
-    mirror pair is formatted once.  Only ``|rho|`` is kept: the caller's last
-    reference to rho goes when the header is taken.  ``band_dir`` is a
-    directory on the target's file system, for the later bands' temp files."""
-    header = (f"# basis = {rho.basis_tag.value}\n"
-              f"# l = {float(rho.sector.l)!r}\n"
+def snapshot_lines(mag, sector, basis: Basis, time: float, band_dir: str) -> Iterator[str]:
+    """The header and the grid ``mag = |rho_{mm'}|`` of a snapshot file in
+    ``basis``, rows and columns running m = +l .. -l.  ``mag`` must be
+    exactly symmetric, as every grid from ``evolve._snapshot`` is: each
+    mirror pair is formatted once.  ``band_dir`` is a directory on the
+    target's file system, for the later bands' temp files."""
+    header = (f"# basis = {basis.value}\n"
+              f"# l = {float(sector.l)!r}\n"
               f"# time = {float(time)!r}\n"
               "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
-    if rho.basis_tag is Basis.LX:
+    if basis is Basis.LX:
         header += ("# zeroed = |rho_rc| <= g*b_r*b_c written as 0.0, within rounding of zero;"
-                   f" b = |M| sqrt(diag rho_Lz), g = {x_floor_gain(rho.sector.dimension)!r}\n")
-    mag = np.abs(rho.elements)
-    del rho
+                   f" b = |M| sqrt(diag rho_Lz), g = {x_floor_gain(sector.dimension)!r}\n")
     yield header
     yield from banded_lines(mag, band_dir, _band_count(len(mag)))
 

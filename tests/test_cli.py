@@ -404,7 +404,7 @@ def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
 
 
 def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
-    calls = {"eigvalsh": 0, "check": 0, "to_x_basis": 0, "rotation": 0}
+    calls = {"eigvalsh": 0, "check": 0, "blocks": 0, "rotation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -415,27 +415,28 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(DickeDensityMatrix, "__post_init__",
                         counted("check", DickeDensityMatrix.__post_init__))
-    to_x = counted("to_x_basis", dicke.to_x_basis)
-    monkeypatch.setattr(dicke, "to_x_basis", to_x)
-    monkeypatch.setattr(evolve, "to_x_basis", to_x)
+    blocks = counted("blocks", dicke._x_blocks)
+    monkeypatch.setattr(dicke, "_x_blocks", blocks)
+    monkeypatch.setattr(evolve, "_x_blocks", blocks)
     rotation = counted("rotation", dicke.rotation_to_x)
     monkeypatch.setattr(dicke, "rotation_to_x", rotation)
     monkeypatch.setattr(evolve, "rotation_to_x", rotation, raising=False)
     cfg = preset_config("fig1")
     cfg.update(n_particles=200, outputs=["report"])
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "report"))
-    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 0, "rotation": 0}
+    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 0, "rotation": 0}
     cfg.update(outputs=["snapshots", "report"],
                snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]})
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
-    # one rotation per Lx snapshot
-    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 2, "rotation": 2}
+    # one rotation per Lx snapshot: one rotation_to_x, and the parity blocks
+    # of the real and the imaginary part
+    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 4, "rotation": 2}
     sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
           output_dir=str(tmp_path / "sweep"))
-    assert calls == {"eigvalsh": 0, "check": 0, "to_x_basis": 2, "rotation": 2}
+    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 4, "rotation": 2}
     # a caller-supplied matrix is still checked in full
     DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
-    assert calls == {"eigvalsh": 1, "check": 1, "to_x_basis": 2, "rotation": 2}
+    assert calls == {"eigvalsh": 1, "check": 1, "blocks": 4, "rotation": 2}
 
 
 def test_snapshot_text_is_streamed_unchanged(tmp_path):
@@ -449,8 +450,14 @@ def test_snapshot_text_is_streamed_unchanged(tmp_path):
     lx = DickeDensityMatrix(sec, lz.elements, Basis.LX)
     for i, (rho, t) in enumerate([(lz, 0.0), (lx, 3.3e4), (to_x_basis(lz), 1.5)]):
         path = tmp_path / f"snapshot_{i:03d}.csv"
-        scenario._write_atomic(str(path), snapshot_text.snapshot_lines(rho, t, str(tmp_path)))
+        scenario._write_atomic(str(path), _lines(rho, t, tmp_path))
         _assert_same_text(path.read_bytes(), _snapshot_text(rho, t).encode())
+
+
+def _lines(rho, t, band_dir):
+    # the snapshot text of a density matrix: the lines of its |rho| grid
+    return snapshot_text.snapshot_lines(np.abs(rho.elements), rho.sector, rho.basis_tag, t,
+                                        str(band_dir))
 
 
 def _assert_same_text(got, want):
@@ -507,7 +514,7 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         calls.clear()
         mags = np.abs(rho.elements)
         assert np.array_equal(mags, mags.T)
-        text = "".join(snapshot_text.snapshot_lines(rho, 2.0, str(tmp_path)))
+        text = "".join(_lines(rho, 2.0, tmp_path))
         _assert_same_text(_grid_of(text), _grid_text(mags))
         # one repr per nonzero mirror pair and diagonal entry, none for 0.0
         upper = mags[np.triu_indices(d)]
@@ -531,7 +538,7 @@ def test_snapshot_text_peak_is_below_the_rotation_peak(tmp_path, monkeypatch):
         rotation = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        size = sum(map(len, snapshot_text.snapshot_lines(lx, 1.0, str(tmp_path))))
+        size = sum(map(len, _lines(lx, 1.0, tmp_path)))
         formatter = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -611,7 +618,7 @@ def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, b
         assert np.any(rho.elements.imag != 0.0)
     banded = tmp_path / "banded.csv"
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
-    scenario._write_atomic(str(banded), snapshot_text.snapshot_lines(rho, 2.5, str(tmp_path)))
+    scenario._write_atomic(str(banded), _lines(rho, 2.5, tmp_path))
     _assert_same_text(banded.read_bytes(), _snapshot_text(rho, 2.5).encode())
     _assert_no_band_leftovers(tmp_path, ["banded.csv"])
 
@@ -710,7 +717,7 @@ def test_band_count_follows_the_usable_cores(monkeypatch):
 
 def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
-    lines = snapshot_text.snapshot_lines(_lx_snapshot(300), 1.0, str(tmp_path))
+    lines = _lines(_lx_snapshot(300), 1.0, tmp_path)
     for _ in range(40):  # the header and some of the first band's lines
         next(lines)
     lines.close()
@@ -738,7 +745,7 @@ def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, capf
     yielded = []
 
     def lines():
-        for text in snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)):
+        for text in _lines(rho, 1.0, tmp_path):
             yielded.append(text)
             yield text
 
@@ -763,7 +770,7 @@ def test_bands_need_no_pipe(tmp_path, monkeypatch):
     monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
     rho = _lx_snapshot(300)
     target = tmp_path / "snapshot_000.csv"
-    scenario._write_atomic(str(target), snapshot_text.snapshot_lines(rho, 1.0, str(tmp_path)))
+    scenario._write_atomic(str(target), _lines(rho, 1.0, tmp_path))
     _assert_same_text(target.read_bytes(), _snapshot_text(rho, 1.0).encode())
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
 
@@ -777,6 +784,57 @@ def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
     (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LX)
     _assert_same_text((tmp_path / "snapshot_000.csv").read_text(), _snapshot_text(rho, 40.0))
     _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv", "snapshots_index.json"])
+
+
+_PI_4 = math.pi / 4.0
+
+
+@pytest.mark.parametrize("preset, n, theta, phi, times", [
+    *(pytest.param("fig1", n, _PI_4, 0.0, "tau", id=f"fig1-{n}")
+      for n in (1, 2, 3, 4, 7, 8, 50, 51, 300, 301)),
+    *(pytest.param("fig1", n, _PI_4, 0.3, "tau", id=f"phi-{n}") for n in (50, 51, 400)),
+    pytest.param("fig1", 60, 0.0, 0.0, "tau", id="theta-0"),
+    pytest.param("fig1", 61, math.pi, 0.0, "tau", id="theta-pi"),
+    *(pytest.param("fig2", n, math.pi / 2.0, 0.0, "tau", id=f"fig2-{n}") for n in (50, 51)),
+    pytest.param("fig1", 301, 1.1, 0.3, [40.0], id="absolute-301")])
+def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, preset, n, theta,
+                                                               phi, times):
+    # a run writes an Lx grid from the parity blocks of rho's parts, with no
+    # complex Lx matrix; its text is that of |to_x_basis(rho)| byte for byte,
+    # at tau (kernel values from the bath solution) and at t = 0, and at an
+    # absolute time (evolve_state's kernel values)
+    snap = ({"kind": "tau-fractions", "values": [0.0, 1.0]} if times == "tau"
+            else {"kind": "absolute", "values": times})
+    cfg = preset_config(preset)
+    cfg.update(n_particles=n, theta=theta, phi=phi, basis="Lx", outputs=["snapshots"],
+               snapshot_times=snap)
+    cfg = validate_config(cfg)
+    run_scenario(cfg, output_dir=str(tmp_path))
+    params = build_scenario(cfg)
+    if times == "tau":
+        times = [0.0, solve_bath(params.spectrum, params.solve_horizon_factor).tau]
+    for i, t in enumerate(times):
+        rho = to_x_basis(evolve.evolve_state(params, t))
+        _assert_same_text((tmp_path / f"snapshot_{i:03d}.csv").read_text(),
+                          _snapshot_text(rho, t))
+
+
+def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
+    # the grid at tau traces about 36 bytes per entry at N = 400: rho (16)
+    # with the parity parts of both its parts (12) and one fold being made;
+    # a complex Lx result beside rho made 48
+    params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4)))
+    bath = solve_bath(params.spectrum, params.solve_horizon_factor)
+    evolve._snapshot(params, bath.tau, Basis.LX, bath)  # kernel values now cached
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = evolve._snapshot(params, bath.tau, Basis.LX, bath)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid.dtype == np.float64 and grid.shape == (401, 401)
+    assert peak <= 38 * 401 ** 2
 
 
 def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):

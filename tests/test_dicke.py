@@ -80,6 +80,17 @@ def test_coherent_state_at_a_zero_angle_has_exact_zeros(theta):
     assert np.all(amps[1:] == 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51])
+def test_coherent_state_log_magnitudes_need_no_error_state(n):
+    # a zero half-angle factor enters as -inf, never as log(0), and
+    # log|cos|, log|sin| <= 0 never meet +inf: no division by zero or
+    # invalid operation at any angle, so no error state is set around them
+    for theta in (0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 5e-324, 1e10, -3.0):
+        with np.errstate(divide="raise", invalid="raise"):
+            amps = coherent_state(SectorLabel(n), theta, 0.3).amplitudes
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_coherent_state_angle_identities():
     sec = SectorLabel(5)
     rng = np.random.default_rng(3)
