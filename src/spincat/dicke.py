@@ -101,8 +101,9 @@ class SectorLabel:
 class DickeState:
     """Pure state in a fixed sector: complex amplitudes ``c_m``.
 
-    ``bloch`` optionally records the preparation angles ``(theta, phi)``
-    when the state was built as a spin coherent state; it is metadata only.
+    The amplitudes must be finite and of unit norm.  ``bloch`` optionally
+    records the preparation angles ``(theta, phi)`` when the state was built
+    as a spin coherent state; it is metadata only.
     """
 
     sector: SectorLabel
@@ -115,6 +116,8 @@ class DickeState:
         if amp.shape != (self.sector.dimension,):
             raise DomainError(
                 f"amplitudes shape {amp.shape} != sector dimension ({self.sector.dimension},)")
+        if not np.isfinite(amp).all():
+            raise DomainError("amplitudes must be finite")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
@@ -131,8 +134,8 @@ class DickeState:
 class DickeDensityMatrix:
     """Density matrix over ``m`` indices (order ``+l`` first) in a sector.
 
-    Constructing one enforces hermiticity, unit trace and positive
-    semidefiniteness within fixed tolerances (the eigenvalue test is
+    Constructing one enforces finite entries, hermiticity, unit trace and
+    positive semidefiniteness within fixed tolerances (the eigenvalue test is
     O(d**3)).  Matrices the package builds itself (``projector``,
     ``evolve_state``, ``to_x_basis``) are physical by construction and skip
     the tests; all of them hold a read-only ``elements`` array.
@@ -147,6 +150,8 @@ class DickeDensityMatrix:
         d = self.sector.dimension
         if rho.shape != (d, d):
             raise DomainError(f"elements shape {rho.shape} != ({d}, {d})")
+        if not np.isfinite(rho).all():
+            raise DomainError("elements must be finite")
         herm = float(np.max(np.abs(rho - rho.conj().T)))
         if herm > _HERM_TOL:
             raise DomainError(f"matrix deviates from hermitian by {herm!r}")
@@ -198,11 +203,14 @@ def coherent_state(sector: SectorLabel, theta: float, phi: float) -> DickeState:
     accumulated in log space so the construction stays stable to N = 512
     and beyond.  For ``theta`` in (0, pi) the ``m = +l`` amplitude is real
     positive (global-phase convention); the formula is evaluated as printed
-    for any real angles, including negative ``theta``.
+    for any finite angles, including negative ``theta``; a non-finite one
+    raises :class:`DomainError`.
     """
     if not sector.symmetric:
         raise UsageError(
             f"coherent states require the symmetric sector l = N/2, got l={sector.l}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"coherent state angles must be finite, got ({theta!r}, {phi!r})")
     l = sector.l
     m = sector.m_values()
     two_l = int(round(2 * l))
@@ -292,32 +300,43 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     return vecs.T
 
 
+# Rows or columns of a d x d matrix taken at a time by the parity folds and
+# while the rounding floor of to_x_basis is found and applied
+_BLOCK_ROWS = 32
+
+
 def _parity_parts(part: np.ndarray, pairs: int):
     """The sums and differences of rows and of columns ``k`` and ``d-1-k``
     of a real d x d matrix: ``(++, +-, --)``, where ``+`` has ``(d+1)//2``
     entries and ``-`` has ``d//2``.  Rows are folded first, row ``k`` plus
     or minus row ``d-1-k``, then the columns of the folded rows the same
-    way; the middle row and column of an odd ``d`` fold onto nothing and are
-    taken once, as they are.  Entries below the smallest normal float are
-    set to 0."""
-    h = part.shape[0] - pairs
-    sums = part[:h].copy()
-    sums[:pairs] += part[:h - 1:-1]
-    pp = sums[:, :h].copy()
-    pp[:, :pairs] += sums[:, :h - 1:-1]
-    pm = sums[:, :pairs] - sums[:, :h - 1:-1]
-    del sums  # each fold is let go before the next is made
-    diffs = part[:pairs] - part[:h - 1:-1]
-    mm = diffs[:, :pairs] - diffs[:, :h - 1:-1]
-    del diffs
-    for x in (pp, pm, mm):
-        x[np.abs(x) < _TINY] = 0.0
+    way: with ``a, b`` the entries of row ``k`` in columns ``j, d-1-j`` and
+    ``c, e`` those of row ``d-1-k``, ``++`` is ``(a + c) + (b + e)``, ``+-``
+    is ``(a + c) - (b + e)`` and ``--`` is ``(a - c) - (b - e)``.  The middle
+    row and column of an odd ``d`` fold onto nothing and are taken once, as
+    they are.  Entries below the smallest normal float are set to 0.  The
+    three results are written a block of rows at a time, so no temporary
+    larger than a block of folded rows is made.  ``part`` is only read, as
+    ``len(part)`` and blocks of rows ``part[lo:hi]``: a real array, or an
+    object that makes those rows when asked (``evolve._Part``)."""
+    d = len(part)
+    h = d - pairs
+    pp, pm, mm = np.empty((h, h)), np.empty((h, pairs)), np.empty((pairs, pairs))
+    for lo in range(0, h, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, h)
+        top = min(hi, pairs)  # rows lo .. top-1 have a mirror row
+        rows = part[lo:hi]
+        flip = part[d - top:d - lo][::-1]  # rows d-1-lo .. d-top
+        sums = rows.copy()
+        sums[:top - lo] += flip
+        np.add(sums[:, :pairs], sums[:, :h - 1:-1], out=pp[lo:hi, :pairs])
+        pp[lo:hi, pairs:] = sums[:, pairs:h]
+        np.subtract(sums[:, :pairs], sums[:, :h - 1:-1], out=pm[lo:hi])
+        diffs = rows[:top - lo] - flip
+        np.subtract(diffs[:, :pairs], diffs[:, :h - 1:-1], out=mm[lo:top])
+        for x in (pp[lo:hi], pm[lo:hi], mm[lo:top]):
+            np.copyto(x, 0.0, where=np.abs(x) < _TINY)
     return pp, pm, mm
-
-
-# Rows or columns of a d x d matrix taken at a time while the rounding floor
-# of to_x_basis is found and applied
-_FLOOR_ROWS = 32
 
 
 def x_floor_gain(d: int) -> float:
@@ -334,8 +353,8 @@ def _x_halves(sector: SectorLabel, s: np.ndarray):
     d = sector.dimension
     mat = rotation_to_x(sector)
     b = np.zeros(d)
-    for k in range(0, d, _FLOOR_ROWS):  # columns k.. of M: contiguous rows of M^T
-        b += s[k:k + _FLOOR_ROWS] @ np.abs(mat.T[k:k + _FLOOR_ROWS])
+    for k in range(0, d, _BLOCK_ROWS):  # columns k.. of M: contiguous rows of M^T
+        b += s[k:k + _BLOCK_ROWS] @ np.abs(mat.T[k:k + _BLOCK_ROWS])
     return (b, np.ascontiguousarray(mat[0::2, :(d + 1) // 2]),
             np.ascontiguousarray(mat[1::2, :d // 2]))
 
@@ -358,9 +377,9 @@ def _x_floor(x: np.ndarray, b: np.ndarray):
     """Sets each entry of ``x``, an Lx matrix or its ``|rho|`` grid, with
     ``|x_rc| <= g * (b_r * b_c)`` to 0, a block of rows at a time."""
     gain = x_floor_gain(len(b))
-    for r in range(0, len(b), _FLOOR_ROWS):
-        rows = x[r:r + _FLOOR_ROWS]
-        floor = b[r:r + _FLOOR_ROWS, None] * b
+    for r in range(0, len(b), _BLOCK_ROWS):
+        rows = x[r:r + _BLOCK_ROWS]
+        floor = b[r:r + _BLOCK_ROWS, None] * b
         floor *= gain
         np.copyto(rows, 0.0, where=np.abs(rows) <= floor)
 
@@ -378,11 +397,12 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     work), the even-even block of ``M A M^T`` is ``E A++ E^T``, the
     even-odd block ``E A+- O^T`` and the odd-odd block ``O A-- O^T``: six
     real products of half size, ``3 d**3`` flops instead of ``8 d**3``, with
-    (d/2)**2 temporaries.  In the sums and differences, entries below the
-    smallest normal float (subnormals, e.g. products of the smallest
-    coherent-state amplitudes) are set to 0: together they move a result
-    entry by less than ``d * 2.3e-308``, and without this the matrix
-    products run several times slower.  ``rho`` itself is not touched.
+    (d/2)**2 temporaries.  The sums and differences are folded a block of
+    rows at a time into the three parts, with no larger temporary.  In
+    them, entries below the smallest normal float (subnormals, e.g. products
+    of the smallest coherent-state amplitudes) are set to 0: together they
+    move a result entry by less than ``d * 2.3e-308``, and without this the
+    matrix products run several times slower.  ``rho`` itself is not touched.
 
     The result is exactly Hermitian: each part's even-odd block is mirrored
     into its odd-even block, with a minus sign for the imaginary part, and
@@ -423,7 +443,9 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     in :func:`rotation_to_x`, each below ``d * 2.3e-308``, are outside the
     bound.  ``b`` is found from blocks of columns of ``M`` before the
     products and the mask applied to blocks of rows after them, so no d x d
-    temporary is added.  Beyond ``rho``, the traced peak is 30 bytes per entry.
+    temporary is added.  Beyond ``rho``, the traced peak is about 28 bytes
+    per entry at N = 400-2000: the result (16), the halves of the rotation
+    (4), one part's parity parts (6) and a product.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")

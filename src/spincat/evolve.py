@@ -114,12 +114,18 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
     ``t = 0`` returns the initial projector.  The result is always in the
     Lz basis; populations are conserved exactly.
     """
+    return _dephase(p, t, *_kernel_values(p, t))
+
+
+def _kernel_values(p: EvolutionParams, t: float):
+    """``f(t)`` and ``Gamma(t)`` for :func:`_formed`, ``Gamma`` as a function
+    giving it, from one integral of both kernels; 0 and 0 at ``t = 0``."""
     if t < 0.0:
         raise UsageError(f"t must be >= 0, got {t}")
     if t == 0.0:
-        return _dephase(p, t, 0.0, 0.0)
-    integral = _kernels_at(p.spectrum, t)  # one integral gives both kernels
-    return _dephase(p, t, float(_rates(*integral, 0)[0]), lambda: float(_rates(*integral, 1)[0]))
+        return 0.0, 0.0
+    integral = _kernels_at(p.spectrum, t)
+    return float(_rates(*integral, 0)[0]), lambda: float(_rates(*integral, 1)[0])
 
 
 def _formed(p: EvolutionParams, t: float, f: float, gamma):
@@ -132,37 +138,84 @@ def _formed(p: EvolutionParams, t: float, f: float, gamma):
     return _twisted(p, t * f), kernel, gamma
 
 
-# Rows per block of the propagator, written in place: a block's only temporaries
-# are the real kernel's cast buffer (8192 entries) and its diagonal square's conjugate.
+# Rows per block of the state: the only temporaries of an upper block are the
+# real kernel's cast buffer (8192 entries) and its diagonal square's conjugate.
 _DEPHASE_ROWS = 32
+
+
+class _State:
+    """The state ``(psi psi^+) o K`` at ``t`` (:func:`_formed`), made a block
+    of entries at a time, so that no d x d array need be held."""
+
+    def __init__(self, p: EvolutionParams, t: float, f: float, gamma):
+        psi, kernel, _ = _formed(p, t, f, gamma)
+        self.psi, self.conj = psi, psi.conj()
+        # toeplitz[i, j] = kernel[|i - j|], a view
+        self.toeplitz = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((kernel[:0:-1], kernel)), psi.size)[::-1]
+        amps = p.initial.amplitudes
+        self.diag = amps * amps.conj()
+
+    def products(self, r0: int, r1: int, c0: int, c1: int, out=None) -> np.ndarray:
+        """``psi_i conj(psi_j) k[|i - j|]`` for rows ``r0 .. r1-1`` and
+        columns ``c0 .. c1-1``, into ``out`` if given: the one place the
+        state's entries are multiplied out."""
+        out = np.multiply(self.psi[r0:r1, None], self.conj[None, c0:c1], out=out)
+        out *= self.toeplitz[r0:r1, c0:c1]
+        return out
+
+    def upper(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``lo .. hi-1`` from column ``lo`` on, written into ``out``:
+        the products right of the diagonal, the conjugate of its mirror left
+        of it and ``amps * amps.conj()`` on it."""
+        square = self.products(lo, hi, lo, self.psi.size, out)[:, :hi - lo]
+        np.copyto(square, square.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
+        np.fill_diagonal(square, self.diag[lo:hi])
+        return out
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo .. hi-1``, complex, every column: :meth:`upper`, and left
+        of column ``lo`` the conjugates of the products of rows ``0 .. lo-1``,
+        made again.  Bit for bit the rows :func:`_dephase` writes."""
+        out = np.empty((hi - lo, self.psi.size), dtype=complex)
+        self.upper(lo, hi, out[:, lo:])
+        np.conjugate(self.products(0, lo, lo, hi).T, out=out[:, :lo])
+        return out
+
+
+class _Part:
+    """The real part of a :class:`_State`, or its imaginary part if
+    ``imag``, sliced into blocks of rows as a real d x d array would be:
+    ``part[lo:hi]`` makes rows ``lo .. hi-1``.  What :func:`_parity_parts`
+    folds, for a snapshot that holds no d x d part."""
+
+    def __init__(self, state: _State, imag: bool):
+        self.state, self.imag = state, imag
+
+    def __len__(self) -> int:
+        return self.state.psi.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        block = self.state.rows(rows.start, rows.stop)
+        return block.imag if self.imag else block.real
 
 
 def _dephase(p: EvolutionParams, t: float, f: float, gamma) -> DickeDensityMatrix:
     """The state at ``t`` (:func:`_formed`) given the kernel values there.
 
     A pure projector times a positive kernel of unit diagonal: a density
-    matrix by construction, not checked again.  The upper triangle is built
-    in blocks of rows, ``psi_i conj(psi_j) k[j - i]``, every entry below the
-    diagonal is the exact conjugate of its mirror and the diagonal is
-    ``amps * amps.conj()``: Hermitian bit for bit, with no d x d temporary.
+    matrix by construction, not checked again.  Each block of rows of
+    :meth:`_State.upper` is written in place and every entry below it is the
+    exact conjugate of its mirror: Hermitian bit for bit, with no d x d
+    temporary.
     """
-    amps = p.initial.amplitudes
-    psi, kernel, _ = _formed(p, t, f, gamma)
-    d = psi.size
-    # toeplitz[i, j] = kernel[|i - j|], a view
-    toeplitz = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((kernel[:0:-1], kernel)), d)[::-1]
-    conj = psi.conj()
+    state = _State(p, t, f, gamma)
+    d = state.psi.size
     rho = np.empty((d, d), dtype=complex)
     for lo in range(0, d, _DEPHASE_ROWS):
         hi = min(lo + _DEPHASE_ROWS, d)
-        block = rho[lo:hi, lo:]
-        np.multiply(psi[lo:hi, None], conj[None, lo:], out=block)
-        block *= toeplitz[lo:hi, lo:]
-        np.conjugate(rho[lo:hi, hi:].T, out=rho[hi:, lo:hi])
-        square = rho[lo:hi, lo:hi]
-        np.copyto(square, square.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
-    np.fill_diagonal(rho, amps * amps.conj())
+        rows = state.upper(lo, hi, rho[lo:hi, lo:])
+        np.conjugate(rows[:, hi - lo:].T, out=rho[hi:, lo:hi])
     return _density_matrix(p.sector, rho, Basis.LZ)
 
 
@@ -285,25 +338,42 @@ def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[
 def _snapshot(p: EvolutionParams, t: float, basis: Basis,
               bath: BathSolution | None = None) -> np.ndarray:
     """``|rho|`` at ``t`` in ``basis``, with the kernel values at ``bath.tau``
-    read from ``bath``.  An Lx grid is ``|to_x_basis(rho)|`` bit for bit (``s``
-    is the diagonal :func:`_dephase` writes), but no complex d x d matrix is
-    held while the products run: rho goes once the parity parts of its real
-    and imaginary parts are made, and each imaginary block turns the grid's
-    block of real parts into ``np.abs`` of the complex entries."""
-    if basis is Basis.LX:
-        amps = p.initial.amplitudes
-        b, even, odd = _x_halves(p.sector, np.sqrt((amps * amps.conj()).real))
-    rho = (_dephase(p, t, bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
-           else evolve_state(p, t)).elements
+    read from ``bath``: the grid of ``np.abs`` of :func:`_dephase`'s matrix,
+    or in Lx of :func:`~spincat.dicke.to_x_basis`'s, bit for bit, with no
+    d x d matrix of rho made.  An Lz grid is written a block of rows of
+    :meth:`_State.upper` at a time, and mirrored.  For an Lx grid (``s`` is
+    the diagonal :class:`_State` writes) the real part of rho is folded into
+    its parity parts from rows made a block at a time (:class:`_Part`), and
+    its blocks are written into the grid; then the imaginary part is folded
+    the same way, and each of its blocks turns the grid's block of real
+    parts into ``np.abs`` of the complex entries, a few rows at a time.  One
+    Lx snapshot at tau traces about 20 bytes per entry at N = 1000 and 2000:
+    the grid (8), the halves of the rotation (4), one part's parity parts
+    (6) and a product."""
+    f, gamma = ((bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
+                else _kernel_values(p, t))
+    state = _State(p, t, f, gamma)
+    d = state.psi.size
     if basis is Basis.LZ:
-        return np.abs(rho)
-    parts = [_parity_parts(x, len(odd)) for x in (rho.real, rho.imag)]
-    del rho  # not held while the products run
-    grid = np.empty((len(b), len(b)))
-    for r, c, block in _x_blocks(parts.pop(0), even, odd, np.add):
+        grid = np.empty((d, d))
+        for lo in range(0, d, _DEPHASE_ROWS):
+            hi = min(lo + _DEPHASE_ROWS, d)
+            np.abs(state.upper(lo, hi, np.empty((hi - lo, d - lo), dtype=complex)),
+                   out=grid[lo:hi, lo:])
+            grid[hi:, lo:hi] = grid[lo:hi, hi:].T
+        return grid
+    b, even, odd = _x_halves(p.sector, np.sqrt(state.diag.real))
+    grid = np.empty((d, d))
+    for r, c, block in _x_blocks(_parity_parts(_Part(state, False), len(odd)),
+                                 even, odd, np.add):
         grid[r::2, c::2] = block
-    for r, c, block in _x_blocks(parts.pop(0), even, odd, np.subtract):
-        np.abs(grid[r::2, c::2] + 1j * block, out=grid[r::2, c::2])
+    del block  # not held while the imaginary part is folded
+    for r, c, block in _x_blocks(_parity_parts(_Part(state, True), len(odd)),
+                                 even, odd, np.subtract):
+        dst = grid[r::2, c::2]
+        for i in range(0, len(block), _DEPHASE_ROWS):  # no block-size complex temporary
+            np.abs(dst[i:i + _DEPHASE_ROWS] + 1j * block[i:i + _DEPHASE_ROWS],
+                   out=dst[i:i + _DEPHASE_ROWS])
     grid[1::2, 0::2] = grid[0::2, 1::2].T
     _x_floor(grid, b)
     return grid

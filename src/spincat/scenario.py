@@ -83,15 +83,19 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # config fails with a config error instead of exhausting the machine.
 #
 # Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
-# array (d = N + 1) takes 16*d**2 bytes; the measured peak of a run, 36 bytes
-# per entry (traced at N = 400-2000), comes from an Lx snapshot: rho with the
-# half-size parity parts of its real and imaginary parts, before rho is freed
-# and the real |rho| grid is rotated from them.  The rotation is made for that
-# snapshot and freed with it, snapshots are computed, written and freed one at
-# a time, and their text is streamed; the text writer holds the grid and
-# comma-joined pieces of at most about d*d/4 strings, measured at 17-23 bytes
-# per entry, and a band worker about 4 more at N = 2000.  So N = 4096 needs
-# 36 * 4097**2 ~ 0.60e9 bytes, inside the budget.
+# array (d = N + 1) takes 16*d**2 bytes, but a run makes none: the measured
+# peak of a run, 21 bytes per entry (traced at N = 1000 and 2000; 26 at
+# N = 400), comes from an Lx snapshot: the real |rho| grid (8), the halves
+# of the rotation (4) and the half-size parity parts of one real part of rho
+# (6), folded from rows of rho made a block at a time, with a product of
+# them.  An Lz snapshot holds its grid and a block of rows of rho.  The
+# rotation is made for that snapshot and freed with it, snapshots are
+# computed, written and freed one at a time, and their text is streamed; the
+# text writer holds the grid and comma-joined pieces of at most about d*d/4
+# strings, measured at 11-23 bytes per entry with the grid (N = 400-2000,
+# least for large N and a grid of many zeros), and a band worker about 4
+# more at N = 2000.  So N = 4096 needs about 21 * 4097**2 ~ 0.35e9 bytes,
+# inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
 # time (a time-grid point or a snapshot time) costs one integral of both

@@ -112,21 +112,21 @@ def banded_lines(mag, band_dir: str, bands: int) -> Iterator[str]:
                 finally:
                     os._exit(code)
             pids.append(pid)
-        earlier: list[Iterator[str]] = []  # each yields its band's text in the next column
-        for b in range(bands):
-            if b == 0:
-                own = _band_text(mag, 0, bounds[1])
-            else:
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-                del pids[0]
-                if code:
-                    raise RuntimeError(f"snapshot band {b} of {bands} failed "
-                                       f"(worker exit code {code})")
-                files[b - 1].seek(0)
-                own = (text[:-1] for text in files[b - 1])
-            for i in range(bounds[b], bounds[b + 1]):
-                yield ",".join([next(s) for s in earlier] + [next(own)]) + "\n"
-            earlier.append(own)
+        own = _band_text(mag, 0, bounds[1])
+        for _ in range(bounds[1]):
+            yield next(own) + "\n"
+        earlier = [own]  # each yields its band's text in the next column
+        for b in range(1, bands):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code:
+                raise RuntimeError(f"snapshot band {b} of {bands} failed "
+                                   f"(worker exit code {code})")
+            files[b - 1].seek(0)
+            own = iter(files[b - 1])
+            for _ in range(bounds[b], bounds[b + 1]):  # the band's line keeps its newline
+                yield ",".join([next(s) for s in earlier] + [next(own)])
+            earlier.append(text[:-1] for text in own)
     finally:
         for pid in pids:  # the children not yet reaped
             os.kill(pid, signal.SIGKILL)

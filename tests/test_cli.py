@@ -357,11 +357,11 @@ def test_run_computes_each_bath_quantity_once(tmp_path, monkeypatch):
 
 def test_run_builds_the_state_at_tau_once(tmp_path, monkeypatch):
     # the report scores the formed state without building it; only the
-    # snapshot at tau does
+    # snapshot at tau does, from one _State whose parts it folds in turn
     times = []
-    dephase = evolve._dephase
-    monkeypatch.setattr(evolve, "_dephase",
-                        lambda p, t, f, gamma: times.append(t) or dephase(p, t, f, gamma))
+    state = evolve._State
+    monkeypatch.setattr(evolve, "_State",
+                        lambda p, t, f, gamma: times.append(t) or state(p, t, f, gamma))
     cfg = validate_config(small_config(
         outputs=["snapshots", "report"],
         snapshot_times={"kind": "tau-fractions", "values": [1.0]}, basis="Lx"))
@@ -820,9 +820,11 @@ def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, preset, 
 
 
 def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
-    # the grid at tau traces about 36 bytes per entry at N = 400: rho (16)
-    # with the parity parts of both its parts (12) and one fold being made;
-    # a complex Lx result beside rho made 48
+    # the grid at tau traces about 26 bytes per entry at N = 400: the grid
+    # (8), the rotation's halves (4) and one part's parity parts (6), with
+    # the rows of rho that a fold block makes (a few bytes more at this N);
+    # rho beside the parity parts of both its parts made 36, and rho beside
+    # a complex Lx result 48
     params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4)))
     bath = solve_bath(params.spectrum, params.solve_horizon_factor)
     evolve._snapshot(params, bath.tau, Basis.LX, bath)  # kernel values now cached
@@ -834,7 +836,24 @@ def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
     finally:
         tracemalloc.stop()
     assert grid.dtype == np.float64 and grid.shape == (401, 401)
-    assert peak <= 38 * 401 ** 2
+    assert peak <= 27 * 401 ** 2
+
+
+def test_lz_snapshot_holds_no_complex_matrix():
+    # the grid (8 bytes per entry) and one block of rows of rho with its
+    # temporaries: about 11 at N = 400; rho beside its grid made 24
+    params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4, phi=0.3)))
+    bath = solve_bath(params.spectrum, params.solve_horizon_factor)
+    evolve._snapshot(params, bath.tau, Basis.LZ, bath)  # kernel values now cached
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = evolve._snapshot(params, bath.tau, Basis.LZ, bath)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid.dtype == np.float64 and grid.shape == (401, 401)
+    assert peak <= 12 * 401 ** 2
 
 
 def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):

@@ -1,6 +1,7 @@
 """Collective-spin sector states, rotations, and density-matrix checks."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -192,7 +193,7 @@ def _parity_parts_reference(part, pairs):
                                       (diffs, -1.0, pairs))]
 
 
-@pytest.mark.parametrize("d", [*range(1, 10), 50, 51, 400, 401])
+@pytest.mark.parametrize("d", [*range(1, 10), 50, 51, 63, 64, 65, 66, 97, 400, 401])
 def test_parity_parts_match_the_per_entry_folds(d):
     # magnitudes from 1e-320 (subnormal) to 1e10, either sign, some exact 0
     rng = np.random.default_rng(d)
@@ -318,6 +319,22 @@ def _floor(rho):
     return x_floor_gain(rho.sector.dimension) * (b[:, None] * b)
 
 
+def test_to_x_basis_traces_at_most_30_bytes_per_entry_beyond_rho():
+    # the complex result (16) and the rotation's halves (4), with the parity
+    # parts of one part of rho (6) folded in blocks of rows
+    sec = SectorLabel(400)
+    rho = coherent_state(sec, math.pi / 4, 0.3).projector()
+    to_x_basis(rho)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        to_x_basis(rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30.2 * sec.dimension ** 2
+
+
 @pytest.mark.parametrize("n, theta, phi, twist", [(20, 1.1, 0.4, 0.0), (150, 1.1, 0.4, 2e-3),
                                                   (299, math.pi / 2, 0.0, 0.37),
                                                   (400, 0.6, 2.0, 1e-3)])
@@ -429,6 +446,33 @@ def test_state_normalization_enforced():
         DickeState(sec, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(DomainError):
         DickeState(sec, np.array([1.0, 0.0]))  # wrong length
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_amplitudes_must_be_finite(bad):
+    # a NaN norm passes the norm test's comparison
+    with pytest.raises(DomainError):
+        DickeState(SectorLabel(2), np.array([bad, 0.0, 0.0]))
+    with pytest.raises(DomainError):
+        DickeState(SectorLabel(2), np.array([1.0, complex(0.0, bad), 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_matrix_entries_must_be_finite(bad):
+    # NaN passes the hermiticity, trace and eigenvalue comparisons
+    with pytest.raises(DomainError):
+        DickeDensityMatrix(SectorLabel(1), np.full((2, 2), complex(bad)))
+    off = np.eye(2, dtype=complex) / 2.0
+    off[0, 1] = off[1, 0] = bad
+    with pytest.raises(DomainError):
+        DickeDensityMatrix(SectorLabel(1), off)
+
+
+@pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.3, math.nan), (math.inf, 0.0),
+                                        (0.3, -math.inf)])
+def test_coherent_state_angles_must_be_finite(theta, phi):
+    with pytest.raises(DomainError):
+        coherent_state(SectorLabel(3), theta, phi)
 
 
 def test_fidelity_and_purity():

@@ -25,6 +25,7 @@ from spincat.errors import (KernelDivergenceError, NoFormationError, UsageError,
 from spincat.evolve import (
     EvolutionParams,
     _dephase,
+    _State,
     MqsConvention,
     assess_mqs,
     evolve_state,
@@ -84,6 +85,20 @@ def test_propagator_is_hermitian_off_the_diagonal_bit_for_bit(n, theta, phi, t, 
                    t, f, gamma).elements
     off = ~np.eye(sec.dimension, dtype=bool)
     assert np.array_equal(rho[off], rho.conj().T[off])
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 70), theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi),
+       t=st.floats(0.0, 1e6), f=st.floats(-1e3, 1e3), gamma=st.floats(0.0, 1e3), data=st.data())
+def test_state_rows_are_the_propagator_rows_bit_for_bit(n, theta, phi, t, f, gamma, data):
+    # an Lx snapshot folds rows made again in any range, the entries left of
+    # the range from their mirrors' products, and holds no d x d matrix
+    sec = SectorLabel(n)
+    p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, theta, phi))
+    rho = _dephase(p, t, f, gamma).elements
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n + 1))
+    assert _State(p, t, f, gamma).rows(lo, hi).tobytes() == rho[lo:hi].tobytes()
 
 
 def test_complex_amplitudes_give_exact_mirror_pairs():
