@@ -11,8 +11,11 @@ complex matrix.  The Lz-to-Lx rotation is built by a numpy recursion each
 time it is asked for, and nothing holds on to it.  Every Lx eigenvector has
 a definite parity under ``m -> -m``, so the recursion runs over half the
 components only, and a density matrix is rotated by parity blocks of half
-size.  The corner coherence of a formed state needs only the coherent states
-along +x and -x (the rotation's first and last rows).
+size.  One function does every such rotation, reading the matrix a block of
+rows at a time: into the complex matrix of :func:`to_x_basis`, or into the
+real ``|rho|`` grid of a run's Lx snapshot (``evolve._snapshot``).  The
+corner coherence of a formed state needs only the coherent states along +x
+and -x (the rotation's first and last rows).
 
 Density matrices are checked once, where they enter the package: the public
 :class:`DickeDensityMatrix` constructor tests hermiticity, unit trace and
@@ -75,7 +78,8 @@ class SectorLabel:
     l: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
+        if isinstance(self.n_particles, bool) or not (
+                isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
             raise DomainError(f"n_particles must be a positive integer, got {self.n_particles!r}")
         object.__setattr__(self, "n_particles", int(self.n_particles))
         l = self.n_particles / 2.0 if self.l is None else float(self.l)
@@ -300,33 +304,34 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     return vecs.T
 
 
-# Rows or columns of a d x d matrix taken at a time by the parity folds and
-# while the rounding floor of to_x_basis is found and applied
+# Rows or columns of a d x d matrix taken at a time by the parity folds, by
+# the rounding floor of the rotation and by the moduli of an |x| grid
 _BLOCK_ROWS = 32
 
 
-def _parity_parts(part: np.ndarray, pairs: int):
+def _parity_parts(part, d: int):
     """The sums and differences of rows and of columns ``k`` and ``d-1-k``
-    of a real d x d matrix: ``(++, +-, --)``, where ``+`` has ``(d+1)//2``
-    entries and ``-`` has ``d//2``.  Rows are folded first, row ``k`` plus
-    or minus row ``d-1-k``, then the columns of the folded rows the same
-    way: with ``a, b`` the entries of row ``k`` in columns ``j, d-1-j`` and
-    ``c, e`` those of row ``d-1-k``, ``++`` is ``(a + c) + (b + e)``, ``+-``
-    is ``(a + c) - (b + e)`` and ``--`` is ``(a - c) - (b - e)``.  The middle
-    row and column of an odd ``d`` fold onto nothing and are taken once, as
-    they are.  Entries below the smallest normal float are set to 0.  The
-    three results are written a block of rows at a time, so no temporary
-    larger than a block of folded rows is made.  ``part`` is only read, as
-    ``len(part)`` and blocks of rows ``part[lo:hi]``: a real array, or an
-    object that makes those rows when asked (``evolve._Part``)."""
-    d = len(part)
+    of a real d x d matrix ``P``: ``(++, +-, --)``, where ``+`` has
+    ``(d+1)//2`` entries and ``-`` has ``d//2``.  Rows are folded first, row
+    ``k`` plus or minus row ``d-1-k``, then the columns of the folded rows
+    the same way: with ``a, b`` the entries of row ``k`` in columns
+    ``j, d-1-j`` and ``c, e`` those of row ``d-1-k``, ``++`` is
+    ``(a + c) + (b + e)``, ``+-`` is ``(a + c) - (b + e)`` and ``--`` is
+    ``(a - c) - (b - e)``.  The middle row and column of an odd ``d`` fold
+    onto nothing and are taken once, as they are.  Entries below the
+    smallest normal float are set to 0.  ``P`` is read only through
+    ``part(lo, hi)``, which returns its rows ``lo .. hi-1`` (a slice of an
+    array, or rows made when asked), a block of rows at a time, and the
+    three results are written a block at a time: no temporary is larger
+    than a block of folded rows."""
+    pairs = d // 2
     h = d - pairs
     pp, pm, mm = np.empty((h, h)), np.empty((h, pairs)), np.empty((pairs, pairs))
     for lo in range(0, h, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, h)
         top = min(hi, pairs)  # rows lo .. top-1 have a mirror row
-        rows = part[lo:hi]
-        flip = part[d - top:d - lo][::-1]  # rows d-1-lo .. d-top
+        rows = part(lo, hi)
+        flip = part(d - top, d - lo)[::-1]  # rows d-1-lo .. d-top
         sums = rows.copy()
         sums[:top - lo] += flip
         np.add(sums[:, :pairs], sums[:, :h - 1:-1], out=pp[lo:hi, :pairs])
@@ -347,50 +352,70 @@ def x_floor_gain(d: int) -> float:
     return math.sqrt(2.0) * two_n_u / (1.0 - two_n_u)
 
 
-def _x_halves(sector: SectorLabel, s: np.ndarray):
-    """``b = |M| s`` and the halves ``E``, ``O`` of the rotation ``M``; ``M``
-    is freed here."""
+def _x_rotate(sector: SectorLabel, s: np.ndarray, rows, dtype) -> np.ndarray:
+    """The Lz-to-Lx rotation ``M rho M^T`` of a density matrix in
+    ``sector``, for :func:`to_x_basis` and a run's Lx snapshot
+    (``evolve._snapshot``) alike.  ``rho`` is read only through
+    ``rows(lo, hi)``, which returns its rows ``lo .. hi-1`` (complex), and
+    ``s``, the square roots of its diagonal.
+
+    ``b = |M| s`` is found from blocks of columns of ``M`` and the halves
+    ``E``, ``O`` (:func:`to_x_basis`) are copied out; ``M`` is freed before
+    the d x d result is allocated.  Then each part in turn is folded
+    (:func:`_parity_parts`) and its three parity blocks are written, a
+    diagonal block ``X`` as ``(X + X^T)/2`` for the real part and
+    ``(X - X^T)/2`` for the imaginary part.  The odd-even block is the
+    conjugate transpose of the even-odd one, and each entry within the
+    rounding floor ``g b_r b_c`` is set to 0, a block of rows at a time.
+
+    A complex ``dtype`` returns the matrix of :func:`to_x_basis`.  A real
+    one returns its modulus, bit for bit, with no complex d x d array: the
+    real part's blocks are written as they are, and each block of the
+    imaginary part turns the result's block into ``np.abs`` of the complex
+    entries, a few rows at a time."""
     d = sector.dimension
     mat = rotation_to_x(sector)
     b = np.zeros(d)
     for k in range(0, d, _BLOCK_ROWS):  # columns k.. of M: contiguous rows of M^T
         b += s[k:k + _BLOCK_ROWS] @ np.abs(mat.T[k:k + _BLOCK_ROWS])
-    return (b, np.ascontiguousarray(mat[0::2, :(d + 1) // 2]),
-            np.ascontiguousarray(mat[1::2, :d // 2]))
-
-
-def _x_blocks(parts, even, odd, mirror):
-    """Yields ``(r, c, X)`` for (0, 0), (0, 1) and (1, 1): ``X``, a fresh
-    array, is the block of rows ``r::2`` and columns ``c::2`` of ``M P M^T``
-    for the part ``P`` whose :func:`_parity_parts` are ``parts``, a diagonal
-    block written ``mirror(X, X^T) * 0.5``.  Each part is freed once used."""
-    parts, sides = list(parts), (even, odd)
-    for r, c in ((0, 0), (0, 1), (1, 1)):
-        block = sides[r] @ parts.pop(0) @ sides[c].T
-        if r == c:
-            block = mirror(block, block.T)
-            block *= 0.5
-        yield r, c, block
-
-
-def _x_floor(x: np.ndarray, b: np.ndarray):
-    """Sets each entry of ``x``, an Lx matrix or its ``|rho|`` grid, with
-    ``|x_rc| <= g * (b_r * b_c)`` to 0, a block of rows at a time."""
-    gain = x_floor_gain(len(b))
-    for r in range(0, len(b), _BLOCK_ROWS):
-        rows = x[r:r + _BLOCK_ROWS]
+    sides = (np.ascontiguousarray(mat[0::2, :(d + 1) // 2]),
+             np.ascontiguousarray(mat[1::2, :d // 2]))
+    del mat
+    out = np.empty((d, d), dtype)
+    for take, mirror in ((np.real, np.add), (np.imag, np.subtract)):
+        parts = list(_parity_parts(lambda lo, hi: take(rows(lo, hi)), d))
+        for r, c in ((0, 0), (0, 1), (1, 1)):
+            block = sides[r] @ parts.pop(0) @ sides[c].T  # each part freed once used
+            if r == c:
+                block = mirror(block, block.T)
+                block *= 0.5
+            dst = out[r::2, c::2]
+            if take is np.real:
+                dst.real = block
+            elif out.dtype.kind == "c":
+                dst.imag = block
+            else:  # no block-size complex temporary
+                for i in range(0, len(block), _BLOCK_ROWS):
+                    np.abs(dst[i:i + _BLOCK_ROWS] + 1j * block[i:i + _BLOCK_ROWS],
+                           out=dst[i:i + _BLOCK_ROWS])
+        del block  # not held while the next part is folded
+    np.conjugate(out[0::2, 1::2].T, out=out[1::2, 0::2])
+    gain = x_floor_gain(d)
+    for r in range(0, d, _BLOCK_ROWS):
+        band = out[r:r + _BLOCK_ROWS]
         floor = b[r:r + _BLOCK_ROWS, None] * b
         floor *= gain
-        np.copyto(rows, 0.0, where=np.abs(rows) <= floor)
+        np.copyto(band, 0.0, where=np.abs(band) <= floor)
+    return out
 
 
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     """Re-express an Lz-basis density matrix in the Lx eigenbasis.
 
     The rotation ``M`` is real, so ``M rho M^T`` is computed for the real and
-    the imaginary part of ``rho`` separately, by parity blocks
-    (:func:`_x_blocks`, shared with the ``|rho|`` grid of an Lx snapshot,
-    ``evolve._snapshot``, as the floor :func:`_x_floor` is): even rows of
+    the imaginary part of ``rho`` separately, by parity blocks, in
+    :func:`_x_rotate` (which also makes the ``|rho|`` grid of an Lx
+    snapshot, ``evolve._snapshot``, by the same steps): even rows of
     ``M`` are symmetric under ``k -> d-1-k`` and odd rows antisymmetric, so
     with ``E = M[0::2, :(d+1)//2]``, ``O = M[1::2, :d//2]`` and a part's
     row-and-column sums and differences ``A++``, ``A+-``, ``A--`` (O(d**2)
@@ -444,20 +469,15 @@ def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     bound.  ``b`` is found from blocks of columns of ``M`` before the
     products and the mask applied to blocks of rows after them, so no d x d
     temporary is added.  Beyond ``rho``, the traced peak is about 28 bytes
-    per entry at N = 400-2000: the result (16), the halves of the rotation
-    (4), one part's parity parts (6) and a product.
+    per entry at N = 400-2000: the result (16), allocated once ``M`` is
+    freed, the halves of the rotation (4), one part's parity parts (6) and
+    a product.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
-    b, even, odd = _x_halves(rho.sector, np.sqrt(np.maximum(rho.elements.real.diagonal(), 0.0)))
-    out = np.empty_like(rho.elements)
-    for dst, part, sign, mirror in ((out.real, rho.elements.real, 1.0, np.add),
-                                    (out.imag, rho.elements.imag, -1.0, np.subtract)):
-        for r, c, block in _x_blocks(_parity_parts(part, len(odd)), even, odd, mirror):
-            dst[r::2, c::2] = block
-        del block  # not held while the next part is rotated
-        np.multiply(dst[0::2, 1::2].T, sign, out=dst[1::2, 0::2])
-    _x_floor(out, b)
+    el = rho.elements
+    out = _x_rotate(rho.sector, np.sqrt(np.maximum(el.real.diagonal(), 0.0)),
+                    lambda lo, hi: el[lo:hi], complex)
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .bath import SpectralDensity
 from .dicke import (Basis, DickeDensityMatrix, DickeState, SectorLabel, _clamped_fidelity,
-                    _density_matrix, _parity_parts, _x_blocks, _x_floor, _x_halves,
-                    coherent_state, to_x_basis)
+                    _density_matrix, _x_rotate, coherent_state, to_x_basis)
 from .errors import UsageError
 from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, _kernels_at, _rates, solve_bath
 
@@ -67,7 +66,8 @@ class EvolutionParams:
     ``force_zero_decoherence`` is a test hook that replaces ``Gamma`` by 0
     so the unitary twisting can be checked in isolation; it is not exposed
     through the command-line layer.  ``solve_horizon_factor`` bounds the
-    formation-time search at ``horizon = factor * t_corr``.
+    formation-time search at ``horizon = factor * t_corr``; it must be
+    finite and exceed 1.
     """
 
     spectrum: SpectralDensity
@@ -83,8 +83,8 @@ class EvolutionParams:
             raise UsageError("initial state sector differs from params sector")
         if self.initial.basis is not Basis.LZ:
             raise UsageError("initial state must be given in the Lz basis")
-        if not self.solve_horizon_factor > 1.0:
-            raise UsageError(f"solve_horizon_factor must exceed 1, got {self.solve_horizon_factor}")
+        if not 1.0 < self.solve_horizon_factor < math.inf:
+            raise UsageError(f"solve_horizon_factor not in (1, inf): {self.solve_horizon_factor}")
 
 
 @dataclass(frozen=True)
@@ -181,23 +181,6 @@ class _State:
         self.upper(lo, hi, out[:, lo:])
         np.conjugate(self.products(0, lo, lo, hi).T, out=out[:, :lo])
         return out
-
-
-class _Part:
-    """The real part of a :class:`_State`, or its imaginary part if
-    ``imag``, sliced into blocks of rows as a real d x d array would be:
-    ``part[lo:hi]`` makes rows ``lo .. hi-1``.  What :func:`_parity_parts`
-    folds, for a snapshot that holds no d x d part."""
-
-    def __init__(self, state: _State, imag: bool):
-        self.state, self.imag = state, imag
-
-    def __len__(self) -> int:
-        return self.state.psi.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        block = self.state.rows(rows.start, rows.stop)
-        return block.imag if self.imag else block.real
 
 
 def _dephase(p: EvolutionParams, t: float, f: float, gamma) -> DickeDensityMatrix:
@@ -328,9 +311,12 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
 def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[DickeDensityMatrix]:
     """Evolved density matrices at each requested time, optionally rotated.
 
-    Kernel values are computed independently per time point; evaluation
-    order does not affect the results.
+    ``times`` is a one-dimensional sequence.  Kernel values are computed
+    independently per time point; evaluation order does not affect the
+    results.
     """
+    if np.ndim(times) != 1:
+        raise UsageError(f"times must be one-dimensional, got shape {np.shape(times)}")
     rotate = to_x_basis if Basis(basis) is Basis.LX else (lambda rho: rho)
     return [rotate(evolve_state(p, float(t))) for t in np.asarray(times, dtype=float)]
 
@@ -341,15 +327,12 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis,
     read from ``bath``: the grid of ``np.abs`` of :func:`_dephase`'s matrix,
     or in Lx of :func:`~spincat.dicke.to_x_basis`'s, bit for bit, with no
     d x d matrix of rho made.  An Lz grid is written a block of rows of
-    :meth:`_State.upper` at a time, and mirrored.  For an Lx grid (``s`` is
-    the diagonal :class:`_State` writes) the real part of rho is folded into
-    its parity parts from rows made a block at a time (:class:`_Part`), and
-    its blocks are written into the grid; then the imaginary part is folded
-    the same way, and each of its blocks turns the grid's block of real
-    parts into ``np.abs`` of the complex entries, a few rows at a time.  One
-    Lx snapshot at tau traces about 20 bytes per entry at N = 1000 and 2000:
-    the grid (8), the halves of the rotation (4), one part's parity parts
-    (6) and a product."""
+    :meth:`_State.upper` at a time, and mirrored.  An Lx grid is the real
+    result of :func:`~spincat.dicke._x_rotate`, which reads rho as rows made
+    a block at a time (:meth:`_State.rows`), with ``s`` from the diagonal
+    :class:`_State` writes.  One Lx snapshot at tau traces about 20 bytes
+    per entry at N = 1000 and 2000: the grid (8), the halves of the
+    rotation (4), one part's parity parts (6) and a product."""
     f, gamma = ((bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
                 else _kernel_values(p, t))
     state = _State(p, t, f, gamma)
@@ -362,18 +345,4 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis,
                    out=grid[lo:hi, lo:])
             grid[hi:, lo:hi] = grid[lo:hi, hi:].T
         return grid
-    b, even, odd = _x_halves(p.sector, np.sqrt(state.diag.real))
-    grid = np.empty((d, d))
-    for r, c, block in _x_blocks(_parity_parts(_Part(state, False), len(odd)),
-                                 even, odd, np.add):
-        grid[r::2, c::2] = block
-    del block  # not held while the imaginary part is folded
-    for r, c, block in _x_blocks(_parity_parts(_Part(state, True), len(odd)),
-                                 even, odd, np.subtract):
-        dst = grid[r::2, c::2]
-        for i in range(0, len(block), _DEPHASE_ROWS):  # no block-size complex temporary
-            np.abs(dst[i:i + _DEPHASE_ROWS] + 1j * block[i:i + _DEPHASE_ROWS],
-                   out=dst[i:i + _DEPHASE_ROWS])
-    grid[1::2, 0::2] = grid[0::2, 1::2].T
-    _x_floor(grid, b)
-    return grid
+    return _x_rotate(p.sector, np.sqrt(state.diag.real), state.rows, float)

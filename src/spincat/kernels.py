@@ -74,7 +74,7 @@ import numpy as np
 from . import brent
 from .bath import SpectralDensity, SpectrumKind, gt_zero_limit
 from .errors import (DomainError, KernelDivergenceError, NoFormationError, NumericError,
-                     WidthUndefinedError)
+                     UsageError, WidthUndefinedError)
 
 __all__ = [
     "BathSolution",
@@ -861,8 +861,11 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  No time is integrated twice, and
     both kernels at ``tau`` come from Brent's integral there.  Raises
     :class:`NoFormationError` (with ``t*f`` at the horizon) when the phase
-    never reaches the threshold inside the horizon.  Memoised per process.
+    never reaches the threshold inside the horizon, and :class:`UsageError`
+    unless ``horizon_factor`` is finite and exceeds 1.  Memoised per process.
     """
+    if not 1.0 < horizon_factor < math.inf:
+        raise UsageError(f"horizon_factor must lie in (1, inf), got {horizon_factor!r}")
     markov = markov_limits(sd)
     f_m, t_m, t_c = markov.f_markov, markov.t_eval, markov.t_corr
     horizon = horizon_factor * t_c

@@ -404,7 +404,7 @@ def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
 
 
 def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
-    calls = {"eigvalsh": 0, "check": 0, "blocks": 0, "rotation": 0}
+    calls = {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -415,28 +415,26 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(DickeDensityMatrix, "__post_init__",
                         counted("check", DickeDensityMatrix.__post_init__))
-    blocks = counted("blocks", dicke._x_blocks)
-    monkeypatch.setattr(dicke, "_x_blocks", blocks)
-    monkeypatch.setattr(evolve, "_x_blocks", blocks)
+    monkeypatch.setattr(dicke, "_parity_parts", counted("folds", dicke._parity_parts))
     rotation = counted("rotation", dicke.rotation_to_x)
     monkeypatch.setattr(dicke, "rotation_to_x", rotation)
     monkeypatch.setattr(evolve, "rotation_to_x", rotation, raising=False)
     cfg = preset_config("fig1")
     cfg.update(n_particles=200, outputs=["report"])
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "report"))
-    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 0, "rotation": 0}
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0}
     cfg.update(outputs=["snapshots", "report"],
                snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]})
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
-    # one rotation per Lx snapshot: one rotation_to_x, and the parity blocks
+    # one rotation per Lx snapshot: one rotation_to_x, and the parity folds
     # of the real and the imaginary part
-    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 4, "rotation": 2}
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 2}
     sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
           output_dir=str(tmp_path / "sweep"))
-    assert calls == {"eigvalsh": 0, "check": 0, "blocks": 4, "rotation": 2}
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 2}
     # a caller-supplied matrix is still checked in full
     DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
-    assert calls == {"eigvalsh": 1, "check": 1, "blocks": 4, "rotation": 2}
+    assert calls == {"eigvalsh": 1, "check": 1, "folds": 4, "rotation": 2}
 
 
 def test_snapshot_text_is_streamed_unchanged(tmp_path):
@@ -789,32 +787,34 @@ def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
 _PI_4 = math.pi / 4.0
 
 
-@pytest.mark.parametrize("preset, n, theta, phi, times", [
-    *(pytest.param("fig1", n, _PI_4, 0.0, "tau", id=f"fig1-{n}")
+@pytest.mark.parametrize("basis, preset, n, theta, phi, times", [
+    *(pytest.param("Lx", "fig1", n, _PI_4, 0.0, "tau", id=f"fig1-{n}")
       for n in (1, 2, 3, 4, 7, 8, 50, 51, 300, 301)),
-    *(pytest.param("fig1", n, _PI_4, 0.3, "tau", id=f"phi-{n}") for n in (50, 51, 400)),
-    pytest.param("fig1", 60, 0.0, 0.0, "tau", id="theta-0"),
-    pytest.param("fig1", 61, math.pi, 0.0, "tau", id="theta-pi"),
-    *(pytest.param("fig2", n, math.pi / 2.0, 0.0, "tau", id=f"fig2-{n}") for n in (50, 51)),
-    pytest.param("fig1", 301, 1.1, 0.3, [40.0], id="absolute-301")])
-def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, preset, n, theta,
+    *(pytest.param("Lx", "fig1", n, _PI_4, 0.3, "tau", id=f"phi-{n}") for n in (50, 51, 400)),
+    pytest.param("Lx", "fig1", 60, 0.0, 0.0, "tau", id="theta-0"),
+    pytest.param("Lx", "fig1", 61, math.pi, 0.0, "tau", id="theta-pi"),
+    *(pytest.param("Lx", "fig2", n, math.pi / 2.0, 0.0, "tau", id=f"fig2-{n}") for n in (50, 51)),
+    pytest.param("Lx", "fig1", 301, 1.1, 0.3, [40.0], id="absolute-301"),
+    *(pytest.param("Lz", "fig1", n, 1.1, 0.3, "tau", id=f"lz-{n}") for n in (50, 51)),
+    *(pytest.param("Lz", "fig1", n, 1.1, 0.3, [40.0], id=f"lz-absolute-{n}") for n in (300, 301))])
+def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, basis, preset, n, theta,
                                                                phi, times):
     # a run writes an Lx grid from the parity blocks of rho's parts, with no
-    # complex Lx matrix; its text is that of |to_x_basis(rho)| byte for byte,
-    # at tau (kernel values from the bath solution) and at t = 0, and at an
-    # absolute time (evolve_state's kernel values)
+    # complex Lx matrix, and an Lz grid from blocks of rows of rho, mirrored;
+    # its text is that of |to_x_basis(rho)| or |rho| (snapshot_series)
+    # byte for byte, at tau (kernel values from the bath solution) and at
+    # t = 0, and at an absolute time (evolve_state's kernel values)
     snap = ({"kind": "tau-fractions", "values": [0.0, 1.0]} if times == "tau"
             else {"kind": "absolute", "values": times})
     cfg = preset_config(preset)
-    cfg.update(n_particles=n, theta=theta, phi=phi, basis="Lx", outputs=["snapshots"],
+    cfg.update(n_particles=n, theta=theta, phi=phi, basis=basis, outputs=["snapshots"],
                snapshot_times=snap)
     cfg = validate_config(cfg)
     run_scenario(cfg, output_dir=str(tmp_path))
     params = build_scenario(cfg)
     if times == "tau":
         times = [0.0, solve_bath(params.spectrum, params.solve_horizon_factor).tau]
-    for i, t in enumerate(times):
-        rho = to_x_basis(evolve.evolve_state(params, t))
+    for i, (t, rho) in enumerate(zip(times, evolve.snapshot_series(params, times, basis))):
         _assert_same_text((tmp_path / f"snapshot_{i:03d}.csv").read_text(),
                           _snapshot_text(rho, t))
 

@@ -54,6 +54,12 @@ def test_sector_label_validation(n, l):
         SectorLabel(n, l=l)
 
 
+@pytest.mark.parametrize("n", [True, False])
+def test_sector_label_rejects_a_boolean_particle_number(n):
+    with pytest.raises(DomainError):
+        SectorLabel(n)
+
+
 def test_coherent_state_two_particles():
     st = coherent_state(SectorLabel(2), math.pi / 2, 0.0)
     assert np.allclose(st.amplitudes, [0.5, math.sqrt(0.5), 0.5],
@@ -201,9 +207,36 @@ def test_parity_parts_match_the_per_entry_folds(d):
     grid[rng.random((d, d)) < 0.1] = 0.0
     part = grid.astype(complex).real  # a strided view, as to_x_basis passes
     want = _parity_parts_reference(grid, d // 2)
-    for got, ref in zip(dicke._parity_parts(part, d // 2), want, strict=True):
+    for got, ref in zip(dicke._parity_parts(lambda lo, hi: part[lo:hi], d), want, strict=True):
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("sec", [SectorLabel(2, 0),
+                                 *(SectorLabel(d - 1) for d in (*range(2, 10), 64, 65)),
+                                 SectorLabel(6, 2), SectorLabel(5, 0.5)],
+                         ids=lambda sec: f"N{sec.n_particles}-l{sec.l}")
+def test_real_rotation_is_the_modulus_of_the_complex_one(sec):
+    # a Hermitian PSD rho with complex entries, a zero row and column, and
+    # rows scaled by 1e-160, whose products are subnormal (about 1e-320)
+    d = sec.dimension
+    rng = np.random.default_rng(d)
+    half = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    half[rng.permutation(d)[:d // 3]] *= 1e-160
+    if d > 2:
+        half[d // 2] = 0.0
+    rho = half @ half.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    rho /= np.trace(rho).real
+    rho = DickeDensityMatrix(sec, rho).elements
+    s = np.sqrt(np.maximum(rho.real.diagonal(), 0.0))
+    grid = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi], float)
+    x = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi], complex)
+    assert grid.dtype == np.float64 and x.dtype == np.complex128
+    assert grid.tobytes() == np.abs(x).tobytes()
+    assert x.tobytes() == to_x_basis(DickeDensityMatrix(sec, rho)).elements.tobytes()
+    if d > 2:
+        assert np.any(rho == 0.0) and np.any((rho != 0.0) & (np.abs(rho) < np.finfo(float).tiny))
 
 
 def test_rotation_unitarity():

@@ -270,6 +270,13 @@ def test_params_reject_bad_horizon():
         EvolutionParams(ohmic(1e-4), sec, ini, solve_horizon_factor=1.0)
 
 
+def test_params_reject_an_infinite_horizon():
+    sec = SectorLabel(2)
+    ini = coherent_state(sec, 1.0, 0.0)
+    with pytest.raises(UsageError):
+        EvolutionParams(ohmic(1e-4), sec, ini, solve_horizon_factor=math.inf)
+
+
 def test_params_coerce_convention_strings():
     p = equator_params(2, mqs_convention="antipodal")
     assert p.mqs_convention is MqsConvention.ANTIPODAL
@@ -351,6 +358,14 @@ def test_no_formation_raises_with_estimate():
         solve_tau_mqs(ohmic(1e-30), horizon_factor=1e4)
     assert exc.value.estimate is not None
     assert 0.0 <= exc.value.estimate < HALF_PI
+
+
+@pytest.mark.parametrize("factor", [math.nan, 0.5, 1.0, math.inf])
+def test_solve_bath_rejects_a_horizon_factor_not_finite_and_above_1(factor):
+    # a NaN horizon would be searched as given, and a factor below 1 would
+    # search below t_corr
+    with pytest.raises(UsageError):
+        solve_bath(ohmic(2.5e-5), factor)
 
 
 def test_lorentzian_formation_time_is_root():
@@ -688,3 +703,9 @@ def test_snapshot_series_x_basis():
         assert rho.basis_tag is Basis.LX
         expected = to_x_basis(evolve_state(p, t)).elements
         assert np.max(np.abs(rho.elements - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("times", [1.0, [[5.0, 500.0]]])
+def test_snapshot_series_needs_a_sequence_of_times(times):
+    with pytest.raises(UsageError):
+        snapshot_series(equator_params(4), times)
