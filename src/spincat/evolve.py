@@ -30,7 +30,7 @@ from .bath import SpectralDensity
 from .dicke import (Basis, DickeDensityMatrix, DickeState, SectorLabel, _clamped_fidelity,
                     _density_matrix, _x_rotate, coherent_state, to_x_basis)
 from .errors import UsageError
-from .kernels import _DEFAULT_HORIZON_FACTOR, BathSolution, _kernels_at, _rates, solve_bath
+from .kernels import _DEFAULT_HORIZON_FACTOR, _rate_at, solve_bath
 
 __all__ = [
     "MqsConvention",
@@ -118,22 +118,23 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
 
 
 def _kernel_values(p: EvolutionParams, t: float):
-    """``f(t)`` and ``Gamma(t)`` for :func:`_formed`, ``Gamma`` as a function
-    giving it, from one integral of both kernels; 0 and 0 at ``t = 0``."""
+    """``f(t)`` and ``Gamma(t)`` for :func:`_formed`, from the memoised
+    integral of both kernels at ``t`` (:func:`~spincat.kernels._rate_at`);
+    ``Gamma`` is not read under ``force_zero_decoherence``, and both are 0
+    at ``t = 0``."""
     if t < 0.0:
         raise UsageError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0, 0.0
-    integral = _kernels_at(p.spectrum, t)
-    return float(_rates(*integral, 0)[0]), lambda: float(_rates(*integral, 1)[0])
+    return (_rate_at(p.spectrum, t, 0),
+            0.0 if p.force_zero_decoherence else _rate_at(p.spectrum, t, 1))
 
 
-def _formed(p: EvolutionParams, t: float, f: float, gamma):
+def _formed(p: EvolutionParams, t: float, f: float, gamma: float):
     """``rho(t) = (psi psi^+) o K``, ``K[i, j] = k[|i - j|]``: returns ``psi``
     (:func:`_twisted` by ``t f``), ``k[n] = exp(-t Gamma n**2)`` and the
-    ``Gamma`` used, ``gamma`` (a value or a function giving it) or, under
-    ``force_zero_decoherence``, 0 without reading ``gamma``."""
-    gamma = 0.0 if p.force_zero_decoherence else gamma() if callable(gamma) else gamma
+    ``Gamma`` used, ``gamma`` or, under ``force_zero_decoherence``, 0."""
+    gamma = 0.0 if p.force_zero_decoherence else gamma
     kernel = np.exp(-t * gamma * np.arange(p.sector.dimension, dtype=float) ** 2)
     return _twisted(p, t * f), kernel, gamma
 
@@ -147,7 +148,7 @@ class _State:
     """The state ``(psi psi^+) o K`` at ``t`` (:func:`_formed`), made a block
     of entries at a time, so that no d x d array need be held."""
 
-    def __init__(self, p: EvolutionParams, t: float, f: float, gamma):
+    def __init__(self, p: EvolutionParams, t: float, f: float, gamma: float):
         psi, kernel, _ = _formed(p, t, f, gamma)
         self.psi, self.conj = psi, psi.conj()
         # toeplitz[i, j] = kernel[|i - j|], a view
@@ -183,7 +184,7 @@ class _State:
         return out
 
 
-def _dephase(p: EvolutionParams, t: float, f: float, gamma) -> DickeDensityMatrix:
+def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
     """The state at ``t`` (:func:`_formed`) given the kernel values there.
 
     A pure projector times a positive kernel of unit diagonal: a density
@@ -311,9 +312,11 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
 def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[DickeDensityMatrix]:
     """Evolved density matrices at each requested time, optionally rotated.
 
-    ``times`` is a one-dimensional sequence.  Kernel values are computed
-    independently per time point; evaluation order does not affect the
-    results.
+    ``times`` is a one-dimensional sequence.  Kernel values are read per
+    time point from the memo of single-time integrals
+    (:func:`~spincat.kernels._rate_at`), so a time already integrated, such
+    as a solved ``tau``, is not integrated again; evaluation order does not
+    affect the results.
     """
     if np.ndim(times) != 1:
         raise UsageError(f"times must be one-dimensional, got shape {np.shape(times)}")
@@ -321,21 +324,19 @@ def snapshot_series(p: EvolutionParams, times, basis: Basis = Basis.LZ) -> list[
     return [rotate(evolve_state(p, float(t))) for t in np.asarray(times, dtype=float)]
 
 
-def _snapshot(p: EvolutionParams, t: float, basis: Basis,
-              bath: BathSolution | None = None) -> np.ndarray:
-    """``|rho|`` at ``t`` in ``basis``, with the kernel values at ``bath.tau``
-    read from ``bath``: the grid of ``np.abs`` of :func:`_dephase`'s matrix,
-    or in Lx of :func:`~spincat.dicke.to_x_basis`'s, bit for bit, with no
-    d x d matrix of rho made.  An Lz grid is written a block of rows of
+def _snapshot(p: EvolutionParams, t: float, basis: Basis) -> np.ndarray:
+    """``|rho|`` at ``t`` in ``basis``, with the kernel values read as
+    :func:`evolve_state` reads them (a memo hit at a solved ``tau``): the
+    grid of ``np.abs`` of :func:`_dephase`'s matrix, or in Lx of
+    :func:`~spincat.dicke.to_x_basis`'s, bit for bit, with no d x d matrix
+    of rho made.  An Lz grid is written a block of rows of
     :meth:`_State.upper` at a time, and mirrored.  An Lx grid is the real
     result of :func:`~spincat.dicke._x_rotate`, which reads rho as rows made
     a block at a time (:meth:`_State.rows`), with ``s`` from the diagonal
     :class:`_State` writes.  One Lx snapshot at tau traces about 20 bytes
     per entry at N = 1000 and 2000: the grid (8), the halves of the
     rotation (4), one part's parity parts (6) and a product."""
-    f, gamma = ((bath.f_tau, bath.gamma_tau) if bath is not None and t == bath.tau
-                else _kernel_values(p, t))
-    state = _State(p, t, f, gamma)
+    state = _State(p, t, *_kernel_values(p, t))
     d = state.psi.size
     if basis is Basis.LZ:
         grid = np.empty((d, d))

@@ -54,11 +54,17 @@ are still QUADPACK QAGI's (:func:`_qagi_tail`), which the benchmark's
 reference values pin.
 
 The quantities that depend on the bath alone live here, memoised per
-process: :func:`markov_limits` (with ``t_corr``) per spectrum, and the
+process: :func:`markov_limits` (with ``t_corr``) per spectrum, the
 formation time :func:`solve_bath` per spectrum and horizon, apart so that
-a run that never reads ``tau`` does not solve for it.  After the Markov
-sample a solve takes 3 kernel integrals for fig1, phonon, cavity and most
-24-knot tables (4 for the rest), 6 for fig2's line.
+a run that never reads ``tau`` does not solve for it, and the integral of
+both kernels at a single time (:func:`_kernels_at`) per spectrum and time.
+That last memo is the one way the package reads a kernel at one time
+(:func:`_rate_at`): the solve's steps, ``f`` and ``Gamma`` at ``tau``, the
+Markov sample and the state at any ``t`` in :mod:`spincat.evolve`, so a
+time already integrated, such as a solved ``tau``, is not integrated
+again; :func:`f_of_t` and :func:`gamma_of_t` integrate on every call.
+After the Markov sample a solve takes 3 kernel integrals for fig1, phonon,
+cavity and most 24-knot tables (4 for the rest), 6 for fig2's line.
 """
 
 from __future__ import annotations
@@ -95,7 +101,9 @@ _EPSREL = 1e-11
 _CONTRACT_REL = 1e-9
 # Below this w*t, 1 - cos(w t) in the head is taken from its Taylor series.
 _SERIES_CUT = 1e-4
-_CACHE_SIZE = 64  # entries of each memo: Markov limits, bath solutions, mark panels, QAGI tails
+# entries of each memo: Markov limits, bath solutions, single-time integrals,
+# mark panels, QAGI tails
+_CACHE_SIZE = 64
 _HALF_PI = math.pi / 2.0
 _TAU_RESIDUAL_TOL = 1e-9 * _HALF_PI
 # Default formation-time search horizon, in units of the correlation time.
@@ -622,16 +630,29 @@ def _check_time(t: float):
         raise DomainError(f"t must be small enough that t*t is finite, got {t}")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _kernels_at(sd: SpectralDensity, t: float):
-    """The one integral of both kernels at ``t``, as :func:`_rates` reads it."""
+    """The one integral of both kernels at ``t``, as :func:`_rates` reads it,
+    read-only and memoised per process; a bad ``t`` raises
+    :class:`DomainError` and is not cached.  :func:`f_of_t` and
+    :func:`gamma_of_t` integrate afresh (``__wrapped__``)."""
     _check_time(t)
     at = np.array([float(t)])
-    return (at, *_kernel_integral(sd, at))
+    integral = (at, *_kernel_integral(sd, at))
+    for a in integral:
+        a.setflags(write=False)
+    return integral
+
+
+def _rate_at(sd: SpectralDensity, t: float, k: int) -> float:
+    """Kernel ``k`` (``f``, ``Gamma``) at ``t`` from the memo of :func:`_kernels_at`:
+    the one way the package reads a kernel at a single time."""
+    return float(_rates(*_kernels_at(sd, float(t)), k)[0])
 
 
 def f_of_t(sd: SpectralDensity, t: float) -> float:
     """Twisting-phase rate ``f(t)``; ``t > 0`` with ``pi/t`` and ``t*t`` finite."""
-    return float(_rates(*_kernels_at(sd, t), 0)[0])
+    return float(_rates(*_kernels_at.__wrapped__(sd, t), 0)[0])
 
 
 def gamma_of_t(sd: SpectralDensity, t: float) -> float:
@@ -641,7 +662,7 @@ def gamma_of_t(sd: SpectralDensity, t: float) -> float:
     spectrum carries weight at zero frequency (``G_T ~ 1/w`` there), which
     makes the integral logarithmically divergent at the infrared end.
     """
-    return float(_rates(*_kernels_at(sd, t), 1)[0])
+    return float(_rates(*_kernels_at.__wrapped__(sd, t), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +791,7 @@ def markov_limits(sd: SpectralDensity) -> MarkovLimits:
     if sd.origin[0] > 0.0:
         warnings = ("f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); no finite "
                     f"limit exists, value sampled at t={t_eval!r}",)
-    return MarkovLimits(f_markov=f_of_t(sd, t_eval),
+    return MarkovLimits(f_markov=_rate_at(sd, t_eval, 0),
                         gamma_markov=0.5 * math.pi * gt_zero_limit(sd),
                         t_eval=t_eval, t_corr=t_c, warnings=warnings)
 
@@ -858,8 +879,10 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     fixed-point step, within ``(t/2, 2t)``, and closes the bracket.  Brent's
     method polishes the root, taking ``|g| <= 2 ulp(pi/2)`` as a root, so no
     integral goes into steps of an ulp;
-    ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  No time is integrated twice, and
-    both kernels at ``tau`` come from Brent's integral there.  Raises
+    ``|tau f(tau) - pi/2| <= 1e-9 * pi/2``.  Every kernel value is read
+    through the memo of single-time integrals (:func:`_rate_at`), so no
+    time is integrated twice, the Markov sample included, and both kernels
+    at ``tau`` come from Brent's integral there.  Raises
     :class:`NoFormationError` (with ``t*f`` at the horizon) when the phase
     never reaches the threshold inside the horizon, and :class:`UsageError`
     unless ``horizon_factor`` is finite and exceeds 1.  Memoised per process.
@@ -869,19 +892,15 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     markov = markov_limits(sd)
     f_m, t_m, t_c = markov.f_markov, markov.t_eval, markov.t_corr
     horizon = horizon_factor * t_c
-    known = {t_m: (f_m, None)}  # f and its integral (Gamma too; none for the Markov sample)
 
-    def g(t):
-        if t not in known:
-            integral = _kernels_at(sd, t)
-            known[t] = float(_rates(*integral, 0)[0]), integral
-        r = t * known[t][0] - _HALF_PI  # within 2 ulps of 0 it is the root: Brent stops there
+    def g(t):  # within 2 ulps of 0 it is the root: Brent stops there
+        r = t * _rate_at(sd, t, 0) - _HALF_PI
         return 0.0 if abs(r) <= 2.0 * math.ulp(_HALF_PI) else r
 
     lo = hi = min(max(_HALF_PI / f_m, t_c), horizon) if 0.0 < f_m < math.inf else t_c
     glo = ghi = g(hi)
     # the first step goes to the fixed-point step (pi/2)/f, each later one doubles or halves
-    step = _HALF_PI / known[hi][0] if known[hi][0] > 0.0 else math.inf
+    step = _HALF_PI / f if (f := _rate_at(sd, hi, 0)) > 0.0 else math.inf
     if ghi < 0.0:  # step up; the last point below is the lower end
         while ghi < 0.0 and hi < horizon:
             lo, glo = hi, ghi
@@ -908,13 +927,12 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     # lo > 0, so the tolerance can be purely relative: an absolute floor would
     # outweigh it once tau is below about 1e-285 and stop Brent early
     tau = brent.root(g, lo, hi, xtol=0.0, rtol=8.9e-16, maxiter=200, fa=glo, fb=ghi)
-    f_tau, integral = known[tau]
+    f_tau = _rate_at(sd, tau, 0)
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
         raise NumericError(f"formation-time residual {residual!r} exceeds tolerance",
                            estimate=tau, error_bound=residual)
-    gamma_tau = gamma_of_t(sd, tau) if integral is None else float(_rates(*integral, 1)[0])
-    return BathSolution(float(tau), f_tau, gamma_tau)
+    return BathSolution(float(tau), f_tau, _rate_at(sd, tau, 1))
 
 
 def solve_tau_mqs(sd: SpectralDensity, horizon_factor: float = _DEFAULT_HORIZON_FACTOR) -> float:

@@ -605,7 +605,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
         index = []
         for i, t in enumerate(times):
             try:
-                mag = _snapshot(params, t, basis, bath)
+                mag = _snapshot(params, t, basis)
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"

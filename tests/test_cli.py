@@ -22,7 +22,7 @@ from spincat import dicke, evolve, kernels, scenario, snapshot_text
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
-from spincat.kernels import markov_limits, solve_bath
+from spincat.kernels import markov_limits, solve_bath, tabulate_kernels
 from spincat.scenario import (
     SWEEP_AXES,
     build_scenario,
@@ -118,6 +118,13 @@ def test_bad_enums_rejected():
         small_config(conventions={"thermal": "bogus"})).field == "conventions.thermal"
     assert config_error(
         small_config(conventions={"mqs": "bogus"})).field == "conventions.mqs"
+    # a field of the wrong type names its path
+    assert config_error(small_config(units=3)).field == "units"
+    assert config_error(small_config(name="")).field == "name"
+    for key in ("time_grid", "snapshot_times", "conventions", "solver"):
+        assert config_error(small_config(**{key: [1.0]})).field == key
+    err = config_error([small_config()])
+    assert err.field == "" and str(err) == "config root must be an object, got list"
 
 
 def test_schema_version_checked():
@@ -167,6 +174,14 @@ def test_spectrum_field_applicability():
     cfg["spectrum"] = {"kind": "tabulated", "table": []}
     assert config_error(cfg).field == "spectrum.table"
 
+    assert config_error(small_config(spectrum=["ohmic"])).field == "spectrum"
+    cfg = small_config()
+    cfg["spectrum"] = {"kind": "tabulated", "table": [[0.0, 0.0, 1.0], [1.0, 1.0]]}
+    assert config_error(cfg).field == "spectrum.table[0]"
+    cfg = small_config()
+    cfg["spectrum"]["table"] = [[0.0, 0.0], [1.0, 1.0]]  # ohmic has no table
+    assert config_error(cfg).field == "spectrum.table"
+
 
 def test_number_validation():
     cfg = small_config()
@@ -175,6 +190,11 @@ def test_number_validation():
     cfg = small_config()
     cfg["spectrum"]["alpha"] = "big"
     assert config_error(cfg).field == "spectrum.alpha"
+    cfg["spectrum"]["alpha"] = -1e-5
+    err = config_error(cfg)
+    assert err.field == "spectrum.alpha" and str(err).endswith("must be >= 0, got -1e-05")
+    err = config_error(small_config(snapshot_times={"kind": "absolute", "values": []}))
+    assert err.field == "snapshot_times.values"
     assert config_error(small_config(n_particles=0)).field == "n_particles"
     assert config_error(small_config(n_particles=True)).field == "n_particles"
     # N is bounded by dense-matrix memory; validating allocates nothing
@@ -318,6 +338,7 @@ def test_absolute_snapshot_times_skip_formation_solve(tmp_path):
 def clear_bath_memos():
     solve_bath.cache_clear()
     markov_limits.cache_clear()
+    kernels._kernels_at.cache_clear()
 
 
 def formation_solves(fn, *args, **kwargs) -> int:
@@ -401,6 +422,29 @@ def test_cold_and_warm_bath_cache_give_identical_artifacts(tmp_path):
     for name in cold["files"]:
         assert (tmp_path / "cold" / name).read_bytes() == \
                (tmp_path / "warm" / name).read_bytes()
+
+
+def test_cold_and_warm_kernel_memo_give_the_bytes_of_a_fresh_process(tmp_path, capsys):
+    # fig1 run twice in one process, first from cleared memos and then
+    # reading the kernels at tau and the Markov sample from them, writes the
+    # bytes that a new interpreter writes
+    clear_bath_memos()
+    assert main(["run", "fig1", "--output-dir", str(tmp_path / "cold")]) == 0
+    hits = kernels._kernels_at.cache_info().hits
+    assert main(["run", "fig1", "--output-dir", str(tmp_path / "warm")]) == 0
+    assert kernels._kernels_at.cache_info().hits > hits
+    _fresh_python(f"""
+        from spincat.cli import main
+        assert main(["run", "fig1", "--output-dir", {str(tmp_path / "fresh")!r}]) == 0
+    """)
+    capsys.readouterr()
+    files = sorted(os.listdir(tmp_path / "fresh"))
+    assert "report.json" in files and "snapshot_000.csv" in files
+    for out in ("cold", "warm"):
+        assert sorted(os.listdir(tmp_path / out)) == files
+        for name in files:
+            assert (tmp_path / out / name).read_bytes() == \
+                   (tmp_path / "fresh" / name).read_bytes(), (out, name)
 
 
 def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
@@ -827,11 +871,11 @@ def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
     # a complex Lx result 48
     params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4)))
     bath = solve_bath(params.spectrum, params.solve_horizon_factor)
-    evolve._snapshot(params, bath.tau, Basis.LX, bath)  # kernel values now cached
+    evolve._snapshot(params, bath.tau, Basis.LX)  # kernel values now cached
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grid = evolve._snapshot(params, bath.tau, Basis.LX, bath)
+        grid = evolve._snapshot(params, bath.tau, Basis.LX)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -844,11 +888,11 @@ def test_lz_snapshot_holds_no_complex_matrix():
     # temporaries: about 11 at N = 400; rho beside its grid made 24
     params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4, phi=0.3)))
     bath = solve_bath(params.spectrum, params.solve_horizon_factor)
-    evolve._snapshot(params, bath.tau, Basis.LZ, bath)  # kernel values now cached
+    evolve._snapshot(params, bath.tau, Basis.LZ)  # kernel values now cached
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grid = evolve._snapshot(params, bath.tau, Basis.LZ, bath)
+        grid = evolve._snapshot(params, bath.tau, Basis.LZ)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1272,6 +1316,52 @@ def test_cli_convention_override(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(captured.out.strip())
     assert summary["report"]["convention_used"] == "antipodal"
+    # at T > 0 the thermal flag writes what the config's own convention writes
+    hot = small_config()
+    hot["spectrum"]["beta"] = 2.0
+    path.write_text(json.dumps(hot))
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(dict(hot, conventions={"thermal": "coth-half"})))
+    for out, args in (("full", [path]), ("flag", [path, "--thermal-convention", "coth-half"]),
+                      ("half", [half])):
+        assert main(["run", *map(str, args), "--output-dir", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    report = lambda out: (tmp_path / out / "report.json").read_bytes()
+    assert report("flag") == report("half")
+    gamma = lambda out: json.loads(report(out))["report"]["gamma_at_tau"]
+    assert gamma("flag") != gamma("full")
+
+
+def test_linear_time_grid_tabulates_its_points(tmp_path):
+    grid = {"kind": "linear", "start": 0.5, "stop": 40.0, "count": 9}
+    cfg = validate_config(small_config(outputs=["kernels"], time_grid=grid))
+    run_scenario(cfg, output_dir=str(tmp_path))
+    text = (tmp_path / "kernels.csv").read_text()
+    points = np.linspace(0.5, 40.0, 9)
+    rows = text.splitlines()[text.splitlines().index("t,f,gamma") + 1:]
+    assert [row.split(",")[0] for row in rows] == [repr(float(t)) for t in points]
+    table = tabulate_kernels(build_scenario(cfg).spectrum, points)
+    assert text == "\n".join(table.csv_lines()) + "\n"
+
+
+def test_cli_output_dir_from_config_or_flag(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(output_dir=str(tmp_path / "own"))))
+    assert main(["run", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] == str(tmp_path / "own")
+    assert (tmp_path / "own" / "report.json").exists()
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "flag")]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] == str(tmp_path / "flag")
+    assert os.listdir(tmp_path / "flag") == ["report.json"]
+    for bad in ("", 3):
+        path.write_text(json.dumps(small_config(output_dir=bad)))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: output_dir: ")
+
+
+def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -25,6 +25,7 @@ from spincat.errors import (KernelDivergenceError, NoFormationError, UsageError,
 from spincat.evolve import (
     EvolutionParams,
     _dephase,
+    _snapshot,
     _State,
     MqsConvention,
     assess_mqs,
@@ -220,7 +221,9 @@ def test_propagator_entries_match_mpmath_at_the_particle_cap():
 
 def test_evolve_state_takes_one_kernel_integral(monkeypatch):
     # f and Gamma at a new time come from one integral there; a spectrum
-    # whose Gamma diverges raises after f, unless Gamma is forced off
+    # whose Gamma diverges raises after f, unless Gamma is forced off, and
+    # the second read at that time is a memo hit
+    kernels._kernels_at.cache_clear()
     integrals = []
     integral = kernels._kernel_integral
     monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times: (
@@ -235,7 +238,7 @@ def test_evolve_state_takes_one_kernel_integral(monkeypatch):
     with pytest.raises(KernelDivergenceError):
         evolve_state(EvolutionParams(hot, SectorLabel(6), ini), 1.0)
     evolve_state(EvolutionParams(hot, SectorLabel(6), ini, force_zero_decoherence=True), 1.0)
-    assert integrals == [[1.0], [1.0]]
+    assert integrals == [[1.0]]
 
 
 def test_evolve_rejects_negative_time():
@@ -388,6 +391,29 @@ def test_solve_bath_keeps_kernels_at_tau_and_solves_once():
     assert solve_bath.cache_info().misses == 1
 
 
+def test_a_solved_tau_is_read_not_integrated_again(monkeypatch):
+    # the solve leaves f and Gamma at tau in the memo of single-time
+    # integrals: the state there, as evolve_state, snapshot_series and a
+    # run's snapshot build it, makes no integral, and is the state built
+    # from the solution's own values
+    p = equator_params(10)
+    for cached in (solve_bath, markov_limits, kernels._kernels_at):
+        cached.cache_clear()
+    bath = solve_bath(p.spectrum, p.solve_horizon_factor)
+    integrals = []
+    integral = kernels._kernel_integral
+    monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times: (
+        integrals.append(times.tolist()) or integral(sd, times)))
+    rho = evolve_state(p, bath.tau).elements
+    (lz,), (lx,) = (snapshot_series(p, [bath.tau], basis) for basis in (Basis.LZ, Basis.LX))
+    grids = [_snapshot(p, bath.tau, basis) for basis in (Basis.LZ, Basis.LX)]
+    assert integrals == []
+    assert np.array_equal(rho, _dephase(p, bath.tau, bath.f_tau, bath.gamma_tau).elements)
+    assert np.array_equal(lz.elements, rho)
+    assert np.array_equal(grids[0], np.abs(rho))
+    assert np.array_equal(grids[1], np.abs(lx.elements))
+
+
 def test_solve_bath_failures_are_not_cached():
     solve_bath.cache_clear()
     for _ in range(2):
@@ -432,7 +458,7 @@ def _fresh_solve(monkeypatch, sd, horizon_factor, roots=None):
     error raised) and the time of each kernel integral (each gives f and
     Gamma there).  ``roots``, when given, gets the number of integrals made
     whenever ``brent.root`` returns."""
-    for cached in (solve_bath, markov_limits):
+    for cached in (solve_bath, markov_limits, kernels._kernels_at):
         cached.cache_clear()
     integrals = []
     integral, root = kernels._kernel_integral, brent.root

@@ -570,6 +570,36 @@ def test_tabulate_kernels_integrates_each_time_once(monkeypatch):
     assert integrals == [grid.tolist(), [markov_limits(sd).t_eval]]
 
 
+def test_single_time_integrals_are_memoised_bounded_and_read_only(monkeypatch):
+    # the package reads a kernel at one time through one memo, bounded by
+    # _CACHE_SIZE, of read-only integrals; a bad time is refused every time
+    # and never cached, and f_of_t and gamma_of_t integrate on every call
+    from spincat import kernels
+
+    integrals = []
+    integral = kernels._kernel_integral
+    monkeypatch.setattr(kernels, "_kernel_integral", lambda sd, times: (
+        integrals.extend(times.tolist()) or integral(sd, times)))
+    memo, read, sd = kernels._kernels_at, kernels._rate_at, ohmic(2.5e-5)
+    memo.cache_clear()
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e-310, 1e160):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                read(sd, bad, 0)
+    assert memo.cache_info().currsize == 0 and integrals == []
+    assert (read(sd, 10.0, 0), read(sd, 10.0, 1)) == (f_of_t(sd, 10.0), gamma_of_t(sd, 10.0))
+    assert integrals == [10.0] * 3
+    for a in memo(sd, 10.0):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for k in range(kernels._CACHE_SIZE):
+        read(sd, 11.0 + k, 0)
+    assert memo.cache_info().maxsize == memo.cache_info().currsize == kernels._CACHE_SIZE
+    read(sd, 10.0, 0)  # the least recently read time went first
+    assert integrals[-1] == 10.0 and len(integrals) == kernels._CACHE_SIZE + 4
+
+
 def test_each_kernel_is_held_to_its_own_contract(monkeypatch):
     # one integral gives both kernels, but a reader of f does not fail where
     # only Gamma's bound misses the contract, and a reader of Gamma does
