@@ -65,8 +65,6 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 def _parse_values(text: str) -> list[float]:
     items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError("sweep needs at least one value", field="values")
     values = []
     for item in items:
         try:

@@ -1,10 +1,15 @@
 """Exact reduced dynamics and superposition-formation analysis.
 
 The collective coupling dephases the ensemble in the ``L_z`` eigenbasis
-without moving populations.  The exact state at ``t`` (:func:`_formed`) is
-the twisted amplitudes ``psi_m = c_m exp(-i t f(t) m**2)`` dephased::
+without moving populations.  The exact state at ``t`` is the twisted
+amplitudes ``psi_m = c_m exp(-i t f(t) m**2)`` dephased::
 
     rho_{mm'}(t) = psi_m conj(psi_m') * exp(-t Gamma(t) (m - m')**2)
+
+:class:`_State` is its one home: it holds ``psi`` and the kernel as
+d-vectors, for the report's scores, and builds ``rho`` (complex ``dtype``)
+or ``|rho|`` (real) by one block loop, ``_State.matrix(dtype)``, as
+:func:`~spincat.dicke._x_rotate` builds the Lx matrix or its modulus.
 
 The ``m**2`` phase is one-axis twisting: at accumulated phase
 ``t*f(t) = pi/2`` a spin coherent state is reshaped into an equal
@@ -118,7 +123,7 @@ def evolve_state(p: EvolutionParams, t: float) -> DickeDensityMatrix:
 
 
 def _kernel_values(p: EvolutionParams, t: float):
-    """``f(t)`` and ``Gamma(t)`` for :func:`_formed`, from the memoised
+    """``f(t)`` and ``Gamma(t)`` for :class:`_State`, from the memoised
     integral of both kernels at ``t`` (:func:`~spincat.kernels._rate_at`);
     ``Gamma`` is not read under ``force_zero_decoherence``, and both are 0
     at ``t = 0``."""
@@ -130,30 +135,31 @@ def _kernel_values(p: EvolutionParams, t: float):
             0.0 if p.force_zero_decoherence else _rate_at(p.spectrum, t, 1))
 
 
-def _formed(p: EvolutionParams, t: float, f: float, gamma: float):
-    """``rho(t) = (psi psi^+) o K``, ``K[i, j] = k[|i - j|]``: returns ``psi``
-    (:func:`_twisted` by ``t f``), ``k[n] = exp(-t Gamma n**2)`` and the
-    ``Gamma`` used, ``gamma`` or, under ``force_zero_decoherence``, 0."""
-    gamma = 0.0 if p.force_zero_decoherence else gamma
-    kernel = np.exp(-t * gamma * np.arange(p.sector.dimension, dtype=float) ** 2)
-    return _twisted(p, t * f), kernel, gamma
-
-
-# Rows per block of the state: the only temporaries of an upper block are the
-# real kernel's cast buffer (8192 entries) and its diagonal square's conjugate.
+# Rows per block of the state: the temporaries of an upper block are the real
+# kernel's cast buffer (8192 entries) and its diagonal square's conjugate, and
+# on a real grid the block itself, complex, before its modulus is taken.
 _DEPHASE_ROWS = 32
 
 
 class _State:
-    """The state ``(psi psi^+) o K`` at ``t`` (:func:`_formed`), made a block
-    of entries at a time, so that no d x d array need be held."""
+    """The state ``rho(t) = (psi psi^+) o K``, ``K[i, j] = k[|i - j|]``, at
+    ``t``: the one home of its parts, ``psi`` (:func:`_twisted` by ``t f``)
+    and ``conj``, ``kernel`` (``k[n] = exp(-t Gamma n**2)``) and ``gamma``,
+    the ``Gamma`` used (0 under ``force_zero_decoherence``).  These are
+    d-vectors; entries of ``rho`` are made a block at a time, so that no
+    d x d array need be held but the one :meth:`matrix` returns."""
 
     def __init__(self, p: EvolutionParams, t: float, f: float, gamma: float):
-        psi, kernel, _ = _formed(p, t, f, gamma)
-        self.psi, self.conj = psi, psi.conj()
-        # toeplitz[i, j] = kernel[|i - j|], a view
-        self.toeplitz = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((kernel[:0:-1], kernel)), psi.size)[::-1]
+        self.gamma = 0.0 if p.force_zero_decoherence else gamma
+        kernel = np.exp(-t * self.gamma * np.arange(p.sector.dimension, dtype=float) ** 2)
+        self.psi = _twisted(p, t * f)
+        self.conj = self.psi.conj()
+        # toeplitz[i, j] = kernel[|i - j|] = mirrored[d - 1 - i + j]: views of
+        # one mirrored copy, so the row stride steps back through it
+        mirrored = np.concatenate((kernel[:0:-1], kernel))
+        self.kernel = mirrored[kernel.size - 1:]
+        self.toeplitz = np.lib.stride_tricks.as_strided(
+            self.kernel, (kernel.size,) * 2, (-kernel.itemsize, kernel.itemsize), writeable=False)
         amps = p.initial.amplitudes
         self.diag = amps * amps.conj()
 
@@ -177,30 +183,38 @@ class _State:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows ``lo .. hi-1``, complex, every column: :meth:`upper`, and left
         of column ``lo`` the conjugates of the products of rows ``0 .. lo-1``,
-        made again.  Bit for bit the rows :func:`_dephase` writes."""
+        made again.  Bit for bit the rows of ``matrix(complex)``."""
         out = np.empty((hi - lo, self.psi.size), dtype=complex)
         self.upper(lo, hi, out[:, lo:])
         np.conjugate(self.products(0, lo, lo, hi).T, out=out[:, :lo])
         return out
 
+    def matrix(self, dtype) -> np.ndarray:
+        """``rho`` for a complex ``dtype`` and ``|rho|`` for a real one, as
+        :func:`~spincat.dicke._x_rotate` takes its ``dtype``, a block of rows
+        of :meth:`upper` at a time: written in place into ``rho``, or into a
+        complex block whose modulus goes into the grid.  Every entry below a
+        block is the conjugate of its mirror (a copy on a real grid):
+        Hermitian or symmetric bit for bit, with no other d x d array."""
+        d = self.psi.size
+        out = np.empty((d, d), dtype)
+        for lo in range(0, d, _DEPHASE_ROWS):
+            hi = min(lo + _DEPHASE_ROWS, d)
+            if out.dtype.kind == "c":
+                self.upper(lo, hi, out[lo:hi, lo:])
+            else:
+                np.abs(self.upper(lo, hi, np.empty((hi - lo, d - lo), complex)),
+                       out=out[lo:hi, lo:])
+            np.conjugate(out[lo:hi, hi:].T, out=out[hi:, lo:hi])
+        return out
+
 
 def _dephase(p: EvolutionParams, t: float, f: float, gamma: float) -> DickeDensityMatrix:
-    """The state at ``t`` (:func:`_formed`) given the kernel values there.
+    """The state at ``t`` (:class:`_State`) given the kernel values there.
 
     A pure projector times a positive kernel of unit diagonal: a density
-    matrix by construction, not checked again.  Each block of rows of
-    :meth:`_State.upper` is written in place and every entry below it is the
-    exact conjugate of its mirror: Hermitian bit for bit, with no d x d
-    temporary.
-    """
-    state = _State(p, t, f, gamma)
-    d = state.psi.size
-    rho = np.empty((d, d), dtype=complex)
-    for lo in range(0, d, _DEPHASE_ROWS):
-        hi = min(lo + _DEPHASE_ROWS, d)
-        rows = state.upper(lo, hi, rho[lo:hi, lo:])
-        np.conjugate(rows[:, hi - lo:].T, out=rho[hi:, lo:hi])
-    return _density_matrix(p.sector, rho, Basis.LZ)
+    matrix by construction, not checked again."""
+    return _density_matrix(p.sector, _State(p, t, f, gamma).matrix(complex), Basis.LZ)
 
 
 def _twisted(p: EvolutionParams, theta: float) -> np.ndarray:
@@ -264,8 +278,9 @@ def mqs_target(sector: SectorLabel, theta: float, phi: float,
 def assess_mqs(p: EvolutionParams) -> MqsReport:
     """Evolve to the formation time and score the superposition.
 
-    The formed state ``rho = (psi psi^+) o K`` (:func:`_formed` at ``tau``)
-    is never built: each score is a quadratic form of ``rho`` and so a
+    The formed state ``rho = (psi psi^+) o K`` (:class:`_State` at
+    ``tau``) is held only as its d-vectors ``psi`` and ``k``; no entry of
+    ``rho`` is made: each score is a quadratic form of ``rho`` and so a
     Toeplitz form of ``K`` (:func:`_toeplitz_form`), O(d**2) work and O(d)
     memory.
 
@@ -288,8 +303,8 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
             "are required to construct the target)")
     theta, phi = p.initial.bloch
     bath = solve_bath(p.spectrum, p.solve_horizon_factor)
-    psi, kernel, gamma_bar = _formed(p, bath.tau, bath.f_tau, bath.gamma_tau)
-    conj_psi = psi.conj()
+    state = _State(p, bath.tau, bath.f_tau, bath.gamma_tau)
+    kernel, conj_psi = state.kernel, state.conj
     target = mqs_target(p.sector, theta, phi, p.mqs_convention).amplitudes
     w = conj_psi * target
     fid = _clamped_fidelity(float(_toeplitz_form(kernel, w, w).real))
@@ -300,10 +315,10 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     minus_x = coherent_state(p.sector, _HALF_PI, math.pi).amplitudes
     corner = float(abs(_toeplitz_form(kernel, conj_psi * plus_x, conj_psi * minus_x)))
     n = p.sector.n_particles
-    product = bath.tau * gamma_bar
+    product = bath.tau * state.gamma
     feasible = product * n * n < 1.0
     n_max = math.floor(1.0 / math.sqrt(product)) if product > 0.0 else None
-    return MqsReport(tau_mqs=bath.tau, f_at_tau=bath.f_tau, gamma_at_tau=gamma_bar,
+    return MqsReport(tau_mqs=bath.tau, f_at_tau=bath.f_tau, gamma_at_tau=state.gamma,
                      fidelity=fid, corner=corner, purity=pur,
                      feasible=feasible, n_max=n_max,
                      convention_used=p.mqs_convention.value)
@@ -329,21 +344,15 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis) -> np.ndarray:
     :func:`evolve_state` reads them (a memo hit at a solved ``tau``): the
     grid of ``np.abs`` of :func:`_dephase`'s matrix, or in Lx of
     :func:`~spincat.dicke.to_x_basis`'s, bit for bit, with no d x d matrix
-    of rho made.  An Lz grid is written a block of rows of
-    :meth:`_State.upper` at a time, and mirrored.  An Lx grid is the real
-    result of :func:`~spincat.dicke._x_rotate`, which reads rho as rows made
-    a block at a time (:meth:`_State.rows`), with ``s`` from the diagonal
+    of rho made.  Both are the same builder with a real ``dtype``: an Lz
+    grid is ``_State.matrix(float)``, the loop that writes rho for
+    :func:`_dephase`, and an Lx grid is the real result of
+    :func:`~spincat.dicke._x_rotate`, which reads rho as rows made a block
+    at a time (:meth:`_State.rows`), with ``s`` from the diagonal
     :class:`_State` writes.  One Lx snapshot at tau traces about 20 bytes
     per entry at N = 1000 and 2000: the grid (8), the halves of the
     rotation (4), one part's parity parts (6) and a product."""
     state = _State(p, t, *_kernel_values(p, t))
-    d = state.psi.size
     if basis is Basis.LZ:
-        grid = np.empty((d, d))
-        for lo in range(0, d, _DEPHASE_ROWS):
-            hi = min(lo + _DEPHASE_ROWS, d)
-            np.abs(state.upper(lo, hi, np.empty((hi - lo, d - lo), dtype=complex)),
-                   out=grid[lo:hi, lo:])
-            grid[hi:, lo:hi] = grid[lo:hi, hi:].T
-        return grid
+        return state.matrix(float)
     return _x_rotate(p.sector, np.sqrt(state.diag.real), state.rows, float)

@@ -143,6 +143,10 @@ def test_negative_frequency_rejected():
         eval_g0(sd, -0.1)
     with pytest.raises(DomainError):
         eval_gt(sd, np.array([1.0, -2.0]))
+    with pytest.raises(DomainError, match="omega_0 must be finite and >= 0"):
+        lorentzian(1.0, 1.0, -1.0)  # a line centred below 0
+    with pytest.raises(DomainError, match="table frequencies must be finite and >= 0"):
+        tabulated([[-1.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [
@@ -166,6 +170,7 @@ def test_constructor_validation(bad):
     [[2.0, 1.0], [1.0, 2.0]],          # decreasing
     [[0.0, -1.0], [1.0, 1.0]],         # negative value
     [[0.0, math.nan], [1.0, 1.0]],     # nonfinite value
+    [[math.inf, 1.0]],                 # nonfinite frequency
 ])
 def test_tabulated_validation(table):
     with pytest.raises(DomainError):
@@ -242,3 +247,5 @@ def test_kind_and_accessors():
     sd = tabulated([[0.0, 0.0], [1.0, 2.0]])
     assert sd.kind is SpectrumKind.TABULATED
     assert isinstance(ohmic(1.0), SpectralDensity)
+    with pytest.raises(DomainError, match="table is only valid for the tabulated family"):
+        SpectralDensity("ohmic", table=((0.0, 1.0),))

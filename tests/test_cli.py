@@ -377,18 +377,25 @@ def test_run_computes_each_bath_quantity_once(tmp_path, monkeypatch):
 
 
 def test_run_builds_the_state_at_tau_once(tmp_path, monkeypatch):
-    # the report scores the formed state without building it; only the
-    # snapshot at tau does, from one _State whose parts it folds in turn
-    times = []
-    state = evolve._State
-    monkeypatch.setattr(evolve, "_State",
-                        lambda p, t, f, gamma: times.append(t) or state(p, t, f, gamma))
+    # the report scores the formed state without making an entry of it; only
+    # the snapshot at tau does, from one _State whose parts it folds in turn
+    states = []
+    products = evolve._State.products
+    monkeypatch.setattr(evolve._State, "products",
+                        lambda self, *args, **kw: states.append(self) or products(self, *args, **kw))
+    run_scenario(validate_config(small_config(outputs=["report"])),
+                 output_dir=str(tmp_path / "report"))
+    assert states == []
     cfg = validate_config(small_config(
         outputs=["snapshots", "report"],
         snapshot_times={"kind": "tau-fractions", "values": [1.0]}, basis="Lx"))
-    run_scenario(cfg, output_dir=str(tmp_path))
+    run_scenario(cfg, output_dir=str(tmp_path / "both"))
     p = build_scenario(cfg)
-    assert times == [solve_bath(p.spectrum, p.solve_horizon_factor).tau]
+    bath = solve_bath(p.spectrum, p.solve_horizon_factor)
+    assert states and all(state is states[0] for state in states)
+    at_tau = evolve._State(p, bath.tau, bath.f_tau, bath.gamma_tau)
+    assert states[0].psi.tobytes() == at_tau.psi.tobytes()
+    assert states[0].kernel.tobytes() == at_tau.kernel.tobytes()
 
 
 def test_runs_without_tau_do_not_solve(tmp_path):
@@ -1387,6 +1394,16 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys):
     rc = main(["sweep", str(path), "--axis", "N", "--values", "2",
                "--jobs", "0"])
     assert rc == 2
+
+
+def test_cli_sweep_with_no_values_exits_2_and_writes_nothing(tmp_path, capsys):
+    for text in (",", " , "):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "fig1", "--axis", "N", "--values", text,
+                   "--output-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: values: sweep needs at least one value\n"
+        assert not out.exists()
 
 
 def test_sweep_axes_constant():

@@ -471,6 +471,8 @@ def test_density_matrix_validation():
     neg = np.diag([0.7, 0.5, -0.2]).astype(complex)
     with pytest.raises(DomainError):
         DickeDensityMatrix(sec, neg, Basis.LZ)  # positivity
+    with pytest.raises(DomainError, match=r"elements shape \(2, 2\) != \(3, 3\)"):
+        DickeDensityMatrix(sec, np.eye(2) / 2)
 
 
 def test_state_normalization_enforced():
@@ -543,6 +545,8 @@ def test_coherence_corner():
     with pytest.raises(UsageError):
         coherence_corner(rho_z)
     rho_x = to_x_basis(rho_z)
+    with pytest.raises(UsageError, match="density matrix already in basis Lx"):
+        to_x_basis(rho_x)
     assert coherence_corner(rho_x) == pytest.approx(
         abs(rho_x.elements[0, -1]), rel=1e-15)
     # equatorial coherent state is |m=l> along x: corner vanishes
