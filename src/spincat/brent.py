@@ -39,7 +39,7 @@ def root(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: int = 100,
     if fcur == 0.0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericError(f"f({a!r}) and f({b!r}) do not differ in sign")
+        raise NumericError(f"f({float(a)!r}) and f({float(b)!r}) do not differ in sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (

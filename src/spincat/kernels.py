@@ -790,7 +790,7 @@ def markov_limits(sd: SpectralDensity) -> MarkovLimits:
     warnings = ()
     if sd.origin[0] > 0.0:
         warnings = ("f-slow-growth: G_0(0) > 0 makes f(t) grow ~ G_0(0)*ln(t); no finite "
-                    f"limit exists, value sampled at t={t_eval!r}",)
+                    f"limit exists, value sampled at t={float(t_eval)!r}",)
     return MarkovLimits(f_markov=_rate_at(sd, t_eval, 0),
                         gamma_markov=0.5 * math.pi * gt_zero_limit(sd),
                         t_eval=t_eval, t_corr=t_c, warnings=warnings)
@@ -909,8 +909,9 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
             hi = t_m if hi < t_m < up or closes else up
             ghi, step = g(hi), math.inf
         if ghi < 0.0:
-            raise NoFormationError(f"accumulated phase t*f(t) reaches only {ghi + _HALF_PI!r} "
-                                   f"(< pi/2) up to the horizon t = {horizon!r}",
+            raise NoFormationError("accumulated phase t*f(t) reaches only "
+                                   f"{float(ghi + _HALF_PI)!r} (< pi/2) up to the horizon "
+                                   f"t = {float(horizon)!r}",
                                    estimate=ghi + _HALF_PI)
     else:  # step down; the last point at or above is the upper end
         for _ in range(200):
@@ -930,7 +931,7 @@ def solve_bath(sd: SpectralDensity, horizon_factor: float) -> BathSolution:
     f_tau = _rate_at(sd, tau, 0)
     residual = abs(tau * f_tau - _HALF_PI)
     if residual > _TAU_RESIDUAL_TOL:
-        raise NumericError(f"formation-time residual {residual!r} exceeds tolerance",
+        raise NumericError(f"formation-time residual {float(residual)!r} exceeds tolerance",
                            estimate=tau, error_bound=residual)
     return BathSolution(float(tau), f_tau, _rate_at(sd, tau, 1))
 

@@ -66,7 +66,6 @@ from .dicke import Basis, SectorLabel, coherent_state
 from .errors import ConfigError, SpinCatError
 from .evolve import EvolutionParams, MqsConvention, MqsReport, _snapshot, assess_mqs
 from .kernels import _DEFAULT_HORIZON_FACTOR, markov_limits, solve_bath, tabulate_kernels
-from .snapshot_text import snapshot_lines
 
 __all__ = [
     "validate_config",
@@ -597,6 +596,8 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
         summary["report"] = payload["report"]
 
     if "snapshots" in outputs:
+        from .snapshot_text import snapshot_lines
+
         if snap["kind"] == "tau-fractions":
             times = [v * bath.tau for v in snap["values"]]
         else:

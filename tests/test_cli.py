@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from spincat import dicke, evolve, kernels, scenario, snapshot_text
+from spincat import dicke, evolve, float_text, kernels, scenario, snapshot_text
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
 from spincat.errors import ConfigError
@@ -549,12 +549,13 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
     sec = SectorLabel(64)
     d = sec.dimension
     calls = []
+    reprs = float_text.reprs
 
-    def counted_repr(v):
-        calls.append(v)
-        return repr(v)
+    def counted_reprs(values):
+        calls.extend(np.asarray(values).tolist())
+        return reprs(values)
 
-    monkeypatch.setattr(snapshot_text, "repr", counted_repr, raising=False)
+    monkeypatch.setattr(float_text, "reprs", counted_reprs)
     # this Lx grid has entries within the rotation's rounding floor, written
     # as 0.0; the pole state's Lx grid, the binomial outer product, has none
     lx = to_x_basis(coherent_state(sec, 1.1, 0.3).projector())
@@ -565,7 +566,7 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         assert np.array_equal(mags, mags.T)
         text = "".join(_lines(rho, 2.0, tmp_path))
         _assert_same_text(_grid_of(text), _grid_text(mags))
-        # one repr per nonzero mirror pair and diagonal entry, none for 0.0
+        # each nonzero mirror pair and diagonal entry is formatted once, no 0.0
         upper = mags[np.triu_indices(d)]
         assert np.any(upper == 0.0) == zeros
         assert 0.0 not in calls
@@ -1349,6 +1350,20 @@ def test_linear_time_grid_tabulates_its_points(tmp_path):
     assert [row.split(",")[0] for row in rows] == [repr(float(t)) for t in points]
     table = tabulate_kernels(build_scenario(cfg).spectrum, points)
     assert text == "\n".join(table.csv_lines()) + "\n"
+
+
+def test_cli_numeric_error_shows_python_floats(tmp_path, capsys):
+    # a bracket end computed in numpy is printed as a float, not as
+    # np.float64(...)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(
+        spectrum={"kind": "ohmic", "alpha": 2.5e-5, "omega_c": 1e-310, "beta": None},
+        outputs=["report"])))
+    rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "do not differ in sign" in err
+    assert "np.float64(" not in err
 
 
 def test_cli_output_dir_from_config_or_flag(tmp_path, capsys):
