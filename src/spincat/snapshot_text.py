@@ -177,12 +177,19 @@ def _band_text(mag, lo: int, hi: int) -> Iterator[str]:
 
 def _block_text(mag, i0: int, i1: int) -> list[str]:
     # The text of rows i0 .. i1-1 from column i0 on, one string per row,
-    # then their text in each column j >= i1, one string per column.  The
-    # nonzero entries from the diagonal on are formatted once, by
-    # float_text.reprs, into rows of WIDTH bytes ended by NULs.  The block's
-    # text is laid out in 4-byte words: one word per 0.0 and WIDTH // 4 per
-    # nonzero entry.  The words are filled with "0.0,", each nonzero entry's
-    # row is copied over its words, and the NULs are deleted from the bytes.
+    # then their text in each column j >= i1, one string per column
+    return _block_bytes(mag, i0, i1).tobytes().translate(None, b"\0").decode("ascii").split(
+        "\n")[:-1]
+
+
+def _block_bytes(mag, i0: int, i1: int):
+    # _block_text's pieces as bytes, each ended by a newline, with NULs
+    # between the texts.  The nonzero entries from the diagonal on are
+    # formatted once, by float_text.reprs, into rows of WIDTH bytes ended by
+    # NULs.  The text is laid out in 4-byte words: one word per 0.0 and
+    # WIDTH // 4 per nonzero entry.  The words are filled with "0.0," and
+    # each nonzero entry's row is copied over its words.  The block's arrays
+    # are freed on return, before the text is made from the words.
     from . import float_text
 
     block = mag[i0:i1, i0:]
@@ -212,7 +219,7 @@ def _block_text(mag, i0: int, i1: int) -> list[str]:
     before = np.searchsorted(nonzero, last)  # the nonzero entries before it
     comma = 4 * (last + (span - 1) * before) + np.concatenate([[3], length])[order[last]]
     words.view(np.uint8)[comma] = ord("\n")
-    return words[:size].tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return words[:size]
 
 
 def _worker(mag, lo: int, hi: int, fh):
