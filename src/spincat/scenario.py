@@ -89,11 +89,12 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # (6), folded from rows of rho made a block at a time, with a product of
 # them.  An Lz snapshot holds its grid and a block of rows of rho.  The
 # rotation is made for that snapshot and freed with it, snapshots are
-# computed, written and freed one at a time, and their text is streamed; the
-# text writer holds the grid and comma-joined pieces of at most about d*d/4
-# strings, measured at 11-23 bytes per entry with the grid (N = 400-2000,
-# least for large N and a grid of many zeros), and a band worker about 4
-# more at N = 2000.  So N = 4096 needs about 21 * 4097**2 ~ 0.35e9 bytes,
+# computed, written and freed one at a time, and their text is streamed, in
+# this one process; the text writer holds the grid and comma-joined pieces
+# of at most about d*d/4 strings, traced at 10.6-15.4 bytes per entry with
+# the grid at N = 2000 (fig1's grid at tau, mostly 0.0, and the pole
+# state's, with no 0.0; the pole state's 25.8 at N = 400), below the
+# grid's own peak.  So N = 4096 needs about 21 * 4097**2 ~ 0.35e9 bytes,
 # inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
@@ -610,7 +611,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
             except SpinCatError as exc:
                 raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
-            lines = snapshot_lines(mag, params.sector, basis, t, out_dir)
+            lines = snapshot_lines(mag, params.sector, basis, t)
             del mag  # held by the text alone, and freed with it
             _write_atomic(os.path.join(out_dir, fname), lines)
             files.append(fname)
@@ -682,8 +683,9 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
 
     One row per value, in input order; a failed point fills the ``error``
     column and the sweep continues.  ``jobs > 1`` distributes points over
-    at most one process per point; results are identical to a serial run.
-    At most ``_MAX_SWEEP_VALUES`` values are accepted.
+    at most one process per point and per usable core; results are
+    identical to a serial run.  At most ``_MAX_SWEEP_VALUES`` values are
+    accepted.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; "
@@ -703,7 +705,9 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
         raise ConfigError(f"{axis} sweeps do not apply to "
                           f"{normalized['spectrum']['kind']} spectra", field="axis")
     tasks = [(normalized, axis, v) for v in values]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    # at most one worker per point and per core this process may run on
+    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -9,7 +9,6 @@ import os
 import stat
 import subprocess
 import sys
-import tempfile
 import textwrap
 import tracemalloc
 
@@ -499,14 +498,13 @@ def test_snapshot_text_is_streamed_unchanged(tmp_path):
     lx = DickeDensityMatrix(sec, lz.elements, Basis.LX)
     for i, (rho, t) in enumerate([(lz, 0.0), (lx, 3.3e4), (to_x_basis(lz), 1.5)]):
         path = tmp_path / f"snapshot_{i:03d}.csv"
-        scenario._write_atomic(str(path), _lines(rho, t, tmp_path))
+        scenario._write_atomic(str(path), _lines(rho, t))
         _assert_same_text(path.read_bytes(), _snapshot_text(rho, t).encode())
 
 
-def _lines(rho, t, band_dir):
+def _lines(rho, t):
     # the snapshot text of a density matrix: the lines of its |rho| grid
-    return snapshot_text.snapshot_lines(np.abs(rho.elements), rho.sector, rho.basis_tag, t,
-                                        str(band_dir))
+    return snapshot_text.snapshot_lines(np.abs(rho.elements), rho.sector, rho.basis_tag, t)
 
 
 def _assert_same_text(got, want):
@@ -545,7 +543,7 @@ def _grid_of(text: str) -> str:
     return "".join(line for line in text.splitlines(True) if not line.startswith("#"))
 
 
-def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
+def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
     sec = SectorLabel(64)
     d = sec.dimension
     calls = []
@@ -564,7 +562,7 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
         calls.clear()
         mags = np.abs(rho.elements)
         assert np.array_equal(mags, mags.T)
-        text = "".join(_lines(rho, 2.0, tmp_path))
+        text = "".join(_lines(rho, 2.0))
         _assert_same_text(_grid_of(text), _grid_text(mags))
         # each nonzero mirror pair and diagonal entry is formatted once, no 0.0
         upper = mags[np.triu_indices(d)]
@@ -574,11 +572,10 @@ def test_snapshot_text_formats_each_mirror_pair_once(tmp_path, monkeypatch):
     assert len(calls) == d * (d + 1) // 2
 
 
-def test_snapshot_text_peak_is_below_the_rotation_peak(tmp_path, monkeypatch):
-    # the formatter, in one band, holds |rho| and at most about d*d/4 strings;
-    # the pole state's Lx grid is the binomial outer product, with no entry
-    # within rounding of zero, so nearly every entry is a long string
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 1)
+def test_snapshot_text_peak_is_below_the_rotation_peak():
+    # the formatter holds |rho| and at most about d*d/4 strings; the pole
+    # state's Lx grid is the binomial outer product, with no entry within
+    # rounding of zero, so nearly every entry is a long string
     sec = SectorLabel(400)
     lz = coherent_state(sec, 0.0, 0.0).projector()
     tracemalloc.start()
@@ -588,7 +585,7 @@ def test_snapshot_text_peak_is_below_the_rotation_peak(tmp_path, monkeypatch):
         rotation = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        size = sum(map(len, _lines(lx, 1.0, tmp_path)))
+        size = sum(map(len, _lines(lx, 1.0)))
         formatter = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -642,43 +639,30 @@ def _lx_snapshot(n):
     return to_x_basis(coherent_state(SectorLabel(n), 1.1, 0.3).projector())
 
 
-def _assert_no_band_leftovers(directory, expected):
-    # every band's child has been reaped: this process has no child left
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir(directory)) == sorted(expected)
-
-
-@pytest.mark.parametrize("basis, n, count", [
-    *(pytest.param(Basis.LX, n, count, id=f"{n}-{count}")
-      for n, count in [(7, 1), (300, 1), (254, 2), (255, 2), (256, 2), (64, 3), (300, 3),
-                       (401, 4)]),
-    pytest.param(Basis.LZ, 300, 2, id="Lz-300-2"),
-    pytest.param(Basis.LZ, 300, 3, id="Lz-300-3")])
-def test_banded_snapshot_text_matches_the_serial_writer(tmp_path, monkeypatch, basis, n, count):
-    # d = n + 1, odd and even, at the band threshold (2 * _BAND_ROWS rows) and
-    # one either side of it, in one to four bands.  The Lz grid at phi = 0.3
-    # has complex entries, whose mirror pairs the propagator writes as exact
-    # conjugates
+@pytest.mark.parametrize("basis, n", [
+    *(pytest.param(Basis.LX, n, id=f"Lx-{n}") for n in (7, 64, 254, 255, 256, 300, 401)),
+    pytest.param(Basis.LZ, 300, id="Lz-300")])
+def test_snapshot_text_matches_the_serial_writer(tmp_path, basis, n):
+    # d = n + 1, odd and even, at a multiple of the 32-row blocks (d = 256)
+    # and one either side of it.  The Lz grid at phi = 0.3 has complex
+    # entries, whose mirror pairs the propagator writes as exact conjugates
     if basis is Basis.LX:
         rho = _lx_snapshot(n)
     else:
         rho = evolve.evolve_state(
             build_scenario(validate_config(small_config(n_particles=n, phi=0.3))), 40.0)
         assert np.any(rho.elements.imag != 0.0)
-    banded = tmp_path / "banded.csv"
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
-    scenario._write_atomic(str(banded), _lines(rho, 2.5, tmp_path))
-    _assert_same_text(banded.read_bytes(), _snapshot_text(rho, 2.5).encode())
-    _assert_no_band_leftovers(tmp_path, ["banded.csv"])
+    target = tmp_path / "snapshot.csv"
+    scenario._write_atomic(str(target), _lines(rho, 2.5))
+    _assert_same_text(target.read_bytes(), _snapshot_text(rho, 2.5).encode())
 
 
 def _symmetric_grid(d, kind, seed):
     # a symmetric nonnegative grid with entries of every size, subnormal too:
     # "runs" has zero runs in every row and some rows zero from the diagonal
-    # on, "corner" is zero but for a block at the last rows (so a first band
-    # is all zero), "single" has one nonzero mirror pair, "dense" no zero,
-    # "zero" no other
+    # on, "corner" is zero but for a block at the last rows (so the first
+    # blocks of rows are all zero), "single" has one nonzero mirror pair,
+    # "dense" no zero, "zero" no other
     rng = np.random.default_rng(seed)
     grid = np.abs(rng.standard_normal((d, d))) * 10.0 ** rng.integers(-320, 10, (d, d))
     i, j = np.indices((d, d))
@@ -700,140 +684,48 @@ def _symmetric_grid(d, kind, seed):
 # reported as found
 @settings(max_examples=30, derandomize=True, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(d=st.integers(1, 300), bands=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+@given(d=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["runs", "corner", "single", "dense", "zero"]))
-@example(d=300, bands=2, seed=1, kind="corner")
-@example(d=300, bands=4, seed=2, kind="runs")
-@example(d=257, bands=3, seed=3, kind="zero")
-@example(d=1, bands=1, seed=4, kind="single")
-def test_banded_text_equals_one_band_text(d, bands, seed, kind):
+@example(d=300, seed=1, kind="corner")
+@example(d=300, seed=2, kind="runs")
+@example(d=257, seed=3, kind="zero")
+@example(d=1, seed=4, kind="single")
+def test_grid_text_equals_the_per_element_text(d, seed, kind):
     grid = _symmetric_grid(d, kind, seed)
-    bands = min(bands, d)
-    with tempfile.TemporaryDirectory() as band_dir:
-        text = "".join(snapshot_text.banded_lines(grid, band_dir, bands))
-        one_band = "".join(snapshot_text.banded_lines(grid, band_dir, 1))
-        assert os.listdir(band_dir) == []
-    _assert_same_text(text, one_band)
-    _assert_same_text(one_band, _grid_text(grid))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_same_text("".join(snapshot_text._grid_lines(grid)), _grid_text(grid))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(cost=st.lists(st.sampled_from([0.0, 1e-300, 0.075, 1.0, 3.0, 1e300]), min_size=1,
-                     max_size=300) | st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300),
-       bands=st.integers(1, 4))
-def test_bounds_rise_strictly_from_0_to_d(cost, bands):
-    bands = min(bands, len(cost))
-    for c in (cost, [0.0] * len(cost)):
-        bounds = snapshot_text._bounds(np.array(c), bands)
-        assert len(bounds) == bands + 1 and bounds[0] == 0 and bounds[-1] == len(c)
-        assert all(a < b for a, b in zip(bounds, bounds[1:]))
-
-
-def test_bounds_split_the_cost_evenly():
-    bounds, row_costs = snapshot_text._bounds, snapshot_text._row_costs
-    assert bounds(np.ones(12), 3) == [0, 4, 8, 12]
-    # the all-zero grid by its entries from the diagonal on: 42 and 36
-    assert bounds(row_costs(np.zeros((12, 12))), 2) == [0, 4, 12]
-    # nonzero entries only in the first 100 rows and columns: their reprs
-    # outweigh the rest, so band 0 takes far fewer than the 88 of 300 rows
-    # that hold half the entries
-    grid = np.zeros((300, 300))
-    grid[:100, :100] = 0.5
-    costs = row_costs(grid)
-    assert bounds(costs, 2)[1] < 50
-    for bands in (2, 3, 4):
-        edges = bounds(costs, bands)
-        for lo, hi in zip(edges, edges[1:]):
-            assert abs(costs[lo:hi].sum() - costs.sum() / bands) <= costs.max()
-
-
-def test_band_count_follows_the_usable_cores(monkeypatch):
-    rows = snapshot_text._BAND_ROWS
-    for cores, expected in ((1, [1, 1, 1, 1]), (2, [1, 2, 2, 2]), (4, [1, 2, 3, 4])):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
-                            raising=False)
-        d_values = (2 * rows - 1, 2 * rows, 3 * rows, 100 * rows)
-        assert [snapshot_text._band_count(d) for d in d_values] == expected
-    # one band where fork is missing
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        assert snapshot_text._band_count(100 * rows) == 1
-    assert snapshot_text._band_count(100 * rows) == 4
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert snapshot_text._band_count(100 * rows) == 1
-
-
-def test_banded_writer_cleans_up_when_stopped_part_way(tmp_path, monkeypatch):
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
-    lines = _lines(_lx_snapshot(300), 1.0, tmp_path)
-    for _ in range(40):  # the header and some of the first band's lines
-        next(lines)
-    lines.close()
-    _assert_no_band_leftovers(tmp_path, [])
-
-
-@pytest.mark.parametrize("count, failing", [(2, 1), (3, 2)])
-def test_banded_writer_cleans_up_when_a_worker_fails(tmp_path, monkeypatch, capfd, count,
-                                                    failing):
-    rho = _lx_snapshot(300)
-    costs = snapshot_text._row_costs(np.abs(rho.elements))
-    lo_failing = snapshot_text._bounds(costs, count)[failing]
-    worker = snapshot_text._worker
-
-    def broken(mag, lo, hi, fh):
-        if lo == lo_failing:
-            raise RuntimeError("band lost")
-        worker(mag, lo, hi, fh)
-
-    # a forked worker sees the module as it was at the fork
-    monkeypatch.setattr(snapshot_text, "_worker", broken)
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: count)
+def test_writer_stopped_part_way_leaves_no_temp_file(tmp_path):
     target = tmp_path / "snapshot_000.csv"
     target.write_text("old\n")
-    yielded = []
+    lines = _lines(_lx_snapshot(300), 1.0)
 
-    def lines():
-        for text in _lines(rho, 1.0, tmp_path):
-            yielded.append(text)
-            yield text
+    def stopped():
+        for _ in range(40):  # the header and some of the grid's lines
+            yield next(lines)
+        raise KeyboardInterrupt
 
-    with pytest.raises(RuntimeError, match=f"snapshot band {failing} of {count} failed"):
-        scenario._write_atomic(str(target), lines())
-    # the five header lines of an Lx file and the rows of the bands before
-    # the failed one
-    expected = _snapshot_text(rho, 1.0).splitlines(keepends=True)[:5 + lo_failing]
-    _assert_same_text("".join(yielded), "".join(expected))
+    with pytest.raises(KeyboardInterrupt):
+        scenario._write_atomic(str(target), stopped())
+    lines.close()
     assert target.read_text() == "old\n"
-    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
-    # the failed child printed its traceback
-    assert "RuntimeError: band lost" in capfd.readouterr().err
+    assert os.listdir(tmp_path) == ["snapshot_000.csv"]
 
 
-def test_bands_need_no_pipe(tmp_path, monkeypatch):
-    # each band writes its own temp file, and only the caller reads them
-    def no_pipe():
-        raise OSError("no pipe here")
+def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path, monkeypatch):
+    # the grid is formatted in this process, whatever the number of cores
+    def no_fork():
+        raise OSError("no fork here")
 
-    monkeypatch.setattr(os, "pipe", no_pipe)
-    monkeypatch.setattr(snapshot_text, "_band_count", lambda d: 3)
-    rho = _lx_snapshot(300)
-    target = tmp_path / "snapshot_000.csv"
-    scenario._write_atomic(str(target), _lines(rho, 1.0, tmp_path))
-    _assert_same_text(target.read_bytes(), _snapshot_text(rho, 1.0).encode())
-    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv"])
-
-
-def test_run_writes_a_large_snapshot_as_the_serial_writer_would(tmp_path):
-    # d = 300 is formatted in bands wherever there are two usable cores
+    monkeypatch.setattr(os, "fork", no_fork)
     cfg = validate_config(small_config(
-        n_particles=299, outputs=["snapshots"], basis="Lx",
+        n_particles=399, outputs=["snapshots"], basis="Lx",
         snapshot_times={"kind": "absolute", "values": [40.0]}))
     run_scenario(cfg, output_dir=str(tmp_path))
     (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LX)
-    _assert_same_text((tmp_path / "snapshot_000.csv").read_text(), _snapshot_text(rho, 40.0))
-    _assert_no_band_leftovers(tmp_path, ["snapshot_000.csv", "snapshots_index.json"])
+    _assert_same_text((tmp_path / "snapshot_000.csv").read_bytes(),
+                      _snapshot_text(rho, 40.0).encode())
+    assert sorted(os.listdir(tmp_path)) == ["snapshot_000.csv", "snapshots_index.json"]
 
 
 _PI_4 = math.pi / 4.0
@@ -1078,21 +970,34 @@ def test_sweep_pool_is_capped_at_point_count(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
+    def usable(cores):
+        monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scenario.os, "cpu_count", lambda: 64)
+    usable(64)
     cfg = validate_config(small_config())
     values = [2, 4, 6]
     sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
     assert pools == [len(values)]
     sweep(copy.deepcopy(cfg), "N", [2], jobs=100000, output_dir=str(tmp_path))
     assert pools == [len(values)]  # one point runs serially
-    # and at the number of processors
-    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 2)
+    # and at the number of cores this process may use, not of processors
+    usable(2)
     sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
     assert pools == [len(values), 2]
+    usable(1)
+    sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values), 2]  # one usable core: serial
+    # without an affinity mask, at the number of processors
+    monkeypatch.delattr(scenario.os, "sched_getaffinity")
+    monkeypatch.setattr(scenario.os, "cpu_count", lambda: 2)
+    sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
+    assert pools == [len(values), 2, 2]
     monkeypatch.setattr(scenario.os, "cpu_count", lambda: None)
     sweep(copy.deepcopy(cfg), "N", values, jobs=100000, output_dir=str(tmp_path))
-    assert pools == [len(values), 2]  # unknown count: one worker, serial
+    assert pools == [len(values), 2, 2]  # unknown count: one worker, serial
 
 
 def test_sweep_n_feasibility_flip(tmp_path):
@@ -1457,17 +1362,16 @@ def test_runs_load_no_scipy(tmp_path):
 
 
 def test_runs_load_no_process_machinery(tmp_path):
-    # a report, a one-band snapshot grid (fig1 at N = 50) and a serial sweep
-    # fork nothing, and a grid in bands (d = 400) forks bare children, so
-    # they load neither multiprocessing nor the process pool; a parallel
-    # sweep then imports the pool in the same process
+    # a report, snapshot grids (fig1 at N = 50, and d = 400) and a serial
+    # sweep fork nothing, so they load neither multiprocessing nor the
+    # process pool; a parallel sweep on two usable cores then imports the
+    # pool in the same process
     lx399 = tmp_path / "lx399.json"
     lx399.write_text(json.dumps(small_config(
         name="lx399", n_particles=399, basis="Lx", outputs=["snapshots"],
         snapshot_times={"kind": "absolute", "values": [40.0]})))
     _fresh_python(f"""
         import sys
-        from spincat import snapshot_text
         from spincat.cli import main
         machinery = ("multiprocessing", "concurrent.futures.process", "secrets")
         loaded = lambda: sorted(m for m in machinery if m in sys.modules)
@@ -1475,8 +1379,6 @@ def test_runs_load_no_process_machinery(tmp_path):
         assert main(["run", "fig1", "--output-dir", {str(tmp_path / "fig1")!r}]) == 0
         assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "1",
                      "--output-dir", {str(tmp_path / "serial")!r}]) == 0
-        if snapshot_text._band_count(400) < 2:  # one usable core: two bands all the same
-            snapshot_text._band_count = lambda d: 2
         assert main(["run", {str(lx399)!r}, "--output-dir", {str(tmp_path / "lx399")!r}]) == 0
         assert loaded() == [], loaded()
         assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "2",

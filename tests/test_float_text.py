@@ -73,7 +73,7 @@ def test_a_grid_with_a_bad_entry_writes_no_snapshot(tmp_path, bad):
     grid = np.full((5, 5), 0.0625)
     grid[1, 3] = grid[3, 1] = bad
     target = tmp_path / "snapshot_000.csv"
-    lines = snapshot_text.snapshot_lines(grid, SectorLabel(4), Basis.LZ, 1.0, str(tmp_path))
+    lines = snapshot_text.snapshot_lines(grid, SectorLabel(4), Basis.LZ, 1.0)
     with pytest.raises(NumericError):
         scenario._write_atomic(str(target), lines)
     assert list(tmp_path.iterdir()) == []
