@@ -639,19 +639,28 @@ def _lx_snapshot(n):
     return to_x_basis(coherent_state(SectorLabel(n), 1.1, 0.3).projector())
 
 
-@pytest.mark.parametrize("basis, n", [
-    *(pytest.param(Basis.LX, n, id=f"Lx-{n}") for n in (7, 64, 254, 255, 256, 300, 401)),
-    pytest.param(Basis.LZ, 300, id="Lz-300")])
-def test_snapshot_text_matches_the_serial_writer(tmp_path, basis, n):
+@pytest.mark.parametrize("basis, n, state", [
+    *(pytest.param(Basis.LX, n, "coherent", id=f"Lx-{n}")
+      for n in (7, 64, 254, 255, 256, 300, 401)),
+    pytest.param(Basis.LX, 300, "evolved", id="Lx-300-evolved"),
+    pytest.param(Basis.LZ, 300, "evolved", id="Lz-300"),
+    pytest.param(Basis.LZ, 300, "coherent", id="Lz-300-coherent")])
+def test_snapshot_text_matches_the_serial_writer(tmp_path, basis, n, state):
     # d = n + 1, odd and even, at a multiple of the 32-row blocks (d = 256)
-    # and one either side of it.  The Lz grid at phi = 0.3 has complex
-    # entries, whose mirror pairs the propagator writes as exact conjugates
-    if basis is Basis.LX:
+    # and one either side of it; the coherent state (t = 0) has no zero
+    # entry, the state evolved to t = 40 has its far off-diagonals decayed.
+    # The Lz grids at phi = 0.3 have complex entries, whose mirror pairs the
+    # propagator writes as exact conjugates
+    if basis is Basis.LX and state == "coherent":
         rho = _lx_snapshot(n)
     else:
         rho = evolve.evolve_state(
-            build_scenario(validate_config(small_config(n_particles=n, phi=0.3))), 40.0)
-        assert np.any(rho.elements.imag != 0.0)
+            build_scenario(validate_config(small_config(n_particles=n, phi=0.3))),
+            0.0 if state == "coherent" else 40.0)
+        if basis is Basis.LX:
+            rho = to_x_basis(rho)
+        else:
+            assert np.any(rho.elements.imag != 0.0)
     target = tmp_path / "snapshot.csv"
     scenario._write_atomic(str(target), _lines(rho, 2.5))
     _assert_same_text(target.read_bytes(), _snapshot_text(rho, 2.5).encode())
