@@ -270,6 +270,279 @@ def test_table_knots_are_bounded_with_the_kernel_times():
         "spectrum.table"
 
 
+def _omit(*keys, **overrides):
+    # small_config(**overrides) without the top-level keys
+    cfg = small_config(**overrides)
+    for key in keys:
+        del cfg[key]
+    return cfg
+
+
+def _spectrum(**fields):
+    return small_config(spectrum=fields)
+
+
+_OHMIC = {"kind": "ohmic", "alpha": 2.5e-5}
+_TABLE = [[0.0, 0.0], [1.0, 1e-5]]
+_GRID = {"kind": "log", "start": 0.1, "stop": 10.0, "count": 5}
+_SNAPS = {"kind": "absolute", "values": [1.0]}
+_KNOTS = [[0.1 * k, 1e-5] for k in range(8001)]
+
+# Every validation message, each with the literal field and text a config
+# reports first; the cases with two faults pin which fault is reported.
+_VALIDATION_CASES = [
+    # root
+    ("root-list", [small_config()], "", "config root must be an object, got list"),
+    ("root-unknown", small_config(colour=1), "colour", "unknown field"),
+    ("schema-missing", _omit("schema"), "schema", "required field is missing"),
+    ("schema-str", small_config(schema="1"), "schema", "expected an integer, got str"),
+    ("schema-bool", small_config(schema=True), "schema", "expected an integer, got bool"),
+    ("schema-2", small_config(schema=2), "schema", "unsupported schema version 2"),
+    ("name-missing", _omit("name"), "name", "required field is missing"),
+    ("name-int", small_config(name=3), "name", "expected a string, got int"),
+    ("name-empty", small_config(name=""), "name", "must be nonempty"),
+    ("units-null", small_config(units=None), "units", "expected a string, got NoneType"),
+    ("units-si", small_config(units="si"), "units",
+     "must be one of ['hz', 'omega_c'], got 'si'"),
+    # spectrum
+    ("spectrum-missing", _omit("spectrum"), "spectrum", "required field is missing"),
+    ("spectrum-list", small_config(spectrum=["ohmic"]), "spectrum",
+     "expected an object, got list"),
+    ("spectrum-unknown", _spectrum(**_OHMIC, gamma=1.0), "spectrum.gamma", "unknown field"),
+    ("kind-missing", _spectrum(alpha=1.0), "spectrum.kind", "required field is missing"),
+    ("kind-gaussian", _spectrum(kind="gaussian"), "spectrum.kind",
+     "must be one of ['lorentzian', 'ohmic', 'tabulated'], got 'gaussian'"),
+    ("omega_c-str", _spectrum(**_OHMIC, omega_c="1"), "spectrum.omega_c",
+     "expected a number, got str"),
+    ("omega_c-0", _spectrum(**_OHMIC, omega_c=0), "spectrum.omega_c", "must be > 0, got 0.0"),
+    ("beta-negative", _spectrum(**_OHMIC, beta=-1), "spectrum.beta", "must be > 0, got -1.0"),
+    ("beta-inf", _spectrum(**_OHMIC, beta=math.inf), "spectrum.beta", "must be finite"),
+    ("beta-list", _spectrum(**_OHMIC, beta=[1.0]), "spectrum.beta",
+     "expected a number, got list"),
+    ("alpha-missing", _spectrum(kind="ohmic"), "spectrum.alpha", "required field is missing"),
+    ("alpha-negative", _spectrum(kind="ohmic", alpha=-1e-5), "spectrum.alpha",
+     "must be >= 0, got -1e-05"),
+    ("omega_0-missing", _spectrum(kind="lorentzian", alpha=0.1), "spectrum.omega_0",
+     "required field is missing"),
+    ("omega_0-0", _spectrum(kind="lorentzian", alpha=0.1, omega_0=0.0), "spectrum.omega_0",
+     "must be > 0, got 0.0"),
+    ("ohmic-omega_0", _spectrum(**_OHMIC, omega_0=5.0), "spectrum.omega_0",
+     "only applicable to lorentzian spectra"),
+    ("ohmic-table", _spectrum(**_OHMIC, table=_TABLE), "spectrum.table",
+     "only applicable to tabulated spectra"),
+    ("table-missing", _spectrum(kind="tabulated"), "spectrum.table",
+     "required field is missing"),
+    ("table-empty", _spectrum(kind="tabulated", table=[]), "spectrum.table",
+     "expected a nonempty list of [omega, g] pairs"),
+    ("table-object", _spectrum(kind="tabulated", table={"0": 1}), "spectrum.table",
+     "expected a nonempty list of [omega, g] pairs"),
+    ("table-knots", _spectrum(kind="tabulated", table=_KNOTS), "spectrum.table",
+     "at most 8000 knots, got 8001"),
+    ("table-row", _spectrum(kind="tabulated", table=[[0.0, 1.0], [1.0]]),
+     "spectrum.table[1]", "expected an [omega, g] pair"),
+    ("table-omega", _spectrum(kind="tabulated", table=[[-1.0, 0.0]]), "spectrum.table[0][0]",
+     "must be >= 0, got -1.0"),
+    ("table-rise", _spectrum(kind="tabulated", table=[[1.0, 0.0], [1, 0.0]]),
+     "spectrum.table[1][0]", "must exceed the previous omega 1.0, got 1.0"),
+    ("table-g", _spectrum(kind="tabulated", table=[[0.0, -1.0]]), "spectrum.table[0][1]",
+     "must be >= 0, got -1.0"),
+    ("tabulated-alpha", _spectrum(kind="tabulated", table=_TABLE, alpha=0.1),
+     "spectrum.alpha", "not applicable to tabulated spectra"),
+    ("tabulated-omega_0", _spectrum(kind="tabulated", table=_TABLE, omega_0=1.0),
+     "spectrum.omega_0", "not applicable to tabulated spectra"),
+    # ensemble and preparation
+    ("n-missing", _omit("n_particles"), "n_particles", "required field is missing"),
+    ("n-float", small_config(n_particles=4.0), "n_particles", "expected an integer, got float"),
+    ("n-0", small_config(n_particles=0), "n_particles", "must be >= 1, got 0"),
+    ("n-4097", small_config(n_particles=4097), "n_particles", "must be <= 4096, got 4097"),
+    ("theta-missing", _omit("theta"), "theta", "required field is missing"),
+    ("theta-str", small_config(theta="x"), "theta", "expected a number, got str"),
+    ("phi-missing", _omit("phi"), "phi", "required field is missing"),
+    ("phi-huge", small_config(phi=10**400), "phi", "must be finite"),
+    # outputs
+    ("outputs-str", small_config(outputs="report"), "outputs", "expected a nonempty list"),
+    ("outputs-empty", small_config(outputs=[]), "outputs", "expected a nonempty list"),
+    ("outputs-int", small_config(outputs=[1]), "outputs[0]", "expected a string, got int"),
+    ("outputs-plots", small_config(outputs=["plots"]), "outputs[0]",
+     "must be one of ['kernels', 'report', 'snapshots'], got 'plots'"),
+    ("outputs-duplicate", small_config(outputs=["report", "report"]), "outputs[1]",
+     "duplicate output kind 'report'"),
+    # time grid
+    ("time_grid-required", small_config(outputs=["kernels"]), "time_grid",
+     'required when "kernels" is in outputs'),
+    ("time_grid-int", small_config(time_grid=5), "time_grid", "expected an object, got int"),
+    ("time_grid-unknown", small_config(time_grid=dict(_GRID, step=1)), "time_grid.step",
+     "unknown field"),
+    ("grid-kind-missing", small_config(time_grid={"start": 0.1}), "time_grid.kind",
+     "required field is missing"),
+    ("grid-kind-exp", small_config(time_grid=dict(_GRID, kind="exp")), "time_grid.kind",
+     "must be one of ['linear', 'log'], got 'exp'"),
+    ("grid-start-missing", small_config(time_grid={"kind": "log"}), "time_grid.start",
+     "required field is missing"),
+    ("grid-start-0", small_config(time_grid=dict(_GRID, start=0)), "time_grid.start",
+     "must be > 0, got 0.0"),
+    ("grid-stop-missing", small_config(time_grid={"kind": "log", "start": 0.1}),
+     "time_grid.stop", "required field is missing"),
+    ("grid-stop-start", small_config(time_grid=dict(_GRID, stop=0.1)), "time_grid.stop",
+     "must exceed start=0.1, got 0.1"),
+    ("grid-count-missing", small_config(time_grid={"kind": "log", "start": 0.1, "stop": 1}),
+     "time_grid.count", "required field is missing"),
+    ("grid-count-float", small_config(time_grid=dict(_GRID, count=2.5)), "time_grid.count",
+     "expected an integer, got float"),
+    ("grid-count-1", small_config(time_grid=dict(_GRID, count=1)), "time_grid.count",
+     "must be >= 2, got 1"),
+    ("grid-count-max", small_config(time_grid=dict(_GRID, count=800001)), "time_grid.count",
+     "must be <= 800000, got 800001"),
+    # snapshot times
+    ("snapshot_times-required", small_config(outputs=["snapshots"]), "snapshot_times",
+     'required when "snapshots" is in outputs'),
+    ("snapshot_times-str", small_config(snapshot_times="x"), "snapshot_times",
+     "expected an object, got str"),
+    ("snapshot_times-unknown", small_config(snapshot_times=dict(_SNAPS, basis="Lx")),
+     "snapshot_times.basis", "unknown field"),
+    ("snaps-kind-missing", small_config(snapshot_times={"values": [1.0]}),
+     "snapshot_times.kind", "required field is missing"),
+    ("snaps-kind-relative", small_config(snapshot_times=dict(_SNAPS, kind="relative")),
+     "snapshot_times.kind", "must be one of ['absolute', 'tau-fractions'], got 'relative'"),
+    ("snaps-values-missing", small_config(snapshot_times={"kind": "absolute"}),
+     "snapshot_times.values", "required field is missing"),
+    ("snaps-values-empty", small_config(snapshot_times=dict(_SNAPS, values=[])),
+     "snapshot_times.values", "expected a nonempty list of times"),
+    ("snaps-values-number", small_config(snapshot_times=dict(_SNAPS, values=1.0)),
+     "snapshot_times.values", "expected a nonempty list of times"),
+    ("snaps-values-max", small_config(snapshot_times=dict(_SNAPS, values=[1.0] * 800001)),
+     "snapshot_times.values", "at most 800000 snapshots (one kernel integral each, as a "
+     "time_grid point), got 800001"),
+    ("snaps-values-entries",
+     small_config(n_particles=4096, snapshot_times=dict(_SNAPS, values=[1.0] * 12)),
+     "snapshot_times.values", "at most 11 snapshots at n_particles=4096 (len(values) * "
+     "(N+1)**2 <= 195225786 grid entries), got 12"),
+    ("snaps-value-negative", small_config(snapshot_times=dict(_SNAPS, values=[1.0, -1.0])),
+     "snapshot_times.values[1]", "must be >= 0, got -1.0"),
+    ("knot-times",
+     _spectrum(kind="tabulated", table=_KNOTS[:113])
+     | {"time_grid": dict(_GRID, count=800000)},
+     "spectrum.table", "at most 112 knots with 800000 kernel times (knots * "
+     "(time_grid.count + len(snapshot_times.values)) <= 90000000), got 113"),
+    # basis, conventions, solver, output directory
+    ("basis-Ly", small_config(basis="Ly"), "basis", "must be one of ['Lx', 'Lz'], got 'Ly'"),
+    ("conventions-list", small_config(conventions=[]), "conventions",
+     "expected an object, got list"),
+    ("conventions-unknown", small_config(conventions={"spin": "half"}), "conventions.spin",
+     "unknown field"),
+    ("thermal-bogus", small_config(conventions={"thermal": "bogus"}), "conventions.thermal",
+     "must be one of ['coth-full', 'coth-half'], got 'bogus'"),
+    ("mqs-bogus", small_config(conventions={"mqs": "bogus"}), "conventions.mqs",
+     "must be one of ['antipodal', 'twist'], got 'bogus'"),
+    ("solver-int", small_config(solver=1), "solver", "expected an object, got int"),
+    ("solver-unknown", small_config(solver={"tol": 1e-9}), "solver.tol", "unknown field"),
+    ("horizon-0", small_config(solver={"horizon_factor": 0}), "solver.horizon_factor",
+     "must be > 0, got 0.0"),
+    ("horizon-1", small_config(solver={"horizon_factor": 1.0}), "solver.horizon_factor",
+     "must exceed 1, got 1.0"),
+    ("output_dir-int", small_config(output_dir=3), "output_dir", "expected a string, got int"),
+    ("output_dir-empty", small_config(output_dir=""), "output_dir",
+     "must be nonempty when present"),
+    # two faults: the one checked first is reported
+    ("unknown-and-missing", _omit("name", colour=1), "colour", "unknown field"),
+    ("schema-and-name", small_config(schema=2, name=""), "schema",
+     "unsupported schema version 2"),
+    ("spectrum-unknown-and-kind", _spectrum(alpha=1.0, gamma=1.0), "spectrum.gamma",
+     "unknown field"),
+    ("beta-and-alpha", _spectrum(kind="ohmic", beta=-1.0), "spectrum.beta",
+     "must be > 0, got -1.0"),
+    ("table-and-alpha", _spectrum(kind="tabulated", table=[[0.0, 1.0], [1.0]], alpha=0.1),
+     "spectrum.table[1]", "expected an [omega, g] pair"),
+    ("kind-and-n", dict(_spectrum(kind="flat"), n_particles=0), "spectrum.kind",
+     "must be one of ['lorentzian', 'ohmic', 'tabulated'], got 'flat'"),
+    ("theta-and-snapshots", small_config(theta="x", outputs=["snapshots"]), "theta",
+     "expected a number, got str"),
+    ("outputs-and-time_grid", small_config(outputs=["plots"], time_grid=5), "outputs[0]",
+     "must be one of ['kernels', 'report', 'snapshots'], got 'plots'"),
+    ("time_grid-and-snapshot_times", small_config(time_grid=5, snapshot_times="x"),
+     "time_grid", "expected an object, got int"),
+    ("knot-times-and-basis",
+     _spectrum(kind="tabulated", table=_KNOTS[:113])
+     | {"time_grid": dict(_GRID, count=800000), "basis": "Ly"},
+     "spectrum.table", "at most 112 knots with 800000 kernel times (knots * "
+     "(time_grid.count + len(snapshot_times.values)) <= 90000000), got 113"),
+    ("basis-and-conventions", small_config(basis="Ly", conventions=[]), "basis",
+     "must be one of ['Lx', 'Lz'], got 'Ly'"),
+    ("conventions-and-solver", small_config(conventions={"mqs": "bogus"}, solver=1),
+     "conventions.mqs", "must be one of ['antipodal', 'twist'], got 'bogus'"),
+    ("solver-and-output_dir", small_config(solver={"horizon_factor": 1.0}, output_dir=""),
+     "solver.horizon_factor", "must exceed 1, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("raw, field, message", [case[1:] for case in _VALIDATION_CASES],
+                         ids=[case[0] for case in _VALIDATION_CASES])
+def test_validation_reports_the_first_fault(raw, field, message):
+    err = config_error(copy.deepcopy(raw))
+    assert (err.field, str(err)) == (field, f"{field}: {message}" if field else message)
+
+
+def _key_order(value):
+    # the keys of every object in value, nested, in insertion order
+    if isinstance(value, dict):
+        return [(key, _key_order(v)) for key, v in value.items()]
+    return None
+
+
+def test_normalized_configs_keep_their_key_order():
+    # every optional section present, given in another order; JSON nulls of
+    # beta and output_dir read as zero temperature and no directory
+    raw = {"output_dir": "out", "outputs": ["snapshots", "report", "kernels"],
+           "solver": {"horizon_factor": 1e7}, "conventions": {"mqs": "antipodal",
+                                                             "thermal": "coth-half"},
+           "basis": "Lx", "snapshot_times": {"values": [0.5, 1], "kind": "tau-fractions"},
+           "time_grid": {"count": 3, "stop": 10, "start": 1, "kind": "linear"},
+           "phi": 0, "theta": 1, "n_particles": 3, "spectrum": {
+               "beta": 2, "omega_0": 5, "omega_c": 2, "alpha": 0.5, "kind": "lorentzian"},
+           "units": "hz", "name": "all", "schema": 1}
+    normalized = validate_config(raw)
+    assert _key_order(normalized) == [
+        ("schema", None), ("name", None), ("units", None),
+        ("spectrum", [("kind", None), ("omega_c", None), ("beta", None), ("alpha", None),
+                      ("omega_0", None)]),
+        ("n_particles", None), ("theta", None), ("phi", None), ("basis", None),
+        ("conventions", [("thermal", None), ("mqs", None)]),
+        ("solver", [("horizon_factor", None)]), ("outputs", None),
+        ("time_grid", [("kind", None), ("start", None), ("stop", None), ("count", None)]),
+        ("snapshot_times", [("kind", None), ("values", None)]), ("output_dir", None)]
+    assert json.dumps(normalized) == (
+        '{"schema": 1, "name": "all", "units": "hz", "spectrum": {"kind": "lorentzian", '
+        '"omega_c": 2.0, "beta": 2.0, "alpha": 0.5, "omega_0": 5.0}, "n_particles": 3, '
+        '"theta": 1.0, "phi": 0.0, "basis": "Lx", "conventions": {"thermal": "coth-half", '
+        '"mqs": "antipodal"}, "solver": {"horizon_factor": 10000000.0}, "outputs": ["kernels", '
+        '"snapshots", "report"], "time_grid": {"kind": "linear", "start": 1.0, "stop": 10.0, '
+        '"count": 3}, "snapshot_times": {"kind": "tau-fractions", "values": [0.5, 1.0]}, '
+        '"output_dir": "out"}')
+    raw["spectrum"] = {"table": [[0, 1], [2, 0]], "beta": None, "kind": "tabulated"}
+    del raw["output_dir"], raw["time_grid"], raw["snapshot_times"]
+    raw.update(outputs=["report"], output_dir=None)
+    assert json.dumps(validate_config(raw)) == (
+        '{"schema": 1, "name": "all", "units": "hz", "spectrum": {"kind": "tabulated", '
+        '"omega_c": 1.0, "beta": null, "table": [[0.0, 1.0], [2.0, 0.0]]}, "n_particles": 3, '
+        '"theta": 1.0, "phi": 0.0, "basis": "Lx", "conventions": {"thermal": "coth-half", '
+        '"mqs": "antipodal"}, "solver": {"horizon_factor": 10000000.0}, "outputs": ["report"]}')
+    # the presets are normalized as given, in the same order
+    spectrum = [("kind", None), ("omega_c", None), ("beta", None), ("alpha", None)]
+    lorentzian = spectrum + [("omega_0", None)]
+    grids = [("time_grid", [("kind", None), ("start", None), ("stop", None), ("count", None)]),
+             ("snapshot_times", [("kind", None), ("values", None)])]
+    for name, spectrum_keys, grid_keys in (("cavity", lorentzian, []), ("fig1", spectrum, grids),
+                                           ("fig2", lorentzian, grids),
+                                           ("phonon", spectrum, [])):
+        normalized = validate_config(preset_config(name))
+        assert normalized == preset_config(name)
+        assert _key_order(normalized) == [
+            ("schema", None), ("name", None), ("units", None), ("spectrum", spectrum_keys),
+            ("n_particles", None), ("theta", None), ("phi", None), ("basis", None),
+            ("conventions", [("thermal", None), ("mqs", None)]),
+            ("solver", [("horizon_factor", None)]), ("outputs", None)] + grid_keys
+
+
 # ---------------------------------------------------------------------------
 # running scenarios
 
