@@ -27,6 +27,7 @@ from .evolve import MqsConvention
 from .scenario import (
     SWEEP_AXES,
     _json_dumps,
+    _make_dir,
     _write_atomic,
     preset_config,
     preset_names,
@@ -104,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of axis values")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="worker processes (default: CPU count)")
+                         help="worker processes, at most one per point and per core "
+                              "this process may use (default: CPU count)")
     _add_common(p_sweep)
 
     sub.add_parser("presets", help="list built-in scenario names")
@@ -138,8 +140,7 @@ def main(argv=None) -> int:
                 print(name)
         elif args.command == "emit-preset":
             cfg = preset_config(args.name)
-            os.makedirs(args.output_dir, exist_ok=True)
-            path = os.path.join(args.output_dir, f"{args.name}.json")
+            path = os.path.join(_make_dir(args.output_dir), f"{args.name}.json")
             _write_atomic(path, _json_dumps(cfg))
             _print_summary({"preset": args.name, "path": path})
     except (ConfigError, DomainError, UsageError) as exc:

@@ -126,16 +126,32 @@ SWEEP_AXES = ("N", "beta", "alpha", "omega_0")
 # validation
 
 
+_REQUIRED = object()  # the default of a field that must be present
+
+
 def _fail(path: str, msg: str):
     raise ConfigError(msg, field=path)
 
 
-def _get(d: dict, key: str, path: str, required: bool, default=None):
-    if key in d:
-        return d[key]
-    if required:
-        _fail(f"{path}.{key}" if path else key, "required field is missing")
-    return default
+def _field(d: dict, path: str, key: str, check=None, default=_REQUIRED, **rule):
+    # The field ``key`` of the object ``d`` at ``path``, checked by
+    # ``check(value, field path, **rule)`` (as given without a check).  A
+    # missing field is its default; one without a default is an error.
+    path = f"{path}.{key}" if path else key
+    if key not in d:
+        if default is _REQUIRED:
+            _fail(path, "required field is missing")
+        return default
+    return d[key] if check is None else check(d[key], path, **rule)
+
+
+def _object(raw, path: str, allowed) -> dict:
+    if not isinstance(raw, dict):
+        _fail(path, f"expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else key, "unknown field")
+    return raw
 
 
 def _number(value, path: str, positive=False, nonnegative=False) -> float:
@@ -172,51 +188,50 @@ def _string(value, path: str, choices=None) -> str:
     return value
 
 
-def _check_unknown(d: dict, allowed, path: str):
-    for key in d:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown field")
+def _beta(value, path: str):
+    # a JSON null is zero temperature
+    return None if value is None else _number(value, path, positive=True)
+
+
+def _directory(value, path: str):
+    # a JSON null sets no directory, as a missing field does
+    if value is not None and not _string(value, path):
+        _fail(path, "must be nonempty when present")
+    return value
+
+
+def _table(table, path: str) -> list:
+    if not isinstance(table, list) or not table:
+        _fail(path, "expected a nonempty list of [omega, g] pairs")
+    if len(table) > _MAX_TABLE_KNOTS:
+        _fail(path, f"at most {_MAX_TABLE_KNOTS} knots, got {len(table)}")
+    pairs = []
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != 2:
+            _fail(f"{path}[{i}]", "expected an [omega, g] pair")
+        w = _number(row[0], f"{path}[{i}][0]", nonnegative=True)
+        if pairs and not w > pairs[-1][0]:
+            _fail(f"{path}[{i}][0]", f"must exceed the previous omega {pairs[-1][0]!r}, got {w!r}")
+        g = _number(row[1], f"{path}[{i}][1]", nonnegative=True)
+        pairs.append([w, g])
+    return pairs
 
 
 def _validate_spectrum(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        _fail(path, f"expected an object, got {type(raw).__name__}")
-    _check_unknown(raw, {"kind", "alpha", "omega_c", "omega_0", "beta", "table"}, path)
-    kind = _string(_get(raw, "kind", path, True), f"{path}.kind",
-                   {k.value for k in SpectrumKind})
-    out = {"kind": kind}
-    out["omega_c"] = _number(_get(raw, "omega_c", path, False, 1.0),
-                             f"{path}.omega_c", positive=True)
-    beta = _get(raw, "beta", path, False, None)
-    if beta is not None:
-        beta = _number(beta, f"{path}.beta", positive=True)
-    out["beta"] = beta
+    _object(raw, path, {"kind", "alpha", "omega_c", "omega_0", "beta", "table"})
+    kind = _field(raw, path, "kind", _string, choices={k.value for k in SpectrumKind})
+    out = {"kind": kind,
+           "omega_c": _field(raw, path, "omega_c", _number, 1.0, positive=True),
+           "beta": _field(raw, path, "beta", _beta, None)}
     if kind == SpectrumKind.TABULATED.value:
-        table = _get(raw, "table", path, True)
-        if not isinstance(table, list) or not table:
-            _fail(f"{path}.table", "expected a nonempty list of [omega, g] pairs")
-        if len(table) > _MAX_TABLE_KNOTS:
-            _fail(f"{path}.table", f"at most {_MAX_TABLE_KNOTS} knots, got {len(table)}")
-        pairs = []
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != 2:
-                _fail(f"{path}.table[{i}]", "expected an [omega, g] pair")
-            w = _number(row[0], f"{path}.table[{i}][0]", nonnegative=True)
-            if pairs and not w > pairs[-1][0]:
-                _fail(f"{path}.table[{i}][0]", f"must exceed the previous omega "
-                      f"{pairs[-1][0]!r}, got {w!r}")
-            g = _number(row[1], f"{path}.table[{i}][1]", nonnegative=True)
-            pairs.append([w, g])
-        out["table"] = pairs
+        out["table"] = _field(raw, path, "table", _table)
         for key in ("alpha", "omega_0"):
             if key in raw:
                 _fail(f"{path}.{key}", "not applicable to tabulated spectra")
     else:
-        out["alpha"] = _number(_get(raw, "alpha", path, True),
-                               f"{path}.alpha", nonnegative=True)
+        out["alpha"] = _field(raw, path, "alpha", _number, nonnegative=True)
         if kind == SpectrumKind.LORENTZIAN.value:
-            out["omega_0"] = _number(_get(raw, "omega_0", path, True),
-                                     f"{path}.omega_0", positive=True)
+            out["omega_0"] = _field(raw, path, "omega_0", _number, positive=True)
         elif "omega_0" in raw:
             _fail(f"{path}.omega_0", "only applicable to lorentzian spectra")
         if "table" in raw:
@@ -225,39 +240,34 @@ def _validate_spectrum(raw, path: str) -> dict:
 
 
 def _validate_time_grid(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        _fail(path, f"expected an object, got {type(raw).__name__}")
-    _check_unknown(raw, {"kind", "start", "stop", "count"}, path)
-    kind = _string(_get(raw, "kind", path, True), f"{path}.kind", {"log", "linear"})
-    start = _number(_get(raw, "start", path, True), f"{path}.start", positive=True)
-    stop = _number(_get(raw, "stop", path, True), f"{path}.stop", positive=True)
+    _object(raw, path, {"kind", "start", "stop", "count"})
+    kind = _field(raw, path, "kind", _string, choices={"log", "linear"})
+    start = _field(raw, path, "start", _number, positive=True)
+    stop = _field(raw, path, "stop", _number, positive=True)
     if not stop > start:
         _fail(f"{path}.stop", f"must exceed start={start!r}, got {stop!r}")
-    count = _integer(_get(raw, "count", path, True), f"{path}.count", minimum=2,
-                     maximum=_MAX_TIME_GRID_COUNT)
+    count = _field(raw, path, "count", _integer, minimum=2, maximum=_MAX_TIME_GRID_COUNT)
     return {"kind": kind, "start": start, "stop": stop, "count": count}
 
 
-def _validate_snapshot_times(raw, path: str, n_particles: int) -> dict:
-    if not isinstance(raw, dict):
-        _fail(path, f"expected an object, got {type(raw).__name__}")
-    _check_unknown(raw, {"kind", "values"}, path)
-    kind = _string(_get(raw, "kind", path, True), f"{path}.kind",
-                   {"tau-fractions", "absolute"})
-    values = _get(raw, "values", path, True)
+def _times(values, path: str, n_particles: int) -> list:
     if not isinstance(values, list) or not values:
-        _fail(f"{path}.values", "expected a nonempty list of times")
+        _fail(path, "expected a nonempty list of times")
     if len(values) > _MAX_TIME_GRID_COUNT:
-        _fail(f"{path}.values", f"at most {_MAX_TIME_GRID_COUNT} snapshots (one kernel "
-              f"integral each, as a time_grid point), got {len(values)}")
+        _fail(path, f"at most {_MAX_TIME_GRID_COUNT} snapshots (one kernel integral each, "
+              f"as a time_grid point), got {len(values)}")
     most = _MAX_SNAPSHOT_ENTRIES // (n_particles + 1) ** 2
     if len(values) > most:
-        _fail(f"{path}.values", f"at most {most} snapshots at n_particles={n_particles} "
+        _fail(path, f"at most {most} snapshots at n_particles={n_particles} "
               f"(len(values) * (N+1)**2 <= {_MAX_SNAPSHOT_ENTRIES} grid entries), "
               f"got {len(values)}")
-    vals = [_number(v, f"{path}.values[{i}]", nonnegative=True)
-            for i, v in enumerate(values)]
-    return {"kind": kind, "values": vals}
+    return [_number(v, f"{path}[{i}]", nonnegative=True) for i, v in enumerate(values)]
+
+
+def _validate_snapshot_times(raw, path: str, n_particles: int) -> dict:
+    _object(raw, path, {"kind", "values"})
+    kind = _field(raw, path, "kind", _string, choices={"tau-fractions", "absolute"})
+    return {"kind": kind, "values": _field(raw, path, "values", _times, n_particles=n_particles)}
 
 
 def validate_config(raw: dict) -> dict:
@@ -267,78 +277,55 @@ def validate_config(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         _fail("", f"config root must be an object, got {type(raw).__name__}")
-    allowed = {"schema", "name", "units", "spectrum", "n_particles", "theta",
-               "phi", "time_grid", "snapshot_times", "basis", "conventions",
-               "solver", "outputs", "output_dir"}
-    _check_unknown(raw, allowed, "")
-    schema = _integer(_get(raw, "schema", "", True), "schema")
+    _object(raw, "", {"schema", "name", "units", "spectrum", "n_particles", "theta", "phi",
+                      "time_grid", "snapshot_times", "basis", "conventions", "solver",
+                      "outputs", "output_dir"})
+    schema = _field(raw, "", "schema", _integer)
     if schema != 1:
         _fail("schema", f"unsupported schema version {schema}")
-    name = _string(_get(raw, "name", "", True), "name")
+    name = _field(raw, "", "name", _string)
     if not name:
         _fail("name", "must be nonempty")
-    units = _string(_get(raw, "units", "", False, "omega_c"), "units",
-                    {"omega_c", "hz"})
-    spectrum = _validate_spectrum(_get(raw, "spectrum", "", True), "spectrum")
-    n = _integer(_get(raw, "n_particles", "", True), "n_particles",
-                 minimum=1, maximum=_MAX_PARTICLES)
-    theta = _number(_get(raw, "theta", "", True), "theta")
-    phi = _number(_get(raw, "phi", "", True), "phi")
+    units = _field(raw, "", "units", _string, "omega_c", choices={"omega_c", "hz"})
+    spectrum = _field(raw, "", "spectrum", _validate_spectrum)
+    n = _field(raw, "", "n_particles", _integer, minimum=1, maximum=_MAX_PARTICLES)
+    theta = _field(raw, "", "theta", _number)
+    phi = _field(raw, "", "phi", _number)
 
-    outputs = _get(raw, "outputs", "", False, ["report"])
+    outputs = _field(raw, "", "outputs", default=["report"])
     if not isinstance(outputs, list) or not outputs:
         _fail("outputs", "expected a nonempty list")
-    seen = []
     for i, o in enumerate(outputs):
-        o = _string(o, f"outputs[{i}]", set(_OUTPUT_KINDS))
-        if o in seen:
+        if _string(o, f"outputs[{i}]", set(_OUTPUT_KINDS)) in outputs[:i]:
             _fail(f"outputs[{i}]", f"duplicate output kind {o!r}")
-        seen.append(o)
-    outputs = [o for o in _OUTPUT_KINDS if o in seen]
+    outputs = [o for o in _OUTPUT_KINDS if o in outputs]
 
-    time_grid = None
-    if "time_grid" in raw:
-        time_grid = _validate_time_grid(raw["time_grid"], "time_grid")
-    elif "kernels" in outputs:
+    time_grid = _field(raw, "", "time_grid", _validate_time_grid, None)
+    if time_grid is None and "kernels" in outputs:
         _fail("time_grid", 'required when "kernels" is in outputs')
-    snapshot_times = None
-    if "snapshot_times" in raw:
-        snapshot_times = _validate_snapshot_times(raw["snapshot_times"],
-                                                  "snapshot_times", n)
-    elif "snapshots" in outputs:
+    snaps = _field(raw, "", "snapshot_times", _validate_snapshot_times, None, n_particles=n)
+    if snaps is None and "snapshots" in outputs:
         _fail("snapshot_times", 'required when "snapshots" is in outputs')
     # the run's kernel times: time-grid points and snapshot times
     times = (time_grid["count"] if time_grid else 0) + (
-        len(snapshot_times["values"]) if snapshot_times else 0)
+        len(snaps["values"]) if snaps else 0)
     if len(spectrum.get("table", ())) * times > _MAX_KNOT_TIMES:
         _fail("spectrum.table", f"at most {_MAX_KNOT_TIMES // times} knots with {times} "
               f"kernel times (knots * (time_grid.count + len(snapshot_times.values)) "
               f"<= {_MAX_KNOT_TIMES}), got {len(spectrum['table'])}")
 
-    basis = _string(_get(raw, "basis", "", False, "Lz"), "basis",
-                    {b.value for b in Basis})
-    conv = _get(raw, "conventions", "", False, {})
-    if not isinstance(conv, dict):
-        _fail("conventions", f"expected an object, got {type(conv).__name__}")
-    _check_unknown(conv, {"thermal", "mqs"}, "conventions")
-    thermal = _string(_get(conv, "thermal", "conventions", False, "coth-full"),
-                      "conventions.thermal", {c.value for c in ThermalConvention})
-    mqs = _string(_get(conv, "mqs", "conventions", False, "twist"),
-                  "conventions.mqs", {c.value for c in MqsConvention})
-    solver = _get(raw, "solver", "", False, {})
-    if not isinstance(solver, dict):
-        _fail("solver", f"expected an object, got {type(solver).__name__}")
-    _check_unknown(solver, {"horizon_factor"}, "solver")
-    horizon = _number(_get(solver, "horizon_factor", "solver", False,
-                           _DEFAULT_HORIZON_FACTOR),
-                      "solver.horizon_factor", positive=True)
+    basis = _field(raw, "", "basis", _string, "Lz", choices={b.value for b in Basis})
+    conv = _field(raw, "", "conventions", _object, {}, allowed={"thermal", "mqs"})
+    thermal = _field(conv, "conventions", "thermal", _string, "coth-full",
+                     choices={c.value for c in ThermalConvention})
+    mqs = _field(conv, "conventions", "mqs", _string, "twist",
+                 choices={c.value for c in MqsConvention})
+    solver = _field(raw, "", "solver", _object, {}, allowed={"horizon_factor"})
+    horizon = _field(solver, "solver", "horizon_factor", _number, _DEFAULT_HORIZON_FACTOR,
+                     positive=True)
     if not horizon > 1.0:
         _fail("solver.horizon_factor", f"must exceed 1, got {horizon!r}")
-    out_dir = _get(raw, "output_dir", "", False, None)
-    if out_dir is not None:
-        out_dir = _string(out_dir, "output_dir")
-        if not out_dir:
-            _fail("output_dir", "must be nonempty when present")
+    out_dir = _field(raw, "", "output_dir", _directory, None)
 
     normalized = {
         "schema": 1,
@@ -352,14 +339,12 @@ def validate_config(raw: dict) -> dict:
         "conventions": {"thermal": thermal, "mqs": mqs},
         "solver": {"horizon_factor": horizon},
         "outputs": outputs,
+        "time_grid": time_grid,
+        "snapshot_times": snaps,
+        "output_dir": out_dir,
     }
-    if time_grid is not None:
-        normalized["time_grid"] = time_grid
-    if snapshot_times is not None:
-        normalized["snapshot_times"] = snapshot_times
-    if out_dir is not None:
-        normalized["output_dir"] = out_dir
-    return normalized
+    # the optional sections that are absent are left out
+    return {key: value for key, value in normalized.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +503,17 @@ def _write_atomic(path: str, text: str | Iterable[str]):
         raise
 
 
+def _make_dir(path: str) -> str:
+    # the directory of a run's, a sweep's or an emitted preset's files, made
+    # before any work; one that cannot be made is a config error
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path!r}: {exc.strerror}",
+                          field="output_dir") from exc
+    return path
+
+
 def _time_grid_points(grid: dict) -> np.ndarray:
     if grid["kind"] == "log":
         return np.geomspace(grid["start"], grid["stop"], grid["count"])
@@ -559,10 +555,9 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
     one snapshot matrix whatever their count; a numeric failure at snapshot
     ``k`` leaves ``snapshot_000.csv`` .. ``k - 1`` written, and no index.
     """
-    params = build_scenario(normalized)
     name, outputs = normalized["name"], normalized["outputs"]
-    out_dir = output_dir or normalized.get("output_dir") or f"{name}-out"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_dir(output_dir or normalized.get("output_dir") or f"{name}-out")
+    params = build_scenario(normalized)
     files: list[str] = []
     summary: dict = {"name": name, "output_dir": out_dir, "files": files,
                      "report": None}
@@ -704,6 +699,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     if axis in ("alpha", "omega_0") and axis not in normalized["spectrum"]:
         raise ConfigError(f"{axis} sweeps do not apply to "
                           f"{normalized['spectrum']['kind']} spectra", field="axis")
+    out_dir = _make_dir(output_dir or normalized.get("output_dir") or f"{normalized['name']}-out")
     tasks = [(normalized, axis, v) for v in values]
     # at most one worker per point and per core this process may run on
     workers = min(jobs, len(tasks), len(os.sched_getaffinity(0))
@@ -716,8 +712,6 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    out_dir = output_dir or normalized.get("output_dir") or f"{normalized['name']}-out"
-    os.makedirs(out_dir, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow((axis,) + _SWEEP_COLUMNS)

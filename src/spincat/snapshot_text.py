@@ -14,6 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from . import float_text
 from .dicke import Basis, x_floor_gain
 
 # Rows formatted at a time: the text of a block's entries below the diagonal
@@ -73,8 +74,6 @@ def _block_bytes(mag, i0: int, i1: int):
     # WIDTH // 4 per nonzero entry.  The words are filled with "0.0," and
     # each nonzero entry's row is copied over its words.  The block's arrays
     # are freed on return, before the text is made from the words.
-    from . import float_text
-
     block = mag[i0:i1, i0:]
     b, w = block.shape
     upper = np.triu(block) != 0.0

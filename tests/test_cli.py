@@ -1568,6 +1568,39 @@ def test_cli_output_dir_from_config_or_flag(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: output_dir: ")
 
 
+@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")])
+def test_cli_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, under,
+                                                    reason):
+    # a file, or a path under a file, cannot be made a directory: each verb
+    # stops with a config error naming output_dir, before any work
+    def no_work(*args):
+        raise AssertionError("a run into a directory that cannot be made did work")
+
+    monkeypatch.setattr(scenario, "build_scenario", no_work)
+    monkeypatch.setattr(scenario, "_sweep_point", no_work)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / under) if under else str(tmp_path / "file")
+    for verb in (["run", "phonon"], ["sweep", "phonon", "--axis", "N", "--values", "2,3"],
+                 ["emit-preset", "phonon"]):
+        assert main([*verb, "--output-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output_dir: cannot make directory {out!r}: {reason}\n"
+        assert captured.out == ""
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_sweep_makes_its_directory_before_any_point(tmp_path, monkeypatch):
+    def no_point(task):
+        raise AssertionError("a sweep into a directory that cannot be made ran a point")
+
+    monkeypatch.setattr(scenario, "_sweep_point", no_point)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError) as exc:
+        sweep(validate_config(small_config()), "N", [2, 3], output_dir=str(tmp_path / "file"))
+    assert exc.value.field == "output_dir"
+    assert str(exc.value).endswith(": File exists")
+
+
 def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path)]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -1670,6 +1703,26 @@ def test_runs_load_no_process_machinery(tmp_path):
     assert (tmp_path / "lx399" / "snapshot_000.csv").stat().st_size > 0
     assert ((tmp_path / "parallel" / "sweep.csv").read_bytes()
             == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+
+def test_only_runs_with_snapshots_load_the_text_formatter(tmp_path):
+    # snapshot_text, and float_text with it, are loaded by a run that writes
+    # a snapshot grid, and by no report-only run or serial sweep
+    proc = _fresh_python(f"""
+        import sys
+        from spincat.cli import main
+        text = ("spincat.snapshot_text", "spincat.float_text")
+        loaded = lambda: [m for m in text if m in sys.modules]
+        assert main(["run", "phonon", "--output-dir", {str(tmp_path / "phonon")!r}]) == 0
+        assert main(["sweep", "fig1", "--axis", "N", "--values", "4,6", "--jobs", "1",
+                     "--output-dir", {str(tmp_path / "sweep")!r}]) == 0
+        assert loaded() == [], loaded()
+        assert main(["run", "fig1", "--output-dir", {str(tmp_path / "fig1")!r}]) == 0
+        print(loaded())
+    """)
+    assert proc.stdout.splitlines()[-1] == str(list(("spincat.snapshot_text",
+                                                     "spincat.float_text")))
+    assert (tmp_path / "fig1" / "snapshot_000.csv").exists()
 
 
 def test_lx_grids_from_one_and_two_blas_threads_differ_within_the_floor(tmp_path):
