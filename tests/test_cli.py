@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from spincat import dicke, evolve, float_text, kernels, scenario, snapshot_text
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
-from spincat.errors import ConfigError
+from spincat.errors import ConfigError, NumericError
 from spincat.kernels import markov_limits, solve_bath, tabulate_kernels
 from spincat.scenario import (
     SWEEP_AXES,
@@ -1474,6 +1474,59 @@ def test_cli_subnormal_scale_exits_3(tmp_path, capsys):
     assert captured.err == (
         "numeric error in kernel tabulation: the scan floor min(features)*1e-6 underflows "
         "to 0 for the lowest feature 1e-320; width undefined\n")
+
+
+_STAGE_OUTPUTS = {
+    "kernels": {"outputs": ["kernels"],
+                "time_grid": {"kind": "linear", "start": 0.5, "stop": 1.0, "count": 3}},
+    "report": {"outputs": ["report"]},
+    "snapshots": {"outputs": ["snapshots"], "basis": "Lz",
+                  "snapshot_times": {"kind": "absolute", "values": [1.0]}},
+}
+
+
+def _boom(*args, **kwargs):
+    raise NumericError("boom")
+
+
+def _boom_inner(*args, **kwargs):
+    exc = NumericError("boom")
+    exc.operation = "inner"
+    raise exc
+
+
+def _nan_grid(p, t, basis):
+    return np.full((p.sector.dimension,) * 2, np.nan)
+
+
+# (case, callee in scenario, its stand-in, outputs, stderr): a numeric failure
+# inside a stage of a run names that stage, one already named keeps its name,
+# and one outside every stage (the snapshot text) names none
+_STAGE_CASES = [
+    ("kernels", "tabulate_kernels", _boom, "kernels",
+     "numeric error in kernel tabulation: boom\n"),
+    ("solve", "solve_bath", _boom, "report", "numeric error in formation-time solve: boom\n"),
+    ("assess", "assess_mqs", _boom, "report", "numeric error in formation assessment: boom\n"),
+    ("snapshot", "_snapshot", _boom, "snapshots", "numeric error in snapshot evolution: boom\n"),
+    ("named", "solve_bath", _boom_inner, "report", "numeric error in inner: boom\n"),
+    ("text", "_snapshot", _nan_grid, "snapshots",
+     "numeric error: cannot format nan: not a finite float > 0\n"),
+]
+
+
+@pytest.mark.parametrize("callee, stand_in, outputs, err",
+                         [case[1:] for case in _STAGE_CASES],
+                         ids=[case[0] for case in _STAGE_CASES])
+def test_cli_numeric_failure_names_its_stage(tmp_path, capsys, monkeypatch, callee, stand_in,
+                                             outputs, err):
+    monkeypatch.setattr(scenario, callee, stand_in)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(**_STAGE_OUTPUTS[outputs])))
+    rc = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == err
+    assert captured.out == ""
 
 
 def test_cli_presets_verb(capsys):
