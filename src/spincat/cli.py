@@ -26,9 +26,7 @@ from .errors import ConfigError, DomainError, NumericError, UsageError
 from .evolve import MqsConvention
 from .scenario import (
     SWEEP_AXES,
-    _json_dumps,
-    _make_dir,
-    _write_atomic,
+    emit_preset,
     preset_config,
     preset_names,
     run_scenario,
@@ -139,16 +137,12 @@ def main(argv=None) -> int:
             for name in preset_names():
                 print(name)
         elif args.command == "emit-preset":
-            cfg = preset_config(args.name)
-            path = os.path.join(_make_dir(args.output_dir), f"{args.name}.json")
-            _write_atomic(path, _json_dumps(cfg))
-            _print_summary({"preset": args.name, "path": path})
+            _print_summary(emit_preset(args.name, args.output_dir))
     except (ConfigError, DomainError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        op = getattr(exc, "operation", None)
-        where = f" in {op}" if op else ""
+        where = f" in {exc.operation}" if exc.operation else ""
         print(f"numeric error{where}: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -3,13 +3,24 @@
 All package-level failures derive from :class:`SpinCatError` so callers can
 catch one base class.  Configuration problems and numeric problems are kept
 separate because the command-line layer maps them to different exit codes.
+An error raised inside a stage of a scenario run carries the stage's name
+in ``operation``.
 """
 
 from __future__ import annotations
 
 
 class SpinCatError(Exception):
-    """Base class for all spincat errors."""
+    """Base class for all spincat errors.
+
+    ``operation`` names the stage of a scenario run in which the error was
+    raised ("kernel tabulation", "formation-time solve", "formation
+    assessment" or "snapshot evolution"), and is ``None`` for an error
+    raised outside every stage.  The command-line layer prints it with a
+    numeric failure.
+    """
+
+    operation: str | None = None
 
 
 class DomainError(SpinCatError, ValueError):

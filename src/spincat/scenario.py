@@ -45,11 +45,14 @@ Hz and times in seconds); the choice only labels the numbers, the math
 is scale-free.  Files are written atomically (temp file + rename) with the
 mode a plain ``open(path, "w")`` gives (``0o666`` less the umask), all
 floats in the shortest decimal form that round-trips, so identical
-configs produce byte-identical artifacts.
+configs produce byte-identical artifacts.  An output directory that cannot
+be made, or a file in it that cannot be written (a path that is a
+directory, say), is a :class:`ConfigError` naming ``output_dir``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -485,21 +488,22 @@ def _write_atomic(path: str, text: str | Iterable[str]):
     # target is replaced only once all of it is written.  The temp file is
     # created 0o666 less the umask, as ``open(path, "w")`` would create it.
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             if isinstance(text, str):
                 fh.write(text)
             else:
                 fh.writelines(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         if hasattr(text, "close"):  # a generator's clean-up runs now
             text.close()
+        if isinstance(exc, OSError):  # a file that cannot be written is a config error
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror}",
+                              field="output_dir") from exc
         raise
 
 
@@ -534,10 +538,16 @@ def _report_payload(normalized: dict, report: MqsReport) -> dict:
     }
 
 
-def _annotate(exc: SpinCatError, operation: str):
-    if not getattr(exc, "operation", None):
-        exc.operation = operation
-    return exc
+@contextlib.contextmanager
+def _stage(operation: str):
+    # one stage of a run: an error raised inside it names the stage, unless
+    # it already names one
+    try:
+        yield
+    except SpinCatError as exc:
+        if not exc.operation:
+            exc.operation = operation
+        raise
 
 
 def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
@@ -562,33 +572,27 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
     summary: dict = {"name": name, "output_dir": out_dir, "files": files,
                      "report": None}
 
+    def write(fname: str, text: str | Iterable[str]):
+        _write_atomic(os.path.join(out_dir, fname), text)
+        files.append(fname)
+
     if "kernels" in outputs:
-        try:
+        with _stage("kernel tabulation"):
             table = tabulate_kernels(params.spectrum,
                                      _time_grid_points(normalized["time_grid"]))
-        except SpinCatError as exc:
-            raise _annotate(exc, "kernel tabulation")
-        _write_atomic(os.path.join(out_dir, "kernels.csv"),
-                      "\n".join(table.csv_lines()) + "\n")
-        files.append("kernels.csv")
+        write("kernels.csv", "\n".join(table.csv_lines()) + "\n")
 
     bath = None
     snap = normalized.get("snapshot_times")
     if "report" in outputs or ("snapshots" in outputs and snap["kind"] == "tau-fractions"):
-        try:
+        with _stage("formation-time solve"):
             bath = solve_bath(params.spectrum, params.solve_horizon_factor)
-        except SpinCatError as exc:
-            raise _annotate(exc, "formation-time solve")
 
     if "report" in outputs:
-        try:
+        with _stage("formation assessment"):
             report = assess_mqs(params)
-        except SpinCatError as exc:
-            raise _annotate(exc, "formation assessment")
         payload = _report_payload(normalized, report)
-        _write_atomic(os.path.join(out_dir, "report.json"),
-                      _json_dumps(payload))
-        files.append("report.json")
+        write("report.json", _json_dumps(payload))
         summary["report"] = payload["report"]
 
     if "snapshots" in outputs:
@@ -601,15 +605,12 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
         basis = Basis(normalized["basis"])
         index = []
         for i, t in enumerate(times):
-            try:
+            with _stage("snapshot evolution"):
                 mag = _snapshot(params, t, basis)
-            except SpinCatError as exc:
-                raise _annotate(exc, "snapshot evolution")
             fname = f"snapshot_{i:03d}.csv"
             lines = snapshot_lines(mag, params.sector, basis, t)
             del mag  # held by the text alone, and freed with it
-            _write_atomic(os.path.join(out_dir, fname), lines)
-            files.append(fname)
+            write(fname, lines)
             index.append({
                 "file": fname,
                 "time": t,
@@ -617,10 +618,8 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
                 "n_particles": params.sector.n_particles,
                 "l": params.sector.l,
             })
-        _write_atomic(os.path.join(out_dir, "snapshots_index.json"),
-                      _json_dumps({"schema": 1, "name": name,
-                                   "snapshots": index}))
-        files.append("snapshots_index.json")
+        write("snapshots_index.json",
+              _json_dumps({"schema": 1, "name": name, "snapshots": index}))
 
     return summary
 
@@ -723,3 +722,18 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     n_failed = sum(1 for r in rows if r["error"])
     return {"name": normalized["name"], "output_dir": out_dir, "axis": axis,
             "files": ["sweep.csv"], "points": len(values), "failed": n_failed}
+
+
+# ---------------------------------------------------------------------------
+# presets as files
+
+
+def emit_preset(name: str, output_dir: str = ".") -> dict:
+    """Write the named preset's config document to
+    ``<output_dir>/<name>.json`` for editing.  The preset is looked up before
+    the directory is made.  Returns the summary the CLI prints as one JSON
+    line: the preset name and the path written."""
+    cfg = preset_config(name)
+    path = os.path.join(_make_dir(output_dir), f"{name}.json")
+    _write_atomic(path, _json_dumps(cfg))
+    return {"preset": name, "path": path}

@@ -1642,6 +1642,37 @@ def test_cli_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatc
     assert (tmp_path / "file").read_text() == ""
 
 
+_SNAPSHOT_LX = {"outputs": ["snapshots"], "basis": "Lx",
+                "snapshot_times": {"kind": "absolute", "values": [1.0]}}
+
+
+@pytest.mark.parametrize("verb, blocked", [
+    (["run", "phonon"], "report.json"),
+    (["sweep", "phonon", "--axis", "N", "--values", "2,3", "--jobs", "1"], "sweep.csv"),
+    (["emit-preset", "phonon"], "phonon.json"),
+    (["run", "cfg.json"], "snapshot_000.csv"),
+], ids=["run", "sweep", "emit-preset", "snapshot"])
+def test_cli_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, verb,
+                                                     blocked):
+    # a directory where an artifact goes: the write stops with a config error
+    # naming output_dir and the file, and leaves no temp file behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(small_config(**_SNAPSHOT_LX)))
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert main([*verb, "--output-dir", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output_dir: cannot write 'out/{blocked}': Is a directory\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path / "out") == [blocked]  # no temp file, no snapshot index
+    assert os.listdir(tmp_path / "out" / blocked) == []
+
+
+def test_cli_emit_preset_unknown_makes_no_directory(tmp_path, capsys):
+    assert main(["emit-preset", "nope", "--output-dir", str(tmp_path / "new")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown preset 'nope'")
+    assert not (tmp_path / "new").exists()
+
+
 def test_sweep_makes_its_directory_before_any_point(tmp_path, monkeypatch):
     def no_point(task):
         raise AssertionError("a sweep into a directory that cannot be made ran a point")
