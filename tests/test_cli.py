@@ -1809,6 +1809,46 @@ def test_only_runs_with_snapshots_load_the_text_formatter(tmp_path):
     assert (tmp_path / "fig1" / "snapshot_000.csv").exists()
 
 
+_PACKAGE_API = [
+    "Basis", "BathSolution", "ConfigError", "DickeDensityMatrix", "DickeState", "DomainError",
+    "EvolutionParams", "KernelDivergenceError", "KernelTable", "MarkovLimits", "MqsConvention",
+    "MqsReport", "NoFormationError", "NumericError", "SectorLabel", "SpectralDensity",
+    "SpectrumKind", "SpinCatError", "ThermalConvention", "UsageError", "WidthUndefinedError",
+    "assess_mqs", "coherence_corner", "coherent_state", "correlation_time", "eval_g0",
+    "eval_gt", "evolve_state", "f_of_t", "fidelity", "gamma_of_t", "lorentzian",
+    "markov_limits", "mqs_target", "ohmic", "purity", "rotation_to_x", "snapshot_series",
+    "solve_bath", "solve_tau_mqs", "tabulate_kernels", "tabulated", "to_x_basis",
+    "total_coupling",
+]
+
+
+def test_package_exports_its_api_once():
+    # the library API: the same 44 names, each the object its own module
+    # defines, and a star import binds exactly those
+    import importlib
+
+    import spincat
+
+    assert sorted(spincat.__all__) == _PACKAGE_API
+    for name in spincat.__all__:
+        obj = getattr(spincat, name)
+        assert obj.__module__.startswith("spincat."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    namespace: dict = {}
+    exec("from spincat import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == _PACKAGE_API
+
+
+def test_module_all_lists_name_existing_attributes():
+    from spincat import bath, brent, cli, errors
+
+    for module in (bath, dicke, errors, evolve, kernels, scenario, cli, brent, float_text):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    assert "emit_preset" in scenario.__all__
+
+
 def test_lx_grids_from_one_and_two_blas_threads_differ_within_the_floor(tmp_path):
     # the rotation's last bits follow the BLAS thread count; two grids of one
     # config differ by at most 2 g b_r b_c, each being within g b_r b_c of
