@@ -51,7 +51,6 @@ __all__ = [
     "tabulated",
     "eval_g0",
     "eval_gt",
-    "gt_zero_limit",
     "total_coupling",
 ]
 

@@ -9,6 +9,17 @@ in ``operation``.
 
 from __future__ import annotations
 
+__all__ = [
+    "SpinCatError",
+    "DomainError",
+    "UsageError",
+    "NumericError",
+    "KernelDivergenceError",
+    "WidthUndefinedError",
+    "NoFormationError",
+    "ConfigError",
+]
+
 
 class SpinCatError(Exception):
     """Base class for all spincat errors.

@@ -77,6 +77,7 @@ __all__ = [
     "preset_config",
     "run_scenario",
     "sweep",
+    "emit_preset",
     "SWEEP_AXES",
 ]
 
@@ -507,9 +508,10 @@ def _write_atomic(path: str, text: str | Iterable[str]):
         raise
 
 
-def _make_dir(path: str) -> str:
-    # the directory of a run's, a sweep's or an emitted preset's files, made
-    # before any work; one that cannot be made is a config error
+def _make_dir(path: str | None, normalized: dict | None = None) -> str:
+    # the override when it is not None (an empty one fails here), else the
+    # config's directory, else <name>-out; one that cannot be made is a config error
+    path = normalized.get("output_dir", f"{normalized['name']}-out") if path is None else path
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -566,7 +568,7 @@ def run_scenario(normalized: dict, output_dir: str | None = None) -> dict:
     ``k`` leaves ``snapshot_000.csv`` .. ``k - 1`` written, and no index.
     """
     name, outputs = normalized["name"], normalized["outputs"]
-    out_dir = _make_dir(output_dir or normalized.get("output_dir") or f"{name}-out")
+    out_dir = _make_dir(output_dir, normalized)
     params = build_scenario(normalized)
     files: list[str] = []
     summary: dict = {"name": name, "output_dir": out_dir, "files": files,
@@ -698,7 +700,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     if axis in ("alpha", "omega_0") and axis not in normalized["spectrum"]:
         raise ConfigError(f"{axis} sweeps do not apply to "
                           f"{normalized['spectrum']['kind']} spectra", field="axis")
-    out_dir = _make_dir(output_dir or normalized.get("output_dir") or f"{normalized['name']}-out")
+    out_dir = _make_dir(output_dir, normalized)
     tasks = [(normalized, axis, v) for v in values]
     # at most one worker per point and per core this process may run on
     workers = min(jobs, len(tasks), len(os.sched_getaffinity(0))
@@ -717,8 +719,7 @@ def sweep(normalized: dict, axis: str, values, jobs: int = 1,
     for value, row in zip(values, rows):
         writer.writerow([_format_cell(value)]
                         + [_format_cell(row[c]) for c in _SWEEP_COLUMNS])
-    path = os.path.join(out_dir, "sweep.csv")
-    _write_atomic(path, buf.getvalue())
+    _write_atomic(os.path.join(out_dir, "sweep.csv"), buf.getvalue())
     n_failed = sum(1 for r in rows if r["error"])
     return {"name": normalized["name"], "output_dir": out_dir, "axis": axis,
             "files": ["sweep.csv"], "points": len(values), "failed": n_failed}

@@ -1621,18 +1621,21 @@ def test_cli_output_dir_from_config_or_flag(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: output_dir: ")
 
 
-@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")])
+@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory"),
+                                           (None, "No such file or directory")])
 def test_cli_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, under,
                                                     reason):
-    # a file, or a path under a file, cannot be made a directory: each verb
-    # stops with a config error naming output_dir, before any work
+    # a file, a path under a file, or an empty override (under None) cannot
+    # be made a directory: each verb stops with a config error naming
+    # output_dir, before any work, and writes no <name>-out in its stead
     def no_work(*args):
         raise AssertionError("a run into a directory that cannot be made did work")
 
     monkeypatch.setattr(scenario, "build_scenario", no_work)
     monkeypatch.setattr(scenario, "_sweep_point", no_work)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
-    out = str(tmp_path / "file" / under) if under else str(tmp_path / "file")
+    out = "" if under is None else str(tmp_path / "file" / under)
     for verb in (["run", "phonon"], ["sweep", "phonon", "--axis", "N", "--values", "2,3"],
                  ["emit-preset", "phonon"]):
         assert main([*verb, "--output-dir", out]) == 2
@@ -1640,6 +1643,7 @@ def test_cli_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatc
         assert captured.err == f"error: output_dir: cannot make directory {out!r}: {reason}\n"
         assert captured.out == ""
     assert (tmp_path / "file").read_text() == ""
+    assert os.listdir(tmp_path) == ["file"]
 
 
 _SNAPSHOT_LX = {"outputs": ["snapshots"], "basis": "Lx",
