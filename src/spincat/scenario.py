@@ -511,7 +511,7 @@ def _write_atomic(path: str, text: str | Iterable[str]):
 def _make_dir(path: str | None, normalized: dict | None = None) -> str:
     # the override when it is not None (an empty one fails here), else the
     # config's directory, else <name>-out; one that cannot be made is a config error
-    path = normalized.get("output_dir", f"{normalized['name']}-out") if path is None else path
+    path = normalized.get("output_dir") or f"{normalized['name']}-out" if path is None else path
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import importlib
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import spincat
 from spincat import dicke, evolve, float_text, kernels, scenario, snapshot_text
 from spincat.cli import main
 from spincat.dicke import Basis, DickeDensityMatrix, SectorLabel, coherent_state, to_x_basis
@@ -1736,8 +1738,6 @@ def test_sweep_axes_constant():
 def _fresh_python(code: str, **env: str) -> subprocess.CompletedProcess:
     # runs code in a new interpreter that imports spincat from this checkout,
     # with env added to this process's environment
-    import spincat
-
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spincat.__file__)),
                **env)
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
@@ -1829,10 +1829,6 @@ _PACKAGE_API = [
 def test_package_exports_its_api_once():
     # the library API: the same 44 names, each the object its own module
     # defines, and a star import binds exactly those
-    import importlib
-
-    import spincat
-
     assert sorted(spincat.__all__) == _PACKAGE_API
     for name in spincat.__all__:
         obj = getattr(spincat, name)
@@ -1845,9 +1841,9 @@ def test_package_exports_its_api_once():
 
 
 def test_module_all_lists_name_existing_attributes():
-    from spincat import bath, brent, cli, errors
-
-    for module in (bath, dicke, errors, evolve, kernels, scenario, cli, brent, float_text):
+    for short in ("bath", "dicke", "errors", "evolve", "kernels", "scenario", "cli", "brent",
+                  "float_text"):
+        module = importlib.import_module(f"spincat.{short}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
     assert "emit_preset" in scenario.__all__
