@@ -10,12 +10,13 @@ Dense storage is used everywhere: even ``N = 512`` is only a 513x513
 complex matrix.  The Lz-to-Lx rotation is built by a numpy recursion each
 time it is asked for, and nothing holds on to it.  Every Lx eigenvector has
 a definite parity under ``m -> -m``, so the recursion runs over half the
-components only, and a density matrix is rotated by parity blocks of half
-size.  One function does every such rotation, reading the matrix a block of
-rows at a time: into the complex matrix of :func:`to_x_basis`, or into the
-real ``|rho|`` grid of a run's Lx snapshot (``evolve._snapshot``).  The
-corner coherence of a formed state needs only the coherent states along +x
-and -x (the rotation's first and last rows).
+components only, and the rotation's bottom rows are its top rows with
+alternating signs.  One function does every rotation of a density matrix,
+over the window of its diagonal (the index range that holds all its weight
+but a share ``2**-53``), which it reads once: into the complex matrix of
+:func:`to_x_basis`, or into the real ``|rho|`` grid of a run's Lx snapshot
+(``evolve._snapshot``).  The corner coherence of a formed state needs only
+the coherent states along +x and -x (the rotation's first and last rows).
 
 Density matrices are checked once, where they enter the package: the public
 :class:`DickeDensityMatrix` constructor tests hermiticity, unit trace and
@@ -23,8 +24,9 @@ positive semidefiniteness of a matrix a caller supplies.  The package's own
 results skip those tests, because the maps that build them keep a matrix
 physical: the projector of a normalised state, the exact dephasing
 propagator of :mod:`spincat.evolve` (a Schur product with a unit-diagonal
-positive kernel), and the orthogonal Lz-to-Lx rotation, whose rounding
-floor moves an entry only within the bound on its rounding.
+positive kernel), and the orthogonal Lz-to-Lx rotation, whose floor moves
+an entry only within the bound on its rounding and on the part of the
+matrix outside the window.
 """
 
 from __future__ import annotations
@@ -304,180 +306,252 @@ def rotation_to_x(sector: SectorLabel) -> np.ndarray:
     return vecs.T
 
 
-# Rows or columns of a d x d matrix taken at a time by the parity folds, by
-# the rounding floor of the rotation and by the moduli of an |x| grid
+# Rows or columns of a d x d matrix taken at a time by the bounds and the
+# rounding floor of the rotation and by the moduli of an |x| grid
 _BLOCK_ROWS = 32
 
 
-def _parity_parts(part, d: int):
-    """The sums and differences of rows and of columns ``k`` and ``d-1-k``
-    of a real d x d matrix ``P``: ``(++, +-, --)``, where ``+`` has
-    ``(d+1)//2`` entries and ``-`` has ``d//2``.  Rows are folded first, row
-    ``k`` plus or minus row ``d-1-k``, then the columns of the folded rows
-    the same way: with ``a, b`` the entries of row ``k`` in columns
-    ``j, d-1-j`` and ``c, e`` those of row ``d-1-k``, ``++`` is
-    ``(a + c) + (b + e)``, ``+-`` is ``(a + c) - (b + e)`` and ``--`` is
-    ``(a - c) - (b - e)``.  The middle row and column of an odd ``d`` fold
-    onto nothing and are taken once, as they are.  Entries below the
-    smallest normal float are set to 0.  ``P`` is read only through
-    ``part(lo, hi)``, which returns its rows ``lo .. hi-1`` (a slice of an
-    array, or rows made when asked), a block of rows at a time, and the
-    three results are written a block at a time: no temporary is larger
-    than a block of folded rows."""
-    pairs = d // 2
-    h = d - pairs
-    pp, pm, mm = np.empty((h, h)), np.empty((h, pairs)), np.empty((pairs, pairs))
-    for lo in range(0, h, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, h)
-        top = min(hi, pairs)  # rows lo .. top-1 have a mirror row
-        rows = part(lo, hi)
-        flip = part(d - top, d - lo)[::-1]  # rows d-1-lo .. d-top
-        sums = rows.copy()
-        sums[:top - lo] += flip
-        np.add(sums[:, :pairs], sums[:, :h - 1:-1], out=pp[lo:hi, :pairs])
-        pp[lo:hi, pairs:] = sums[:, pairs:h]
-        np.subtract(sums[:, :pairs], sums[:, :h - 1:-1], out=pm[lo:hi])
-        diffs = rows[:top - lo] - flip
-        np.subtract(diffs[:, :pairs], diffs[:, :h - 1:-1], out=mm[lo:top])
-        for x in (pp[lo:hi], pm[lo:hi], mm[lo:top]):
-            np.copyto(x, 0.0, where=np.abs(x) < _TINY)
-    return pp, pm, mm
+def _support(x: np.ndarray, share: float = _UNIT_ROUNDOFF) -> tuple[int, int]:
+    """The window of a vector ``x >= 0``: the smallest index range
+    ``[lo, hi)`` outside which its entries sum to at most ``share * sum(x)``
+    (by default ``u``, the unit roundoff), the first one when several are
+    smallest.  Each tail sum is accumulated from its own end, so a tail far
+    below the total is not lost to cancellation.  A zero vector has the
+    window ``(0, 0)``.  The package's states hold their weight within
+    O(sqrt(N)) of a centre (``evolve._toeplitz_form`` gives the tail bound),
+    so their windows are that narrow."""
+    d = x.size
+    tail = np.cumsum(x[::-1])[::-1]  # tail[k]: x[k:] summed
+    budget = share * tail[0]
+    head = np.cumsum(x)  # head[k]: x[:k+1] summed
+    # a range may start at lo = 0 .. count, where x[:lo] sums within budget
+    count = int(np.searchsorted(head, budget, side="right"))
+    prefix = np.concatenate(([0.0], head[:count]))
+    # for each lo the smallest hi with x[hi:] summing within budget - prefix
+    his = d - np.searchsorted(tail[::-1], budget - prefix, side="right")
+    lo = int(np.argmin(np.maximum(his - np.arange(count + 1), 0)))
+    return lo, max(int(his[lo]), lo)
+
+
+def _parity_parts(part: np.ndarray, ev: int) -> list[np.ndarray]:
+    """The entries of a real square ``part`` whose row and column are both
+    even, both odd, and even and odd, ``ev`` being the first even position:
+    copies ``[ee, oo, eo]``, with each entry below the smallest normal float
+    set to 0 (subnormals, e.g. products of the smallest amplitudes, would
+    slow the matrix products several times)."""
+    parts = [part[r::2, c::2].copy() for r, c in ((ev, ev), (1 - ev, 1 - ev), (ev, 1 - ev))]
+    for x in parts:
+        np.copyto(x, 0.0, where=np.abs(x) < _TINY)
+    return parts
 
 
 def x_floor_gain(d: int) -> float:
-    """The gain ``g`` of the rounding floor of :func:`to_x_basis` at
-    dimension ``d``: ``sqrt(2) * gamma_2n = 2 sqrt(2) n u / (1 - 2 n u)``,
-    ``n = d + 6``, ``u`` the unit roundoff.  :func:`to_x_basis` derives it."""
+    """The gain ``g`` of the rounding term ``g b_r b_c`` of the floor of
+    :func:`to_x_basis` at dimension ``d``:
+    ``sqrt(2) * gamma_2n = 2 sqrt(2) n u / (1 - 2 n u)``, ``n = d + 6``,
+    ``u`` the unit roundoff.  :func:`to_x_basis` derives it."""
     two_n_u = 2.0 * (d + 6) * _UNIT_ROUNDOFF
     return math.sqrt(2.0) * two_n_u / (1.0 - two_n_u)
 
 
-def _x_rotate(sector: SectorLabel, s: np.ndarray, rows, dtype) -> np.ndarray:
+def _x_bounds(mat: np.ndarray, s: np.ndarray):
+    """The window ``(lo, hi)`` of ``s`` (:func:`_support`), ``b = |M| s``
+    and ``o = |M| s_out``, with ``s_out`` the entries of ``s`` outside the
+    window (the others 0), from blocks of columns of ``M``."""
+    lo, hi = _support(s)
+    d = s.size
+    s_out = s.copy()
+    s_out[lo:hi] = 0.0
+    b, o = np.zeros(d), np.zeros(d)
+    for k in range(0, d, _BLOCK_ROWS):  # columns k.. of M: contiguous rows of M^T
+        mag = np.abs(mat.T[k:k + _BLOCK_ROWS])
+        b += s[k:k + _BLOCK_ROWS] @ mag
+        if k < lo or k + _BLOCK_ROWS > hi:
+            o += s_out[k:k + _BLOCK_ROWS] @ mag
+    return (lo, hi), b, o
+
+
+def _floor_rows(gain: float, b: np.ndarray, o: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0 .. r1-1`` of the floor of :func:`to_x_basis`,
+    ``g b_r b_c + (o_r b_c + b_r o_c)``: formed so that entries ``(r, c)``
+    and ``(c, r)`` are the same bits."""
+    floor = b[r0:r1, None] * b
+    floor *= gain
+    floor += o[r0:r1, None] * b + b[r0:r1, None] * o
+    return floor
+
+
+def _x_floor(sector: SectorLabel, s: np.ndarray) -> np.ndarray:
+    """The whole d x d floor of :func:`to_x_basis` for a density matrix in
+    ``sector`` whose diagonal has the square roots ``s``: the one statement
+    of it that checks of a rotated matrix or an Lx grid read."""
+    _, b, o = _x_bounds(rotation_to_x(sector), s)
+    return _floor_rows(x_floor_gain(sector.dimension), b, o, 0, sector.dimension)
+
+
+def _x_rotate(sector: SectorLabel, s: np.ndarray, square, dtype) -> np.ndarray:
     """The Lz-to-Lx rotation ``M rho M^T`` of a density matrix in
     ``sector``, for :func:`to_x_basis` and a run's Lx snapshot
-    (``evolve._snapshot``) alike.  ``rho`` is read only through
-    ``rows(lo, hi)``, which returns its rows ``lo .. hi-1`` (complex), and
-    ``s``, the square roots of its diagonal.
+    (``evolve._snapshot``) alike, over the window ``[lo, hi)`` of ``s``,
+    the square roots of its diagonal (:func:`_support`): ``rho`` is read
+    once, through ``square(lo, hi)``, which returns its rows and columns
+    ``lo .. hi-1`` (complex), and only the window's columns of ``M`` are
+    used.
 
-    ``b = |M| s`` is found from blocks of columns of ``M`` and the halves
-    ``E``, ``O`` (:func:`to_x_basis`) are copied out; ``M`` is freed before
-    the d x d result is allocated.  Then each part in turn is folded
-    (:func:`_parity_parts`) and its three parity blocks are written, a
-    diagonal block ``X`` as ``(X + X^T)/2`` for the real part and
-    ``(X - X^T)/2`` for the imaginary part.  The odd-even block is the
-    conjugate transpose of the even-odd one, and each entry within the
-    rounding floor ``g b_r b_c`` is set to 0, a block of rows at a time.
+    ``b`` and ``o`` (:func:`_x_bounds`) are found and the window's columns
+    of the top ``(d+1)//2`` rows of ``M`` are copied out, even and odd
+    columns apart; ``M`` is freed before the d x d result is allocated.
+    Then each part of the window's square, real then imaginary, is split by
+    the parities of its rows and columns, and three products give the
+    four quadrants of its rotation (:func:`to_x_basis`).  The bottom-left
+    quadrant is the conjugate transpose of the top-right one, and each
+    entry within the floor ``g b_r b_c + (o_r b_c + b_r o_c)``
+    (:func:`_floor_rows`) is set to 0, a block of rows at a time.
 
     A complex ``dtype`` returns the matrix of :func:`to_x_basis`.  A real
     one returns its modulus, bit for bit, with no complex d x d array: the
-    real part's blocks are written as they are, and each block of the
-    imaginary part turns the result's block into ``np.abs`` of the complex
-    entries, a few rows at a time."""
+    real part's quadrants are written as they are, and each quadrant of the
+    imaginary part turns the result's quadrant into ``np.abs`` of the
+    complex entries, a few rows at a time."""
     d = sector.dimension
+    h, pairs = (d + 1) // 2, d // 2
     mat = rotation_to_x(sector)
-    b = np.zeros(d)
-    for k in range(0, d, _BLOCK_ROWS):  # columns k.. of M: contiguous rows of M^T
-        b += s[k:k + _BLOCK_ROWS] @ np.abs(mat.T[k:k + _BLOCK_ROWS])
-    sides = (np.ascontiguousarray(mat[0::2, :(d + 1) // 2]),
-             np.ascontiguousarray(mat[1::2, :d // 2]))
+    (lo, hi), b, o = _x_bounds(mat, s)
+    ev = lo % 2  # the window's first column of even index
+    sides = (mat[:h, lo + ev:hi:2].copy(), mat[:h, lo + 1 - ev:hi:2].copy())
     del mat
+    window = square(lo, hi)
     out = np.empty((d, d), dtype)
-    for take, mirror in ((np.real, np.add), (np.imag, np.subtract)):
-        parts = list(_parity_parts(lambda lo, hi: take(rows(lo, hi)), d))
-        for r, c in ((0, 0), (0, 1), (1, 1)):
-            block = sides[r] @ parts.pop(0) @ sides[c].T  # each part freed once used
-            if r == c:
-                block = mirror(block, block.T)
-                block *= 0.5
-            dst = out[r::2, c::2]
-            if take is np.real:
-                dst.real = block
-            elif out.dtype.kind == "c":
-                dst.imag = block
-            else:  # no block-size complex temporary
-                for i in range(0, len(block), _BLOCK_ROWS):
-                    np.abs(dst[i:i + _BLOCK_ROWS] + 1j * block[i:i + _BLOCK_ROWS],
-                           out=dst[i:i + _BLOCK_ROWS])
-        del block  # not held while the next part is folded
-    np.conjugate(out[0::2, 1::2].T, out=out[1::2, 0::2])
+    flip = 1.0 if d % 2 else -1.0  # M[d-1-r, k] = flip (-1)**k M[r, k]
+
+    def put(dst, block, take):
+        if take is np.real:
+            dst.real = block
+        elif out.dtype.kind == "c":
+            dst.imag = block
+        else:  # no quadrant-size complex temporary
+            for i in range(0, len(block), _BLOCK_ROWS):
+                np.abs(dst[i:i + _BLOCK_ROWS] + 1j * block[i:i + _BLOCK_ROWS],
+                       out=dst[i:i + _BLOCK_ROWS])
+
+    for take, mirror, skew in ((np.real, np.add, np.subtract), (np.imag, np.subtract, np.add)):
+        pieces = _parity_parts(take(window), ev)
+        even = sides[0] @ pieces[0] @ sides[0].T
+        odd = sides[1] @ pieces[1] @ sides[1].T
+        cross = sides[0] @ pieces[2] @ sides[1].T
+        del pieces
+        twin = even - odd
+        even += odd
+        del odd
+        both = mirror(even, even.T)
+        both *= 0.5
+        del even
+        twin -= skew(cross, cross.T)
+        twin *= flip
+        put(out[:h, h:], twin[:, :pairs][:, ::-1], take)
+        del twin
+        cross = mirror(cross, cross.T)
+        put(out[:h, :h], both + cross, take)
+        both -= cross
+        put(out[h:, h:], both[:pairs, :pairs][::-1, ::-1], take)
+        del both, cross
+    np.conjugate(out[:h, h:].T, out=out[h:, :h])
     gain = x_floor_gain(d)
     for r in range(0, d, _BLOCK_ROWS):
         band = out[r:r + _BLOCK_ROWS]
-        floor = b[r:r + _BLOCK_ROWS, None] * b
-        floor *= gain
-        np.copyto(band, 0.0, where=np.abs(band) <= floor)
+        np.copyto(band, 0.0, where=np.abs(band) <= _floor_rows(gain, b, o, r, r + _BLOCK_ROWS))
     return out
 
 
 def to_x_basis(rho: DickeDensityMatrix) -> DickeDensityMatrix:
     """Re-express an Lz-basis density matrix in the Lx eigenbasis.
 
-    The rotation ``M`` is real, so ``M rho M^T`` is computed for the real and
-    the imaginary part of ``rho`` separately, by parity blocks, in
-    :func:`_x_rotate` (which also makes the ``|rho|`` grid of an Lx
-    snapshot, ``evolve._snapshot``, by the same steps): even rows of
-    ``M`` are symmetric under ``k -> d-1-k`` and odd rows antisymmetric, so
-    with ``E = M[0::2, :(d+1)//2]``, ``O = M[1::2, :d//2]`` and a part's
-    row-and-column sums and differences ``A++``, ``A+-``, ``A--`` (O(d**2)
-    work), the even-even block of ``M A M^T`` is ``E A++ E^T``, the
-    even-odd block ``E A+- O^T`` and the odd-odd block ``O A-- O^T``: six
-    real products of half size, ``3 d**3`` flops instead of ``8 d**3``, with
-    (d/2)**2 temporaries.  The sums and differences are folded a block of
-    rows at a time into the three parts, with no larger temporary.  In
-    them, entries below the smallest normal float (subnormals, e.g. products
-    of the smallest coherent-state amplitudes) are set to 0: together they
-    move a result entry by less than ``d * 2.3e-308``, and without this the
-    matrix products run several times slower.  ``rho`` itself is not touched.
+    ``M rho M^T`` is computed by :func:`_x_rotate` (which also makes the
+    ``|rho|`` grid of an Lx snapshot, ``evolve._snapshot``, by the same
+    steps) over the window ``W = [lo, hi)`` of ``s``, ``s_k = sqrt(rho_kk)``:
+    the smallest index range outside which ``s`` sums to at most
+    ``u sum(s)``, ``u`` the unit roundoff (:func:`_support`).  The package's
+    states hold their weight within O(sqrt(N)) of a centre, so ``W`` has
+    ``w = O(sqrt(N))`` indices (258 of 1001 for fig1 at tau, N = 1000) and
+    the products take ``O(d**2 w)`` work, not ``O(d**3)``.
 
-    The result is exactly Hermitian: each part's even-odd block is mirrored
-    into its odd-even block, with a minus sign for the imaginary part, and
-    each diagonal block ``P`` is written as ``(P + P^T)/2`` or ``(P - P^T)/2``
-    (sums commute in floating point, so the two halves match bit for bit).
-    The symmetrised entries move by the products' rounding, about 1e-16.
+    ``M`` is real, so the real and the imaginary part of ``rho``'s window
+    square are rotated apart.  Row ``d-1-r`` of ``M`` is row ``r`` times
+    ``(-1)**(d-1+k)`` in column ``k``, bit for bit, so only the top rows
+    ``P = M[:(d+1)//2, W]`` are used, split into the columns of even and of
+    odd ``k``, ``Pe`` and ``Po``.  With a part ``R`` split the same way by
+    rows and columns, the three products ``A = Pe Ree Pe^T``,
+    ``B = Po Roo Po^T`` and ``C = Pe Reo Po^T`` give every quadrant: with
+    ``e = +1`` for the real part (symmetric) and ``-1`` for the imaginary
+    part (antisymmetric), ``Po Roe Pe^T = e C^T``, and
 
-    Entries within rounding of zero are set to exactly 0: every result
-    entry with ``|x_rc| <= g * (b_r * b_c)``, where ``b = |M| s``,
-    ``s_k = sqrt(rho_kk)`` and ``g = x_floor_gain(d)``.  The threshold is
-    formed as ``g * (b_r * b_c)``, so the mask is symmetric and the result
-    stays exactly Hermitian.  ``g b_r b_c`` bounds the rounding error of the
-    computed ``|x_rc|`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., sections 3.1 and 3.5, with
-    ``gamma_n = n u / (1 - n u)``), taking ``M`` as given:
+    - the top left, rows ``r`` and columns ``c``, is ``A + B + C + e C^T``;
+    - the bottom right, ``d-1-r`` and ``d-1-c``, is ``A + B - C - e C^T``;
+    - the top right, ``r`` and ``d-1-c``, is
+      ``(-1)**(d-1) (A - B - C + e C^T)``;
 
-    - a parity sum or difference of a part ``P`` rounds twice, so it is off
-      by at most ``gamma_2`` times the sum of its terms' magnitudes;
-    - ``side @ middle @ side.T`` is two products of inner length
-      ``h <= (d+1)/2``, off by at most ``gamma_2h`` of
-      ``|side| |middle| |side|^T``; since ``|M[r, k]| = |M[r, d-1-k]|``,
-      the folded magnitudes make that ``|M| |P| |M|^T``, so a block entry
-      is off by at most ``gamma_(d+3)`` of it;
-    - the symmetrisation rounds once more: ``gamma_(d+4)``;
-    - the real and the imaginary part are each off by that much of
-      ``|M| |rho| |M|^T``, their modulus by ``sqrt(2)`` times it, and
-      ``np.abs`` (``hypot``, under 1 ulp) adds two roundings: in all
-      ``sqrt(2) gamma_(d+6) (|M| |rho| |M|^T)_rc``.
+    and the bottom left is the conjugate transpose of the top right: about
+    ``3/4 d**2 w`` flops per part, with (d/2)**2 temporaries.  In the split
+    parts, entries below the smallest normal float (subnormals, e.g.
+    products of the smallest coherent-state amplitudes) are set to 0:
+    together they move a result entry by less than ``d * 2.3e-308``, and
+    without this the matrix products run several times slower.  ``rho``
+    itself is not touched.
 
-    A positive semidefinite ``rho`` has ``|rho_kj| <= s_k s_j`` (the
-    package's states meet it to a few ``u``), so ``|M| |rho| |M|^T <= b b^T``:
-    a rank-one bound held as one d-vector, with O(d**2) work.  ``g`` is
-    ``sqrt(2) gamma_2(d+6)``, at least twice ``sqrt(2) gamma_(d+6)``; the
-    factor of two covers the rounding of ``s``, ``b`` and the threshold
-    (relative error below ``gamma_(2d+4)``, far below 1/2).  So an entry
-    that is 0 exactly is always set to 0, and a zeroed entry was at most
-    ``2 g b_r b_c`` from its exact value.  The subnormal flushes above and
-    in :func:`rotation_to_x`, each below ``d * 2.3e-308``, are outside the
-    bound.  ``b`` is found from blocks of columns of ``M`` before the
-    products and the mask applied to blocks of rows after them, so no d x d
-    temporary is added.  Beyond ``rho``, the traced peak is about 28 bytes
-    per entry at N = 400-2000: the result (16), allocated once ``M`` is
-    freed, the halves of the rotation (4), one part's parity parts (6) and
-    a product.
+    The result is exactly Hermitian: ``A + B`` is written as
+    ``((A + B) + e (A + B)^T)/2`` and ``C + e C^T`` is symmetric or
+    antisymmetric bit for bit (sums commute in floating point), so both
+    diagonal quadrants are too.  The symmetrised entries move by the
+    products' rounding, about 1e-16.
+
+    Entries within the floor of zero are set to exactly 0: every result
+    entry with ``|x_rc| <= g b_r b_c + (o_r b_c + b_r o_c)``, where
+    ``b = |M| s``, ``o = |M| s_out`` with ``s_out`` the entries of ``s``
+    outside ``W`` (the others 0), and ``g = x_floor_gain(d)``.  The floor
+    is formed so that entries ``(r, c)`` and ``(c, r)`` are the same bits
+    (:func:`_floor_rows`): the mask is symmetric and the result stays
+    exactly Hermitian.  A run's Lx snapshot file states the floor in its
+    header.  It bounds the two ways in which the computed ``x_rc`` differs
+    from ``(M rho M^T)_rc``, taking ``M`` as given.
+
+    - **The dropped part.**  A positive semidefinite ``rho`` has
+      ``|rho_kj| <= s_k s_j`` (the package's states meet it to a few
+      ``u``), so the entries of ``rho`` outside ``W x W`` move ``x_rc`` by
+      at most ``sum |M_rk| s_k s_j |M_cj|`` over ``k`` or ``j`` outside
+      ``W``, which is at most ``o_r b_c + b_r o_c``.
+    - **The rounding** (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2nd ed., sections 3.1 and 3.5, with
+      ``gamma_n = n u / (1 - n u)``).  Each product ``P R P^T`` is two
+      products whose inner lengths sum to at most ``w + 1``, so it is off by
+      at most ``gamma_(w+1)`` of ``|P| |R| |P|^T``; since
+      ``|M[d-1-r, k]| = |M[r, k]|``, the pieces of a quadrant entry together
+      are bounded by ``|M| |rho| |M|^T`` over ``W``.  A quadrant adds its
+      pieces with at most three roundings (the halving is exact):
+      ``gamma_(w+4) <= gamma_(d+4)``.  The real and the imaginary part are
+      each off by that much of ``|M| |rho| |M|^T``, their modulus by
+      ``sqrt(2)`` times it, and ``np.abs`` (``hypot``, under 1 ulp) adds two
+      roundings: in all ``sqrt(2) gamma_(d+6) (|M| |rho| |M|^T)_rc``, and
+      ``|M| |rho| |M|^T <= b b^T``, a rank-one bound held as one d-vector.
+      ``g`` is ``sqrt(2) gamma_2(d+6)``, at least twice
+      ``sqrt(2) gamma_(d+6)``; the factor of two covers the rounding of
+      ``s``, ``b``, ``o`` and the floor (relative error below
+      ``gamma_(2d+4)``, far below 1/2).
+
+    So an entry that is 0 exactly is always set to 0, a kept entry is within
+    the floor of its exact value, and a zeroed one within twice the floor.
+    The subnormal flushes above and in :func:`rotation_to_x`, each below
+    ``d * 2.3e-308``, are outside the bound.  ``b`` and ``o`` are found from
+    blocks of columns of ``M`` before the products and the mask is applied
+    to blocks of rows after them, so no d x d temporary is added.  Beyond
+    ``rho``, the traced peak is about 26 bytes per entry at N = 400: the
+    result (16) and, while one part is rotated, quadrant-size products and
+    sums.
     """
     if rho.basis_tag is not Basis.LZ:
         raise UsageError(f"density matrix already in basis {rho.basis_tag.value}")
     el = rho.elements
     out = _x_rotate(rho.sector, np.sqrt(np.maximum(el.real.diagonal(), 0.0)),
-                    lambda lo, hi: el[lo:hi], complex)
+                    lambda lo, hi: el[lo:hi, lo:hi], complex)
     return _density_matrix(rho.sector, out, Basis.LX)
 
 

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import SpectralDensity
-from .dicke import (Basis, DickeDensityMatrix, DickeState, SectorLabel, _clamped_fidelity,
-                    _density_matrix, _x_rotate, coherent_state, to_x_basis)
+from .dicke import (_UNIT_ROUNDOFF, Basis, DickeDensityMatrix, DickeState, SectorLabel,
+                    _clamped_fidelity, _density_matrix, _support, _x_rotate, coherent_state,
+                    to_x_basis)
 from .errors import UsageError
 from .kernels import _DEFAULT_HORIZON_FACTOR, _rate_at, solve_bath
 
@@ -172,21 +173,15 @@ class _State:
         return out
 
     def upper(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``lo .. hi-1`` from column ``lo`` on, written into ``out``:
-        the products right of the diagonal, the conjugate of its mirror left
-        of it and ``amps * amps.conj()`` on it."""
-        square = self.products(lo, hi, lo, self.psi.size, out)[:, :hi - lo]
+        """Rows ``lo .. hi-1`` from column ``lo`` on, as many columns as
+        ``out`` has, written into ``out``: the products right of the
+        diagonal, the conjugate of its mirror left of it and
+        ``amps * amps.conj()`` on it.  With ``hi - lo`` columns it is the
+        square of rows and columns ``lo .. hi-1``, bit for bit the square of
+        ``matrix(complex)``, with each of its products made once."""
+        square = self.products(lo, hi, lo, lo + out.shape[1], out)[:, :hi - lo]
         np.copyto(square, square.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
         np.fill_diagonal(square, self.diag[lo:hi])
-        return out
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo .. hi-1``, complex, every column: :meth:`upper`, and left
-        of column ``lo`` the conjugates of the products of rows ``0 .. lo-1``,
-        made again.  Bit for bit the rows of ``matrix(complex)``."""
-        out = np.empty((hi - lo, self.psi.size), dtype=complex)
-        self.upper(lo, hi, out[:, lo:])
-        np.conjugate(self.products(0, lo, lo, hi).T, out=out[:, :lo])
         return out
 
     def matrix(self, dtype) -> np.ndarray:
@@ -232,16 +227,68 @@ def _twisted(p: EvolutionParams, theta: float) -> np.ndarray:
     return p.initial.amplitudes * np.exp(-1j * (head * m2)) * np.exp(-1j * ((theta - head) * m2))
 
 
+# Forms over fewer indices sum over all of them: the window's own numpy calls
+# (60-80 us a form) cost what a direct correlation of about 400 indices
+# does.  The window leaves out this share of each vector's sum, so the bound
+# on the dropped terms, 2 * share * |u|_1 |v|_1, is within u |form| for
+# every form above 2**-19 |u|_1 |v|_1.
+_WINDOW_FROM = 400
+_FORM_SHARE = 2.0 ** -73
+
+
 def _toeplitz_form(kernel: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """``sum_ij conj(u_i) kernel[|i - j|] v_j`` in O(d) memory.
+    """``sum_ij conj(u_i) kernel[|i - j|] v_j`` in O(d) memory, over the
+    window of its vectors where that moves it by at most ``u |form|``.
 
     With ``c = correlate(v, u, "full")``, ``c[d-1+n] = sum_i v[i+n] conj(u[i])``
     sums the entries on the ``n``-th diagonal, so the form is
     ``sum_n kernel[|n|] c[d-1+n]``.  The correlation is direct (O(d**2) in
-    C), not by FFT, so a tiny form keeps its relative accuracy."""
+    C), not by FFT, so a tiny form keeps its relative accuracy.
+
+    From ``_WINDOW_FROM`` indices on, the sum runs over ``[lo, hi)``, the
+    smallest range holding the windows of ``|u|`` and ``|v|``
+    (:func:`~spincat.dicke._support`), each leaving out a share
+    ``_FORM_SHARE = 2**-20 u`` of its vector's sum, ``u`` the unit
+    roundoff.  Since ``0 <= kernel <= 1``, the terms it drops sum to at most
+    ``|u_out|_1 |v|_1 + |u|_1 |v_out|_1``, with ``u_out`` the entries of
+    ``u`` outside the range.  That bound is computed, and the windowed form
+    is kept only when the bound is at most ``u |form|``; otherwise (a form
+    below about ``2**-19 |u|_1 |v|_1``, such as rounding noise) the form runs
+    over every index.  The vectors of :func:`assess_mqs` are products of
+    coherent amplitudes, whose binomial weights lie within O(sqrt(N)) of
+    their centre (Hoeffding, J. Amer. Statist. Assoc. 58 (1963) 13: at most
+    ``2 exp(-2 a**2 / N)`` of the weight lies beyond a distance ``a``), so
+    the window has O(sqrt(N log(1/share))) entries and the form O(N) work.
+    These forms correlate their vectors scaled up by powers of two to a
+    largest modulus in [0.5, 1): exact, and it keeps the products of a tiny
+    form's vectors from being subnormal, which would slow the correlation
+    and round it coarsely."""
+    if kernel.size < _WINDOW_FROM:
+        return _direct_form(kernel, u, v)
+    mags = (np.abs(u), np.abs(v))
+    (lo_u, hi_u), (lo_v, hi_v) = (_support(mag, _FORM_SHARE) for mag in mags)
+    lo, hi = min(lo_u, lo_v), max(hi_u, hi_v)
+    if hi > lo:
+        form = _scaled_form(kernel[:hi - lo], u[lo:hi], v[lo:hi])
+        sums = [mag.sum() for mag in mags]
+        outside = [mag[:lo].sum() + mag[hi:].sum() for mag in mags]
+        if outside[0] * sums[1] + sums[0] * outside[1] <= _UNIT_ROUNDOFF * abs(form):
+            return form
+    return _scaled_form(kernel, u, v)
+
+
+def _direct_form(kernel: np.ndarray, u: np.ndarray, v: np.ndarray):
+    # the form over every index of u and v, by one direct correlation
     d = kernel.size
     c = np.correlate(v, u, "full")
     return kernel[0] * c[d - 1] + kernel[1:] @ (c[d:] + c[d - 2::-1])
+
+
+def _scaled_form(kernel: np.ndarray, u: np.ndarray, v: np.ndarray):
+    # _direct_form of u and v scaled up by powers of two, scaled back
+    scale = [min(max(math.frexp(float(np.abs(x).max()))[1], -1021), 0) for x in (u, v)]
+    form = _direct_form(kernel, u * math.ldexp(1.0, -scale[0]), v * math.ldexp(1.0, -scale[1]))
+    return form * math.ldexp(1.0, scale[0]) * math.ldexp(1.0, scale[1])
 
 
 def mqs_target(sector: SectorLabel, theta: float, phi: float,
@@ -281,8 +328,13 @@ def assess_mqs(p: EvolutionParams) -> MqsReport:
     The formed state ``rho = (psi psi^+) o K`` (:class:`_State` at
     ``tau``) is held only as its d-vectors ``psi`` and ``k``; no entry of
     ``rho`` is made: each score is a quadratic form of ``rho`` and so a
-    Toeplitz form of ``K`` (:func:`_toeplitz_form`), O(d**2) work and O(d)
-    memory.
+    Toeplitz form of ``K`` (:func:`_toeplitz_form`), in O(d) memory.  From
+    ``_WINDOW_FROM`` indices on, each form sums over the window of its
+    vectors, which are products of coherent amplitudes and so hold their
+    weight within O(sqrt(N)) of a centre (Hoeffding's tail bound, J. Amer.
+    Statist. Assoc. 58 (1963) 13), whenever the terms it drops are proven
+    below ``u |form|``: O(N) work in place of O(d**2).  The last bits of a
+    score may move by that much and by the rounding of fewer terms.
 
     * The fidelity ``<t| rho |t>`` against the convention's target ``t``,
       built from the initial state's preparation angles, is ``w^+ K w`` with
@@ -347,12 +399,14 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis) -> np.ndarray:
     of rho made.  Both are the same builder with a real ``dtype``: an Lz
     grid is ``_State.matrix(float)``, the loop that writes rho for
     :func:`_dephase`, and an Lx grid is the real result of
-    :func:`~spincat.dicke._x_rotate`, which reads rho as rows made a block
-    at a time (:meth:`_State.rows`), with ``s`` from the diagonal
-    :class:`_State` writes.  One Lx snapshot at tau traces about 20 bytes
-    per entry at N = 1000 and 2000: the grid (8), the halves of the
-    rotation (4), one part's parity parts (6) and a product."""
+    :func:`~spincat.dicke._x_rotate`, which reads rho once, as the square of
+    its window made by :meth:`_State.upper`, with ``s`` from the diagonal
+    :class:`_State` writes.  One Lx snapshot at tau traces 16-21 bytes per
+    entry at N = 400-4096 (17.3 at N = 2000, 16.8 at N = 4096): the grid (8)
+    and, while one part of the window is rotated, its quadrant-size
+    products and sums."""
     state = _State(p, t, *_kernel_values(p, t))
     if basis is Basis.LZ:
         return state.matrix(float)
-    return _x_rotate(p.sector, np.sqrt(state.diag.real), state.rows, float)
+    return _x_rotate(p.sector, np.sqrt(state.diag.real),
+                     lambda lo, hi: state.upper(lo, hi, np.empty((hi - lo,) * 2, complex)), float)

@@ -86,25 +86,29 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # config fails with a config error instead of exhausting the machine.
 #
 # Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
-# array (d = N + 1) takes 16*d**2 bytes, but a run makes none: the measured
-# peak of a run, 21 bytes per entry (traced at N = 1000 and 2000; 26 at
-# N = 400), comes from an Lx snapshot: the real |rho| grid (8), the halves
-# of the rotation (4) and the half-size parity parts of one real part of rho
-# (6), folded from rows of rho made a block at a time, with a product of
-# them.  An Lz snapshot holds its grid and a block of rows of rho.  The
-# rotation is made for that snapshot and freed with it, snapshots are
-# computed, written and freed one at a time, and their text is streamed, in
-# this one process; the text writer holds the grid and comma-joined pieces
-# of at most about d*d/4 strings, traced at 10.6-15.4 bytes per entry with
-# the grid at N = 2000 (fig1's grid at tau, mostly 0.0, and the pole
-# state's, with no 0.0; the pole state's 25.8 at N = 400), below the
-# grid's own peak.  So N = 4096 needs about 21 * 4097**2 ~ 0.35e9 bytes,
-# inside the budget.
+# array (d = N + 1) takes 16*d**2 bytes, but a run makes none: at the cap the
+# measured peak of a run, 16.0-16.8 bytes per entry (traced at N = 4096,
+# fig1's state at tau and the pole state; 16.1-17.3 at N = 2000), comes from
+# an Lx snapshot: the real |rho| grid (8) and, while one part of rho's
+# window square is rotated, its quadrant-size products and sums.  An Lz
+# snapshot holds its grid and a block of rows of rho.  The rotation is made
+# for that snapshot and freed with it, snapshots are computed, written and
+# freed one at a time, and their text is streamed, in this one process; the
+# text writer holds the grid and comma-joined pieces of at most about d*d/4
+# strings, traced at 9.7-12.5 bytes per entry with the grid at N = 4096
+# (fig1's grid at tau, mostly 0.0, and the pole state's, half 0.0) and 25.7
+# at N = 400 (the pole state's, with no 0.0), above the rotation's there.
+# So N = 4096 needs about 17 * 4097**2 ~ 0.29e9 bytes, and no N needs more
+# than 27 bytes per entry: inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel
 # time (a time-grid point or a snapshot time) costs one integral of both
 # kernels, measured at up to 1.7 ms (fig1) and 3.1 ms (fig2) per time and
-# budgeted at 4.5 ms, and a sweep point costs about 2.0 s at N = 4096.
+# budgeted at 4.5 ms, and a sweep point is budgeted at 2.0 s.  What sets it
+# is a bath-axis point of a tabulated spectrum at T > 0: its bath solve at
+# the 8000-knot cap (below) is measured at 1.2-1.3 s and budgeted at 2.0 s.
+# An N point at the particle cap takes 4.4 ms (fig1 at N = 4096, its scores
+# summed over their windows; 53 ms when they ran over every index).
 _WORK_BUDGET_S = 3600.0
 _MAX_TIME_GRID_COUNT = round(_WORK_BUDGET_S / 4.5e-3)   # 800000
 _MAX_SWEEP_VALUES = round(_WORK_BUDGET_S / 2.0)         # 1800

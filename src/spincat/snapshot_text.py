@@ -35,8 +35,11 @@ def snapshot_lines(mag, sector, basis: Basis, time: float) -> Iterator[str]:
               f"# time = {float(time)!r}\n"
               "# grid = |rho| magnitudes, rows and columns ordered m = +l..-l\n")
     if basis is Basis.LX:
-        header += ("# zeroed = |rho_rc| <= g*b_r*b_c written as 0.0, within rounding of zero;"
-                   f" b = |M| sqrt(diag rho_Lz), g = {x_floor_gain(sector.dimension)!r}\n")
+        header += ("# zeroed = |rho_rc| <= g*b_r*b_c + (o_r*b_c + b_r*o_c) written as 0.0, within"
+                   " rounding and the part of rho outside the window of zero; b = |M| s,"
+                   " o = |M| s_out, s = sqrt(diag rho_Lz), s_out = s outside its window, the"
+                   " smallest index range outside which s sums to at most 2**-53*sum(s),"
+                   f" g = {x_floor_gain(sector.dimension)!r}\n")
     yield header
     yield from _grid_lines(mag)
 

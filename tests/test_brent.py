@@ -72,3 +72,20 @@ def test_root_needs_a_sign_change_and_survives_flat_stretches():
     assert brent.root(flat, 0.0, 1.0, xtol=1e-12, rtol=1e-12) == pytest.approx(0.7, abs=1e-11)
     with pytest.raises(NumericError):
         brent.root(flat, 0.0, 1.0, xtol=1e-12, rtol=1e-12, maxiter=3)
+
+
+@pytest.mark.parametrize("ends, zero", [((0.7, 2.0), 0.7), ((-3.0, 0.7), 0.7)])
+def test_root_returns_an_end_exactly_at_a_root(ends, zero):
+    # f(a) == 0 returns a and f(b) == 0 returns b, before the sign test and
+    # with no evaluation but the two ends; known end values count as well
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.7
+
+    assert brent.root(f, *ends, xtol=1e-12, rtol=1e-12) == zero
+    assert calls == list(ends)
+    # a zero end with the other end of the same sign is still a root
+    assert brent.root(lambda x: 1.0, *ends, xtol=1e-12, rtol=1e-12,
+                      **({"fa": 0.0} if ends[0] == zero else {"fb": 0.0})) == zero

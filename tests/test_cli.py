@@ -751,8 +751,8 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     cfg.update(outputs=["snapshots", "report"],
                snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]})
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
-    # one rotation per Lx snapshot: one rotation_to_x, and the parity folds
-    # of the real and the imaginary part
+    # one rotation per Lx snapshot: one rotation_to_x, and the parity parts
+    # of the real and the imaginary part of rho's window
     assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 2}
     sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
           output_dir=str(tmp_path / "sweep"))
@@ -803,9 +803,12 @@ def _grid_text(mags) -> str:
 
 def _snapshot_text(rho, t) -> str:
     # a snapshot file's text by the per-element formula; an Lx file states
-    # the rounding floor of the rotation
-    zeroed = ("# zeroed = |rho_rc| <= g*b_r*b_c written as 0.0, within rounding of zero; "
-              f"b = |M| sqrt(diag rho_Lz), g = {dicke.x_floor_gain(rho.sector.dimension)!r}\n"
+    # the floor of the rotation: its rounding and the window's dropped part
+    zeroed = ("# zeroed = |rho_rc| <= g*b_r*b_c + (o_r*b_c + b_r*o_c) written as 0.0, within "
+              "rounding and the part of rho outside the window of zero; b = |M| s, "
+              "o = |M| s_out, s = sqrt(diag rho_Lz), s_out = s outside its window, the "
+              "smallest index range outside which s sums to at most 2**-53*sum(s), "
+              f"g = {dicke.x_floor_gain(rho.sector.dimension)!r}\n"
               if rho.basis_tag is Basis.LX else "")
     return (f"# basis = {rho.basis_tag.value}\n# l = {float(rho.sector.l)!r}\n"
             f"# time = {float(t)!r}\n"
@@ -847,10 +850,14 @@ def test_snapshot_text_formats_each_mirror_pair_once(monkeypatch):
     assert len(calls) == d * (d + 1) // 2
 
 
-def test_snapshot_text_peak_is_below_the_rotation_peak():
+def test_snapshot_text_peak_is_within_the_per_entry_budget():
     # the formatter holds |rho| and at most about d*d/4 strings; the pole
     # state's Lx grid is the binomial outer product, with no entry within
-    # rounding of zero, so nearly every entry is a long string
+    # its floor, so nearly every entry is a long string.  Its window is one
+    # index, so the rotation holds little beyond its result, and at this N
+    # the formatter's peak is the higher one (25.7 against 24.5 bytes per
+    # entry); both stay within the 27 bytes per entry that the particle cap
+    # is derived from (scenario._MAX_PARTICLES)
     sec = SectorLabel(400)
     lz = coherent_state(sec, 0.0, 0.0).projector()
     tracemalloc.start()
@@ -865,7 +872,7 @@ def test_snapshot_text_peak_is_below_the_rotation_peak():
     finally:
         tracemalloc.stop()
     assert size > 20 * sec.dimension ** 2
-    assert formatter < rotation
+    assert max(formatter, rotation) < 27 * sec.dimension ** 2
 
 
 def test_tau_snapshot_reads_the_bath_solution(tmp_path, monkeypatch):
@@ -1048,11 +1055,11 @@ def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, basis, p
 
 
 def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
-    # the grid at tau traces about 26 bytes per entry at N = 400: the grid
-    # (8), the rotation's halves (4) and one part's parity parts (6), with
-    # the rows of rho that a fold block makes (a few bytes more at this N);
-    # rho beside the parity parts of both its parts made 36, and rho beside
-    # a complex Lx result 48
+    # the grid at tau traces about 21 bytes per entry at N = 400: the grid
+    # (8) and, while one part of rho's window is rotated, its quadrant-size
+    # products and sums; the parity folds of rho's rows over every index
+    # made 26, rho beside the parity parts of both its parts 36, and rho
+    # beside a complex Lx result 48
     params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4)))
     bath = solve_bath(params.spectrum, params.solve_horizon_factor)
     evolve._snapshot(params, bath.tau, Basis.LX)  # kernel values now cached
@@ -1064,7 +1071,7 @@ def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
     finally:
         tracemalloc.stop()
     assert grid.dtype == np.float64 and grid.shape == (401, 401)
-    assert peak <= 27 * 401 ** 2
+    assert peak <= 22 * 401 ** 2
 
 
 def test_lz_snapshot_holds_no_complex_matrix():
@@ -1851,8 +1858,8 @@ def test_module_all_lists_name_existing_attributes():
 
 def test_lx_grids_from_one_and_two_blas_threads_differ_within_the_floor(tmp_path):
     # the rotation's last bits follow the BLAS thread count; two grids of one
-    # config differ by at most 2 g b_r b_c, each being within g b_r b_c of
-    # the exact entry when kept and within twice that when zeroed
+    # config differ by at most twice the stated floor, each being within the
+    # floor of the exact entry when kept and within twice it when zeroed
     cfg = validate_config(small_config(
         n_particles=299, outputs=["snapshots"], basis="Lx",
         snapshot_times={"kind": "absolute", "values": [40.0]}))
@@ -1867,8 +1874,7 @@ def test_lx_grids_from_one_and_two_blas_threads_differ_within_the_floor(tmp_path
         """, OPENBLAS_NUM_THREADS=threads)
         grids.append(np.loadtxt(out / "snapshot_000.csv", delimiter=","))
     (rho,) = evolve.snapshot_series(build_scenario(cfg), [40.0], Basis.LZ)
-    b = np.abs(dicke.rotation_to_x(rho.sector)) @ np.sqrt(rho.elements.real.diagonal())
-    floor = dicke.x_floor_gain(300) * (b[:, None] * b)
+    floor = dicke._x_floor(rho.sector, np.sqrt(rho.elements.real.diagonal()))
     assert grids[0].shape == (300, 300)
     assert np.all(np.abs(grids[0] - grids[1]) <= 2.0 * floor * (1.0 + 1e-12))
 

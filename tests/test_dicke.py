@@ -24,9 +24,8 @@ from spincat.dicke import (
     purity,
     rotation_to_x,
     to_x_basis,
-    x_floor_gain,
 )
-from spincat.errors import DomainError, UsageError
+from spincat.errors import DomainError, NumericError, UsageError
 
 
 def test_sector_label_basics():
@@ -179,24 +178,17 @@ def test_rotation_of_a_one_dimensional_sector_is_one():
     assert rho_x.elements.tobytes() == rho.elements.tobytes()
 
 
-def _parity_parts_reference(part, pairs):
-    # the docstring of dicke._parity_parts entry by entry: rows k and d-1-k
-    # folded (a middle row taken once), then the columns of the folded rows,
-    # and every entry below the smallest normal float set to 0
+def _parity_parts_reference(part, ev):
+    # the docstring of dicke._parity_parts entry by entry: the entries whose
+    # row and column are both even, both odd, and even and odd (the first
+    # even position ev), each below the smallest normal float set to 0
     d = len(part)
     tiny = np.finfo(float).tiny
-
-    def fold(rows, sign, width):  # entries j and d-1-j of each row
-        return [[r[j] + sign * r[d - 1 - j] if j < pairs else r[j] for j in range(width)]
-                for r in rows]
-
-    cols = list(zip(*part.tolist()))
-    sums, diffs = (list(zip(*fold(cols, sign, width)))
-                   for sign, width in ((1.0, d - pairs), (-1.0, pairs)))
-    return [np.array([[0.0 if abs(x) < tiny else x for x in r] for r in fold(rows, sign, width)])
-            .reshape(len(rows), width)
-            for rows, sign, width in ((sums, 1.0, d - pairs), (sums, -1.0, pairs),
-                                      (diffs, -1.0, pairs))]
+    rows = part.tolist()
+    return [np.array([[0.0 if abs(rows[i][j]) < tiny else rows[i][j]
+                       for j in range(c, d, 2)] for i in range(r, d, 2)]).reshape(
+                           len(range(r, d, 2)), len(range(c, d, 2)))
+            for r, c in ((ev, ev), (1 - ev, 1 - ev), (ev, 1 - ev))]
 
 
 @pytest.mark.parametrize("d", [*range(1, 10), 50, 51, 63, 64, 65, 66, 97, 400, 401])
@@ -206,10 +198,11 @@ def test_parity_parts_match_the_per_entry_folds(d):
     grid = rng.choice([-1.0, 1.0], (d, d)) * 10.0 ** rng.uniform(-320.0, 10.0, (d, d))
     grid[rng.random((d, d)) < 0.1] = 0.0
     part = grid.astype(complex).real  # a strided view, as to_x_basis passes
-    want = _parity_parts_reference(grid, d // 2)
-    for got, ref in zip(dicke._parity_parts(lambda lo, hi: part[lo:hi], d), want, strict=True):
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+    for ev in (0, 1):
+        got = dicke._parity_parts(part, ev)
+        for x, ref in zip(got, _parity_parts_reference(grid, ev), strict=True):
+            assert x.shape == ref.shape
+            assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("sec", [SectorLabel(2, 0),
@@ -230,8 +223,8 @@ def test_real_rotation_is_the_modulus_of_the_complex_one(sec):
     rho /= np.trace(rho).real
     rho = DickeDensityMatrix(sec, rho).elements
     s = np.sqrt(np.maximum(rho.real.diagonal(), 0.0))
-    grid = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi], float)
-    x = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi], complex)
+    grid = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi, lo:hi], float)
+    x = dicke._x_rotate(sec, s, lambda lo, hi: rho[lo:hi, lo:hi], complex)
     assert grid.dtype == np.float64 and x.dtype == np.complex128
     assert grid.tobytes() == np.abs(x).tobytes()
     assert x.tobytes() == to_x_basis(DickeDensityMatrix(sec, rho)).elements.tobytes()
@@ -347,9 +340,8 @@ def test_to_x_basis_is_exactly_hermitian(n):
 
 
 def _floor(rho):
-    # g * b_r * b_c, with b = |M| sqrt(diag rho) from the dense |M|
-    b = np.abs(rotation_to_x(rho.sector)) @ np.sqrt(rho.elements.real.diagonal())
-    return x_floor_gain(rho.sector.dimension) * (b[:, None] * b)
+    # the floor of to_x_basis, as its header states it
+    return dicke._x_floor(rho.sector, np.sqrt(rho.elements.real.diagonal()))
 
 
 def test_to_x_basis_traces_at_most_30_bytes_per_entry_beyond_rho():
@@ -373,12 +365,11 @@ def test_to_x_basis_traces_at_most_30_bytes_per_entry_beyond_rho():
                                                   (400, 0.6, 2.0, 1e-3)])
 def test_to_x_basis_zeroes_the_entries_within_their_floor(monkeypatch, n, theta, phi, twist):
     # every zeroed entry is at or below its floor, every kept one above it
-    # and untouched; b here comes from one dense product, so its last bit
-    # may differ from the blockwise one
+    # and untouched
     rho = _twisted_dephased(n, theta, phi, twist)
     x = to_x_basis(rho).elements
-    with monkeypatch.context() as m:
-        m.setattr(dicke, "x_floor_gain", lambda d: 0.0)
+    with monkeypatch.context() as m:  # a floor that zeroes nothing
+        m.setattr(dicke, "_floor_rows", lambda gain, b, o, r0, r1: np.full((len(b[r0:r1]), len(b)), -1.0))
         raw = to_x_basis(rho).elements
     floor, mag = _floor(rho), np.abs(raw)
     kept = x != 0.0
@@ -386,6 +377,41 @@ def test_to_x_basis_zeroes_the_entries_within_their_floor(monkeypatch, n, theta,
     assert np.all(mag[kept] > floor[kept] * (1.0 - 1e-12))
     assert np.array_equal(x[kept], raw[kept])
     assert np.count_nonzero(~kept & (raw != 0.0)) > n
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 30), elements=st.integers(0, 50).map(float)),
+       share=st.sampled_from([2.0 ** -53, 0.01, 0.1, 0.3, 0.0]))
+def test_support_is_the_first_smallest_window(x, share):
+    # against every range, shortest first and then from the left; integer
+    # entries make every sum exact
+    d = len(x)
+    budget = share * x.sum()
+    want = next((lo, lo + w) for w in range(d + 1) for lo in range(d - w + 1)
+                if x[:lo].sum() + x[lo + w:].sum() <= budget)
+    assert dicke._support(x, share) == want
+
+
+@pytest.mark.parametrize("n, theta", [(1, 1.1), (2, 0.3), (7, 2.5), (50, 1.1), (400, math.pi / 4),
+                                      (401, 2.9)])
+def test_rotation_reads_each_row_of_its_window_once(n, theta):
+    # rho is asked for once, for the square of its window, and the result is
+    # that of the whole matrix's rotation
+    rho = _twisted_dephased(n, theta, 0.4)
+    el = rho.elements
+    s = np.sqrt(el.real.diagonal())
+    asked = []
+
+    def square(lo, hi):
+        asked.extend(range(lo, hi))
+        return el[lo:hi, lo:hi]
+
+    x = dicke._x_rotate(rho.sector, s, square, complex)
+    lo, hi = dicke._support(s)
+    assert asked == list(range(lo, hi))
+    assert x.tobytes() == to_x_basis(rho).elements.tobytes()
+    if n >= 400:
+        assert hi - lo < n // 2
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
@@ -537,6 +563,17 @@ def test_fidelity_mismatch_errors():
     st_x = DickeState(SectorLabel(4), a.amplitudes, Basis.LX)
     with pytest.raises(UsageError):
         fidelity(rho, st_x)
+
+
+@pytest.mark.parametrize("val", [-2e-12, 1.0 + 2e-12, -math.inf, math.inf])
+def test_fidelity_beyond_tolerance_raises_with_the_estimate(val):
+    # within the norm tolerance a computed fidelity is clamped, beyond it the
+    # error carries the value found
+    with pytest.raises(NumericError, match=r"outside \[0,1\] beyond tolerance") as err:
+        dicke._clamped_fidelity(val)
+    assert err.value.estimate == val
+    assert dicke._clamped_fidelity(-5e-13) == 0.0
+    assert dicke._clamped_fidelity(1.0 + 5e-13) == 1.0
 
 
 def test_coherence_corner():

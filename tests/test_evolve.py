@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from spincat import brent, kernels
+from spincat import brent, dicke, evolve, kernels
 from spincat.bath import lorentzian, ohmic, tabulated
 from spincat.dicke import (
     Basis,
@@ -92,14 +92,15 @@ def test_propagator_is_hermitian_off_the_diagonal_bit_for_bit(n, theta, phi, t, 
 @given(n=st.integers(1, 70), theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi),
        t=st.floats(0.0, 1e6), f=st.floats(-1e3, 1e3), gamma=st.floats(0.0, 1e3), data=st.data())
 def test_state_rows_are_the_propagator_rows_bit_for_bit(n, theta, phi, t, f, gamma, data):
-    # an Lx snapshot folds rows made again in any range, the entries left of
-    # the range from their mirrors' products, and holds no d x d matrix
+    # an Lx snapshot rotates the square of rows and columns of its window,
+    # made from the state's vectors in any range, and holds no d x d matrix
     sec = SectorLabel(n)
     p = EvolutionParams(ohmic(2.5e-5), sec, coherent_state(sec, theta, phi))
     rho = _dephase(p, t, f, gamma).elements
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n + 1))
-    assert _State(p, t, f, gamma).rows(lo, hi).tobytes() == rho[lo:hi].tobytes()
+    square = _State(p, t, f, gamma).upper(lo, hi, np.empty((hi - lo,) * 2, complex))
+    assert square.tobytes() == rho[lo:hi, lo:hi].tobytes()
 
 
 def test_complex_amplitudes_give_exact_mirror_pairs():
@@ -684,6 +685,95 @@ def test_assessment_phases_hold_at_the_particle_cap(n):
     pops = (amps * amps.conj()).real
     assert abs(rep.fidelity - _long_double_form(kernel, w, w).real) <= 1e-13
     assert abs(rep.purity - _long_double_form(kernel * kernel, pops, pops)) <= 1e-13
+
+
+def _preset_params(name, n, theta):
+    cfg = preset_config(name)
+    cfg.update(n_particles=int(n), theta=float(theta))
+    return build_scenario(validate_config(cfg))
+
+
+def _seeded_cases(seed, n_max, count):
+    # per preset: N = 1 and 2, and `count` seeded N in [1, n_max] with theta
+    # in (0, pi)
+    rng = np.random.default_rng(seed)
+    return [(name, n, theta) for name in ("fig1", "fig2", "phonon", "cavity")
+            for n, theta in [(1, 1.1), (2, 2.0),
+                             *zip(rng.integers(1, n_max + 1, count),
+                                  rng.uniform(0.0, math.pi, count))]]
+
+
+def test_windowed_forms_are_within_u_of_the_full_ones(monkeypatch):
+    # each form assess_mqs keeps on a window differs from the form over
+    # every index by the dropped terms, F(u_out, v) + F(u_in, v_out), which
+    # must be at most u |form|; a form that is not kept is the full one
+    supports, sizes, forms = [], [], []
+    support, scaled, form = evolve._support, evolve._scaled_form, evolve._toeplitz_form
+
+    def recorded_support(x, share):
+        supports.append(support(x, share))
+        return supports[-1]
+
+    def recorded_scaled(kernel, u, v):
+        sizes.append(kernel.size)
+        return scaled(kernel, u, v)
+
+    def recorded_form(kernel, u, v):
+        supports.clear()
+        sizes.clear()
+        value = form(kernel, u, v)
+        forms.append((kernel, u, v, value, list(supports), list(sizes)))
+        return value
+
+    monkeypatch.setattr(evolve, "_support", recorded_support)
+    monkeypatch.setattr(evolve, "_scaled_form", recorded_scaled)
+    monkeypatch.setattr(evolve, "_toeplitz_form", recorded_form)
+    cases = _seeded_cases(18, 4096, 3) + [("fig1", 4096, math.pi / 4), ("fig1", 4095, math.pi / 4)]
+    for name, n, theta in cases:
+        assess_mqs(_preset_params(name, n, theta))
+    windowed = 0
+    for kernel, u, v, value, windows, sizes in forms:
+        if kernel.size < evolve._WINDOW_FROM:
+            assert not windows and not sizes
+            assert value == evolve._direct_form(kernel, u, v)
+            continue
+        (lo_u, hi_u), (lo_v, hi_v) = windows
+        lo, hi = min(lo_u, lo_v), max(hi_u, hi_v)
+        u_in, v_in = np.zeros_like(u), np.zeros_like(v)
+        u_in[lo:hi], v_in[lo:hi] = u[lo:hi], v[lo:hi]
+        # the bound on the dropped terms, |u_out|_1 |v|_1 + |u|_1 |v_out|_1
+        bound = (np.abs(u - u_in).sum() * np.abs(v).sum()
+                 + np.abs(u).sum() * np.abs(v - v_in).sum())
+        if sizes[-1] == kernel.size:
+            assert value == scaled(kernel, u, v)
+            assert bound > 2.0 ** -53 * abs(scaled(kernel[:hi - lo], u[lo:hi], v[lo:hi]))
+            continue
+        windowed += 1
+        assert sizes == [hi - lo]
+        assert bound <= 2.0 ** -53 * abs(value) * (1.0 + 1e-9)
+        dropped = scaled(kernel, u - u_in, v) + scaled(kernel, u_in, v - v_in)
+        assert abs(dropped) <= 2.0 ** -53 * abs(value) * (1.0 + 1e-9)
+    assert len(forms) == 3 * len(cases)
+    assert windowed >= 3 * sum(n >= evolve._WINDOW_FROM and n % 2 == 0 for _, n, _ in cases)
+
+
+def test_lx_snapshots_are_within_the_floor_of_the_full_rotation():
+    # every entry of a run's Lx grid at tau against |M rho M^T| over every
+    # index: within the stated floor when kept, within twice it when zeroed.
+    # As in the rotation, entries of rho below the smallest normal float are
+    # taken as 0 (subnormals slow the products many times)
+    for name, n, theta in _seeded_cases(19, 2000, 1):
+        p = _preset_params(name, n, theta)
+        tau = solve_bath(p.spectrum, p.solve_horizon_factor).tau
+        grid = _snapshot(p, tau, Basis.LX)
+        rho = evolve_state(p, tau).elements
+        mat = dicke.rotation_to_x(p.sector)
+        re, im = (np.where(np.abs(x) < np.finfo(float).tiny, 0.0, x) for x in (rho.real, rho.imag))
+        full = np.hypot(mat @ re @ mat.T, mat @ im @ mat.T)
+        floor = dicke._x_floor(p.sector, np.sqrt(rho.real.diagonal()))
+        kept = grid != 0.0
+        assert np.all(np.abs(grid - full)[kept] <= floor[kept]), (name, n)
+        assert np.all(full[~kept] <= 2.0 * floor[~kept]), (name, n)
 
 
 def test_assessment_builds_no_density_matrix():
