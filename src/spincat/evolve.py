@@ -401,10 +401,10 @@ def _snapshot(p: EvolutionParams, t: float, basis: Basis) -> np.ndarray:
     :func:`_dephase`, and an Lx grid is the real result of
     :func:`~spincat.dicke._x_rotate`, which reads rho once, as the square of
     its window made by :meth:`_State.upper`, with ``s`` from the diagonal
-    :class:`_State` writes.  One Lx snapshot at tau traces 16-21 bytes per
-    entry at N = 400-4096 (17.3 at N = 2000, 16.8 at N = 4096): the grid (8)
-    and, while one part of the window is rotated, its quadrant-size
-    products and sums."""
+    :class:`_State` writes.  One Lx snapshot at tau traces 15-20 bytes per
+    entry at N = 400-4096 (15.9 at N = 2000, 15.2 at N = 4096): the grid (8)
+    and, while one part of the window is rotated, its three quadrant-size
+    products (6), with the window's arrays."""
     state = _State(p, t, *_kernel_values(p, t))
     if basis is Basis.LZ:
         return state.matrix(float)

@@ -87,10 +87,10 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 #
 # Largest ensemble, from a 2 GiB memory budget.  One dense d x d complex
 # array (d = N + 1) takes 16*d**2 bytes, but a run makes none: at the cap the
-# measured peak of a run, 16.0-16.8 bytes per entry (traced at N = 4096,
-# fig1's state at tau and the pole state; 16.1-17.3 at N = 2000), comes from
+# measured peak of a run, 14.1-15.2 bytes per entry (traced at N = 4096,
+# fig1's state at tau and the pole state; 14.3-15.9 at N = 2000), comes from
 # an Lx snapshot: the real |rho| grid (8) and, while one part of rho's
-# window square is rotated, its quadrant-size products and sums.  An Lz
+# window square is rotated, its three quadrant-size products (6).  An Lz
 # snapshot holds its grid and a block of rows of rho.  The rotation is made
 # for that snapshot and freed with it, snapshots are computed, written and
 # freed one at a time, and their text is streamed, in this one process; the
@@ -98,7 +98,7 @@ _OUTPUT_KINDS = ("kernels", "snapshots", "report")
 # strings, traced at 9.7-12.5 bytes per entry with the grid at N = 4096
 # (fig1's grid at tau, mostly 0.0, and the pole state's, half 0.0) and 25.7
 # at N = 400 (the pole state's, with no 0.0), above the rotation's there.
-# So N = 4096 needs about 17 * 4097**2 ~ 0.29e9 bytes, and no N needs more
+# So N = 4096 needs about 16 * 4097**2 ~ 0.27e9 bytes, and no N needs more
 # than 27 bytes per entry: inside the budget.
 _MAX_PARTICLES = 4096
 # Kernel and sweep work, from a budget of one hour on one core: a kernel

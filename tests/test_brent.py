@@ -89,3 +89,18 @@ def test_root_returns_an_end_exactly_at_a_root(ends, zero):
     # a zero end with the other end of the same sign is still a root
     assert brent.root(lambda x: 1.0, *ends, xtol=1e-12, rtol=1e-12,
                       **({"fa": 0.0} if ends[0] == zero else {"fb": 0.0})) == zero
+
+
+def test_minimize_returns_its_best_point_at_the_evaluation_cap():
+    # with xatol = 0 the tolerance shrinks with |x|, so on x*x, whose minimum
+    # is at 0, the search never meets it and stops at the cap
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x
+
+    xf, fx = brent.minimize(f, -1.0, 1.0, xatol=0.0)
+    assert len(seen) == brent._MAX_EVALS == 500
+    assert xf in seen and fx == xf * xf == min(x * x for x in seen)
+    assert 0.0 < abs(xf) < 1e-200

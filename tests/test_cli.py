@@ -729,7 +729,7 @@ def test_cold_and_warm_kernel_memo_give_the_bytes_of_a_fresh_process(tmp_path, c
 
 
 def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
-    calls = {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0}
+    calls = {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0, "half": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -744,22 +744,24 @@ def test_run_and_sweep_build_density_matrices_unchecked(tmp_path, monkeypatch):
     rotation = counted("rotation", dicke.rotation_to_x)
     monkeypatch.setattr(dicke, "rotation_to_x", rotation)
     monkeypatch.setattr(evolve, "rotation_to_x", rotation, raising=False)
+    monkeypatch.setattr(dicke, "_x_rows", counted("half", dicke._x_rows))
     cfg = preset_config("fig1")
     cfg.update(n_particles=200, outputs=["report"])
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "report"))
-    assert calls == {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0}
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 0, "rotation": 0, "half": 0}
     cfg.update(outputs=["snapshots", "report"],
                snapshot_times={"kind": "tau-fractions", "values": [0.5, 1.0]})
     run_scenario(validate_config(cfg), output_dir=str(tmp_path / "run"))
-    # one rotation per Lx snapshot: one rotation_to_x, and the parity parts
-    # of the real and the imaginary part of rho's window
-    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 2}
+    # one rotation per Lx snapshot: the top rows of M, built once, no whole
+    # M, and the parity parts of the real and the imaginary part of rho's
+    # window
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 0, "half": 2}
     sweep(validate_config(small_config()), "N", [2, 4, 6, 8], jobs=1,
           output_dir=str(tmp_path / "sweep"))
-    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 2}
+    assert calls == {"eigvalsh": 0, "check": 0, "folds": 4, "rotation": 0, "half": 2}
     # a caller-supplied matrix is still checked in full
     DickeDensityMatrix(SectorLabel(1), np.eye(2, dtype=complex) / 2.0)
-    assert calls == {"eigvalsh": 1, "check": 1, "folds": 4, "rotation": 2}
+    assert calls == {"eigvalsh": 1, "check": 1, "folds": 4, "rotation": 0, "half": 2}
 
 
 def test_snapshot_text_is_streamed_unchanged(tmp_path):
@@ -1055,11 +1057,12 @@ def test_lx_snapshot_files_are_the_text_of_the_rotated_matrix(tmp_path, basis, p
 
 
 def test_lx_snapshot_holds_no_complex_matrix_during_the_products():
-    # the grid at tau traces about 21 bytes per entry at N = 400: the grid
-    # (8) and, while one part of rho's window is rotated, its quadrant-size
-    # products and sums; the parity folds of rho's rows over every index
-    # made 26, rho beside the parity parts of both its parts 36, and rho
-    # beside a complex Lx result 48
+    # the grid at tau traces about 20 bytes per entry at N = 400: the grid
+    # (8) and, while one part of rho's window is rotated, its three
+    # quadrant-size products and the window's arrays (21 while the
+    # quadrants' sums were made out of place); the parity folds of rho's
+    # rows over every index made 26, rho beside the parity parts of both its
+    # parts 36, and rho beside a complex Lx result 48
     params = build_scenario(validate_config(small_config(n_particles=400, theta=_PI_4)))
     bath = solve_bath(params.spectrum, params.solve_horizon_factor)
     evolve._snapshot(params, bath.tau, Basis.LX)  # kernel values now cached

@@ -242,6 +242,24 @@ def test_rotation_unitarity():
         assert np.array_equal(M[:, ::-1], parity[:, None] * M)
 
 
+@pytest.mark.parametrize("n", [*range(1, 65), 515, 1000, 1001, 4095, 4096])
+def test_a_rotation_builds_the_top_rows_of_the_whole_matrix(n):
+    # the top (d+1)//2 rows, all a rotation reads, are the whole matrix's
+    # bit for bit; the whole matrix's bottom rows are its top rows mirrored,
+    # M[d-1-r, k] = (-1)**(d-1+k) M[r, k]; and every zero is +0.0 but in the
+    # first half of an odd row, which the row's parity negates
+    sec = SectorLabel(n)
+    d, h = sec.dimension, (sec.dimension + 1) // 2
+    mat = rotation_to_x(sec)
+    top = dicke._x_rows(sec, h)
+    assert top.shape == (h, d) and not top.flags.writeable
+    assert top.tobytes() == mat[:h].tobytes()
+    sign = (-1.0) ** (d - 1 + np.arange(d))
+    assert np.array_equal(mat[h:], (sign * mat[:d // 2])[::-1])
+    r, k = np.nonzero(mat == 0.0)
+    assert np.array_equal(np.signbit(mat[r, k]), (r % 2 == 1) & (k < h))
+
+
 @pytest.mark.parametrize("n", [1000, 4096])
 def test_rotation_edge_rows_are_x_coherent_states(n):
     # rows 0 and -1 are the spin coherent states along +x and -x:
